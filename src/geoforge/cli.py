@@ -3,8 +3,9 @@
 Every subcommand reads one scene file, runs one structure, and writes one
 document (JSON dump by default, SVG or Ipe with --format).  Output goes
 through a temp file and an atomic rename so a crash never leaves a
-half-written file; "-" streams to stdout instead.  Exit codes: 0 on
-success, 1 when the input fails to parse or validate, 2 for usage errors.
+half-written file; "-" streams to stdout instead, and an existing device
+or FIFO is written to in place.  Exit codes: 0 on success, 1 when the
+input fails to parse or validate, 2 for usage errors.
 """
 
 from __future__ import annotations
@@ -236,6 +237,11 @@ def _write_output(path: str, text: str) -> None:
         sys.stdout.write(text)
         return
     target = os.path.abspath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        # a device or FIFO: write through it; a rename would replace it
+        with open(target, "w") as fh:
+            fh.write(text)
+        return
     umask = os.umask(0)
     os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".geoforge-")

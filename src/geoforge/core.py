@@ -333,19 +333,28 @@ def convex_hull(points) -> list[Point]:
     unique = sorted({(p.x, p.y) for p in pts})
     if len(unique) == 1:
         return [Point(*unique[0])]
-    pts = [Point(x, y) for x, y in unique]
+    return [Point(x, y) for x, y in _monotone_chain(unique)]
 
-    def build(seq):
-        chain: list[Point] = []
-        for p in seq:
-            while len(chain) >= 2 and cross(chain[-2], chain[-1], p) <= EPS_AREA:
+
+def _monotone_chain(seq: list) -> list:
+    """Andrew's monotone chain: the counterclockwise hull from seq[0].
+
+    seq holds two or more distinct tuples, sorted, each starting with x and
+    y.  A turn with cross <= EPS_AREA pops its middle point, so only strict
+    corners stay; convex_hull and the onion peel share this rule.
+    """
+    hull: list = []
+    for run in (seq, seq[::-1]):
+        chain: list = []
+        for p in run:
+            while len(chain) >= 2:
+                o, q = chain[-2], chain[-1]
+                if (q[0] - o[0]) * (p[1] - o[1]) - (q[1] - o[1]) * (p[0] - o[0]) > EPS_AREA:
+                    break
                 chain.pop()
             chain.append(p)
-        return chain
-
-    lower = build(pts)
-    upper = build(reversed(pts))
-    return lower[:-1] + upper[:-1]
+        hull += chain[:-1]
+    return hull
 
 
 def angle_at(v1: Point, v3: Point, v2: Point) -> float:

@@ -3,17 +3,23 @@
 Each layer takes every point lying on the hull boundary of what remains,
 vertices and edge-interior points alike, so collinear points leave with
 the layer they sit on.  Peeling continues until nothing is left.
+
+The points are sorted once, lexicographically, and stay sorted as each
+layer is filtered out, so a layer of m remaining points costs O(m): one
+monotone chain (core._monotone_chain, whose pop rule convex_hull shares)
+and, per hull edge, a distance test of only the points in its x-slab.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .core import (
     EPS_DIST,
     GeometryError,
     Point,
-    convex_hull,
+    _monotone_chain,
     distance,
     point_segment_distance,
     points_equal,
@@ -38,63 +44,64 @@ def onion_decomposition(points) -> OnionDecomposition:
     pts = list(points)
     if not pts:
         raise GeometryError("empty point set")
-    _reject_duplicates(pts)
-    remaining = pts
+    # (x, y, input index); the index breaks ties as a stable sort would
+    order = sorted((p.x, p.y, i) for i, p in enumerate(pts))
+    _reject_duplicates(order, pts)
     layers: list[tuple[Point, ...]] = []
-    while remaining:
-        layer = _boundary_layer(remaining)
-        # duplicates are rejected above, so coordinates identify points
-        taken = {(p.x, p.y) for p in layer}
-        remaining = [p for p in remaining if (p.x, p.y) not in taken]
-        layers.append(tuple(layer))
+    while order:
+        layer = _boundary_layer(order, pts)
+        taken = set(layer)
+        order = [t for t in order if t[2] not in taken]
+        layers.append(tuple(pts[i] for i in layer))
     return OnionDecomposition(tuple(layers))
 
 
-def _reject_duplicates(pts) -> None:
-    order = sorted(range(len(pts)), key=lambda i: (pts[i].x, pts[i].y))
+def _reject_duplicates(order: list, pts: list) -> None:
     for a in range(len(order) - 1):
-        i = order[a]
+        x, _, i = order[a]
         for b in range(a + 1, len(order)):
-            j = order[b]
-            if pts[j].x - pts[i].x > EPS_DIST:
+            bx, _, j = order[b]
+            if bx - x > EPS_DIST:
                 break
             if points_equal(pts[i], pts[j]):
                 raise GeometryError("duplicate point")
 
 
-def _boundary_layer(remaining: list[Point]) -> list[Point]:
-    if len(remaining) == 1:
-        return list(remaining)
-    hull = convex_hull(remaining)
+def _boundary_layer(order: list, pts: list) -> list[int]:
+    """Input indices of the hull boundary of the sorted points in order."""
+    if len(order) == 1:
+        return [order[0][2]]
+    hull = _monotone_chain(order)
     if len(hull) == 2:
-        return _collinear_layer(remaining, hull[0], hull[1])
-    placed = set()
-    layer: list[Point] = []
-    n = len(hull)
-    hull_xy = {(v.x, v.y) for v in hull}
-    for i in range(n):
-        a = hull[i]
-        b = hull[(i + 1) % n]
-        layer.append(a)
-        placed.add((a.x, a.y))
-        on_edge = []
-        for p in remaining:
-            key = (p.x, p.y)
-            if key in hull_xy or key in placed:
-                continue
-            if point_segment_distance(p, a, b) <= EPS_DIST:
-                on_edge.append(p)
-                placed.add(key)
-        on_edge.sort(key=lambda p: distance(a, p))
+        return _collinear_layer(order, hull[0], hull[1])
+    xs = [t[0] for t in order]
+    # a point within EPS_DIST of two edges goes to the first in walk order
+    placed = {t[2] for t in hull}
+    layer: list[int] = []
+    for k, (ax, _, ia) in enumerate(hull):
+        bx, _, ib = hull[k + 1 - len(hull)]
+        a, b = pts[ia], pts[ib]
+        layer.append(ia)
+        # a point within EPS_DIST of the edge has x within EPS_DIST of its
+        # x-range; the doubled margin absorbs the rounding of that test
+        lo = bisect_left(xs, min(ax, bx) - 2.0 * EPS_DIST)
+        hi = bisect_right(xs, max(ax, bx) + 2.0 * EPS_DIST)
+        on_edge = [
+            i for _, _, i in order[lo:hi]
+            if i not in placed and point_segment_distance(pts[i], a, b) <= EPS_DIST
+        ]
+        on_edge.sort(key=lambda i: (distance(a, pts[i]), i))
+        placed.update(on_edge)
         layer.extend(on_edge)
     return layer
 
 
-def _collinear_layer(remaining: list[Point], lo: Point, hi: Point) -> list[Point]:
+def _collinear_layer(order: list, lo: tuple, hi: tuple) -> list[int]:
     """All remaining points sit on one segment; order them along it."""
-    dx = hi.x - lo.x
-    dy = hi.y - lo.y
-    return sorted(remaining, key=lambda p: (p.x - lo.x) * dx + (p.y - lo.y) * dy)
+    dx = hi[0] - lo[0]
+    dy = hi[1] - lo[1]
+    along = sorted(order, key=lambda t: ((t[0] - lo[0]) * dx + (t[1] - lo[1]) * dy, t[2]))
+    return [t[2] for t in along]
 
 
 def layers_to_lists(d: OnionDecomposition) -> list:

@@ -340,17 +340,21 @@ def test_h_fractal_counts_exact_and_areas_shrink_geometrically():
 
 # (i) documents --------------------------------------------------------------
 
+# (golden and fixture name, subcommand, extra flags).  onion-grid is a
+# random.Random(15).sample of 135 of the 225 points of a 15 x 15 grid with
+# spacing 10: many collinear boundary points and eight layers.
 GOLDEN_RUNS = [
-    ("quadtree", []),
-    ("pr-quadtree", ["--capacity", "2"]),
-    ("trapmap", []),
-    ("onion", []),
-    ("beta-skeleton", ["--beta", "1"]),
-    ("floating-body", ["--delta", "0.1", "--directions", "36"]),
-    ("triangulate", []),
-    ("sample", ["--count", "12", "--seed", "7"]),
-    ("sierpinski-triangle", ["--depth", "3"]),
-    ("sierpinski-carpet", ["--depth", "2"]),
+    ("quadtree", "quadtree", []),
+    ("pr-quadtree", "pr-quadtree", ["--capacity", "2"]),
+    ("trapmap", "trapmap", []),
+    ("onion", "onion", []),
+    ("onion-grid", "onion", []),
+    ("beta-skeleton", "beta-skeleton", ["--beta", "1"]),
+    ("floating-body", "floating-body", ["--delta", "0.1", "--directions", "36"]),
+    ("triangulate", "triangulate", []),
+    ("sample", "sample", ["--count", "12", "--seed", "7"]),
+    ("sierpinski-triangle", "sierpinski-triangle", ["--depth", "3"]),
+    ("sierpinski-carpet", "sierpinski-carpet", ["--depth", "2"]),
 ]
 
 IPE_TAGS = {"ipe", "page", "path", "use", "group"}
@@ -358,20 +362,20 @@ IPE_TAGS = {"ipe", "page", "path", "use", "group"}
 
 @pytest.mark.parametrize("fmt", ["json", "svg", "ipe"])
 def test_i_golden_documents_per_subcommand(tmp_path, fmt):
-    for sub, extra in GOLDEN_RUNS:
-        out = tmp_path / (sub + "." + fmt)
+    for name, sub, extra in GOLDEN_RUNS:
+        out = tmp_path / (name + "." + fmt)
         code = main(
-            [sub, "--input", str(FIXTURES / (sub + ".json")),
+            [sub, "--input", str(FIXTURES / (name + ".json")),
              "--output", str(out), "--format", fmt] + extra
         )
-        assert code == 0, sub
+        assert code == 0, name
         got = out.read_bytes()
-        assert got == (GOLDEN / (sub + "." + fmt)).read_bytes(), sub
+        assert got == (GOLDEN / (name + "." + fmt)).read_bytes(), name
         if fmt == "ipe":
             tags = {el.tag for el in ET.fromstring(got.decode("utf-8")).iter()}
-            assert tags <= IPE_TAGS, (sub, tags)
+            assert tags <= IPE_TAGS, (name, tags)
     print(
-        "\n[PASS] (i) all 10 subcommand %s documents are byte-identical to their "
+        "\n[PASS] (i) all 11 fixture runs' %s documents are byte-identical to their "
         "goldens (Ipe also inside the element whitelist)" % fmt
     )
 

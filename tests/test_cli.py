@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 
 import pytest
 
+import geoforge
 from geoforge.cli import main
 
 POINTS = '{"points":[[10,10],[40,70],[80,20],[60,60],[30,30]]}'
@@ -175,17 +178,22 @@ def test_success_replaces_existing_file(scenes, tmp_path):
 
 
 def test_module_entry_point_runs_as_subprocess(scenes, tmp_path):
+    # the child imports the package under test, wherever pytest found it
+    src = os.path.dirname(os.path.dirname(geoforge.__file__))
+    paths = [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     out = tmp_path / "sub.json"
     r = subprocess.run(
         [sys.executable, "-m", "geoforge", "quadtree", "--input", scenes["points"],
          "--output", str(out)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert r.returncode == 0, r.stderr
     assert json.loads(out.read_text())["kind"] == "point"
     r = subprocess.run(
-        [sys.executable, "-m", "geoforge", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "geoforge", "--help"], capture_output=True, text=True, env=env
     )
     assert r.returncode == 0
     assert "quadtree" in r.stdout and "sierpinski-carpet" in r.stdout
@@ -199,3 +207,24 @@ def test_output_file_mode_follows_the_umask(scenes, tmp_path):
     finally:
         os.umask(old)
     assert out.stat().st_mode & 0o777 == 0o644
+
+
+def test_existing_fifo_is_written_to_not_replaced(scenes, tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+
+    def drain():
+        with open(fifo, "rb") as fh:
+            got.append(fh.read())
+
+    # daemon: if the FIFO were replaced, the reader would wait forever
+    reader = threading.Thread(target=drain, daemon=True)
+    reader.start()
+    assert main(["onion", "--input", scenes["points"], "--output", str(fifo)]) == 0
+    reader.join(timeout=10)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert not reader.is_alive()
+    regular = tmp_path / "regular.json"
+    assert main(["onion", "--input", scenes["points"], "--output", str(regular)]) == 0
+    assert got == [regular.read_bytes()]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import geomgen
 from geoforge import GeometryError, Point, onion_decomposition
@@ -34,6 +35,55 @@ def test_collinear_set_is_one_layer_in_line_order():
     pts = [Point(i, 2 * i) for i in (3, 0, 2, 1)]
     layers = layers_to_lists(onion_decomposition(pts))
     assert layers == [[[0.0, 0.0], [1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]]
+    rng = random.Random(7310)
+    for line in ([(i, -3 * i) for i in range(-9, 11)], [(4, i) for i in range(15)]):
+        shuffled = line[:]
+        rng.shuffle(shuffled)
+        layers = layers_to_lists(onion_decomposition([Point(*p) for p in shuffled]))
+        assert layers == [[[float(x), float(y)] for x, y in sorted(line)]]
+
+
+def test_collinear_layer_breaks_projection_ties_by_input_order():
+    # (0.5, +-6e-10) project to the same spot on the segment (0,0)-(1,0)
+    for mid in ([(0.5, 6e-10), (0.5, -6e-10)], [(0.5, -6e-10), (0.5, 6e-10)]):
+        pts = [Point(1, 0), Point(*mid[0]), Point(0, 0), Point(*mid[1])]
+        layers = layers_to_lists(onion_decomposition(pts))
+        assert layers == [[[0.0, 0.0], list(mid[0]), list(mid[1]), [1.0, 0.0]]]
+
+
+def test_near_collinear_membership_follows_the_distance_epsilon():
+    # 9e-10 inside the long bottom edge is on it (distance <= EPS_DIST) even
+    # though its area determinant, about 9e-7, is far above EPS_AREA;
+    # 1.1e-9 inside is not, and waits for the next layer
+    pts = [Point(0, 0), Point(1000, 0), Point(500, 1000),
+           Point(400, 9e-10), Point(600, 1.1e-9)]
+    layers = layers_to_lists(onion_decomposition(pts))
+    assert layers == [
+        [[0.0, 0.0], [400.0, 9e-10], [1000.0, 0.0], [500.0, 1000.0]],
+        [[600.0, 1.1e-9]],
+    ]
+
+
+def test_edge_interior_points_follow_distance_from_the_edge_start():
+    corners = [(0, 0), (10, 0), (10, 10), (0, 10)]
+    interior = [(7, 0), (2, 0), (8, 0), (1, 0), (5, 0), (10, 6), (10, 3),
+                (4, 10), (9, 10), (0, 2), (0, 7)]
+    walk = [(0, 0), (1, 0), (2, 0), (5, 0), (7, 0), (8, 0), (10, 0),
+            (10, 3), (10, 6), (10, 10), (9, 10), (4, 10), (0, 10), (0, 7), (0, 2)]
+    rng = random.Random(2024)
+    for _ in range(5):
+        pts = corners + interior
+        rng.shuffle(pts)
+        layers = layers_to_lists(onion_decomposition([Point(*p) for p in pts]))
+        assert layers == [[[float(x), float(y)] for x, y in walk]]
+
+
+def test_edge_interior_distance_ties_keep_input_order():
+    # (0.5, +-6e-10) are equally far from the corner (0, 0), both on its edge
+    for mid in ([(0.5, 6e-10), (0.5, -6e-10)], [(0.5, -6e-10), (0.5, 6e-10)]):
+        pts = [Point(1, 0), Point(*mid[0]), Point(0.5, 0.5), Point(0, 0), Point(*mid[1])]
+        layers = layers_to_lists(onion_decomposition(pts))
+        assert layers == [[[0.0, 0.0], list(mid[0]), list(mid[1]), [1.0, 0.0], [0.5, 0.5]]]
 
 
 def test_errors():
@@ -81,3 +131,39 @@ def test_layer_hull_areas_strictly_decrease():
             assert inner < outer
         sizes = sum(len(layer) for layer in d.layers)
         assert sizes == len(raw)
+
+
+def test_point_near_two_edges_joins_the_first_in_walk_order():
+    # in this sliver, (500, 7.5e-10) is within EPS_DIST of the bottom edge
+    # and of the long edge back to (0, 0); it is listed once, on the bottom
+    pts = [Point(1000, 3e-9), Point(500, 7.5e-10), Point(1000, 0), Point(0, 0)]
+    layers = layers_to_lists(onion_decomposition(pts))
+    assert layers == [[[0.0, 0.0], [500.0, 7.5e-10], [1000.0, 0.0], [1000.0, 3e-9]]]
+
+
+def _turn(a, b, c):
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)),
+                min_size=1, max_size=30, unique=True))
+def test_small_integer_sets_match_the_oracle_and_walk_ccw(raw):
+    # on a small integer lattice every collinearity is exact, so the
+    # epsilon rules have nothing to round and the oracle's sets are exact
+    d = onion_decomposition([Point(x, y) for x, y in raw])
+    assert [set((p.x, p.y) for p in layer) for layer in d.layers] == peel_oracle(raw)
+    for layer in d.layers:
+        coords = [(p.x, p.y) for p in layer]
+        assert coords[0] == min(coords)
+        n = len(coords)
+        if n < 3:
+            continue
+        if all(_turn(coords[0], coords[1], c) == 0 for c in coords):
+            assert coords == sorted(coords)  # a collinear layer in line order
+            continue
+        for i in range(n):
+            a, b, c = coords[i - 1], coords[i], coords[(i + 1) % n]
+            turn = _turn(a, b, c)
+            forward = (b[0] - a[0]) * (c[0] - b[0]) + (b[1] - a[1]) * (c[1] - b[1])
+            assert turn > 0 or (turn == 0 and forward > 0)
