@@ -175,8 +175,8 @@ def _turning_is_convex_ccw(vertices) -> bool:
     """True when the loop is convex, counterclockwise, and winds exactly once.
 
     A convex single-winding loop without spikes or duplicate consecutive
-    vertices is necessarily simple, which lets Polygon skip the quadratic
-    intersection scan for the common convex case.
+    vertices is necessarily simple, which lets Polygon skip the edge
+    contact scan for the common convex case.
     """
     n = len(vertices)
     turning = 0.0
@@ -192,8 +192,25 @@ def _turning_is_convex_ccw(vertices) -> bool:
     return abs(turning - 2.0 * math.pi) < 1e-6
 
 
-def _segments_touch(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
-    """True when the closed segments share any point (within EPS_DIST)."""
+def _contact_box(p: Point, q: Point) -> tuple:
+    """The box of segment pq widened by 2 * EPS_DIST on every side."""
+    w = 2.0 * EPS_DIST
+    return (min(p.x, q.x) - w, min(p.y, q.y) - w, max(p.x, q.x) + w, max(p.y, q.y) + w)
+
+
+def _segments_contact(p1: Point, p2: Point, q1: Point, q2: Point, shared_ok: bool) -> bool:
+    """True when the closed segments p1p2 and q1q2 share a point (within EPS_DIST).
+
+    Segments whose widened boxes (_contact_box) are disjoint never touch,
+    which also keeps the EPS_AREA crossing test away from the float noise
+    of far-apart collinear segments.  With shared_ok, an endpoint of one
+    segment that equals an endpoint of the other is not contact, but two
+    segments with the same endpoints still are.
+    """
+    a = _contact_box(p1, p2)
+    b = _contact_box(q1, q2)
+    if a[0] > b[2] or b[0] > a[2] or a[1] > b[3] or b[1] > a[3]:
+        return False
     o1 = cross(q1, q2, p1)
     o2 = cross(q1, q2, p2)
     o3 = cross(p1, p2, q1)
@@ -203,12 +220,39 @@ def _segments_touch(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
         and ((o3 > EPS_AREA and o4 < -EPS_AREA) or (o3 < -EPS_AREA and o4 > EPS_AREA))
     ):
         return True
-    return (
-        point_segment_distance(p1, q1, q2) <= EPS_DIST
-        or point_segment_distance(p2, q1, q2) <= EPS_DIST
-        or point_segment_distance(q1, p1, p2) <= EPS_DIST
-        or point_segment_distance(q2, p1, p2) <= EPS_DIST
-    )
+    if shared_ok and (
+        (points_equal(p1, q1) and points_equal(p2, q2))
+        or (points_equal(p1, q2) and points_equal(p2, q1))
+    ):
+        return True
+    for p, s1, s2 in ((p1, q1, q2), (p2, q1, q2), (q1, p1, p2), (q2, p1, p2)):
+        if point_segment_distance(p, s1, s2) <= EPS_DIST and not (
+            shared_ok and (points_equal(p, s1) or points_equal(p, s2))
+        ):
+            return True
+    return False
+
+
+def _contact_candidates(segments) -> list[tuple[int, int]]:
+    """Index pairs i < j, sorted, of the (a, b) segments whose widened boxes overlap.
+
+    A sweep over the boxes sorted by xmin.  Every pair it leaves out fails
+    the box test that _segments_contact starts with, so testing only these
+    pairs decides exactly as testing all pairs in the same order would.
+    """
+    boxes = [_contact_box(a, b) for a, b in segments]
+    order = sorted(range(len(boxes)), key=lambda i: boxes[i][0])
+    pairs = []
+    for k, i in enumerate(order):
+        _, ylo, xhi, yhi = boxes[i]
+        for j in order[k + 1 :]:
+            b = boxes[j]
+            if b[0] > xhi:
+                break
+            if b[1] <= yhi and ylo <= b[3]:
+                pairs.append((i, j) if i < j else (j, i))
+    pairs.sort()
+    return pairs
 
 
 @dataclass(frozen=True, slots=True)
@@ -218,8 +262,10 @@ class Polygon:
     The constructor accepts either winding direction, normalizes to
     counterclockwise, and rejects inputs that are degenerate (fewer than
     three vertices, consecutive duplicates, zero area, zero-angle spikes)
-    or self-intersecting.  The simplicity check is quadratic in the vertex
-    count; convex inputs are recognized in linear time and skip it.
+    or self-intersecting.  Convex inputs are recognized in linear time;
+    for the others, the simplicity check tests only the edge pairs whose
+    bounding boxes overlap (_contact_candidates), which costs O(n log n)
+    plus the number of such pairs.
     """
 
     vertices: tuple[Point, ...]
@@ -246,19 +292,14 @@ class Polygon:
                 if dot > 0.0:
                     raise GeometryError("self-intersecting polygon: spike vertex")
         if not _turning_is_convex_ccw(verts):
-            for i in range(n):
-                a1 = verts[i]
-                a2 = verts[(i + 1) % n]
-                for j in range(i + 1, n):
-                    if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                        continue
-                    b1 = verts[j]
-                    b2 = verts[(j + 1) % n]
-                    if _segments_touch(a1, a2, b1, b2):
-                        raise GeometryError(
-                            "self-intersecting polygon: edges %d and %d touch"
-                            % (i, j)
-                        )
+            edges = [(verts[i], verts[(i + 1) % n]) for i in range(n)]
+            for i, j in _contact_candidates(edges):
+                if j == i + 1 or (i == 0 and j == n - 1):
+                    continue
+                if _segments_contact(*edges[i], *edges[j], shared_ok=False):
+                    raise GeometryError(
+                        "self-intersecting polygon: edges %d and %d touch" % (i, j)
+                    )
         object.__setattr__(self, "vertices", verts)
 
     @classmethod

@@ -3,26 +3,29 @@
 Every distinct segment endpoint shoots a vertical ray up and down; the
 rays stop at the first segment (or the box wall) they meet.  The cells of
 the resulting subdivision are trapezoids with vertical left/right sides.
-Construction is brute force on purpose: rays scan all segments, and the
+The input check tests only the segment pairs whose bounding boxes
+overlap, each ray tests the segments whose x-range holds it, and the
 cells come from a left-to-right sweep that merges slab gaps sharing the
 same (top, bottom) pair.  For n segments the map has at most 3n + 1
-trapezoids whose areas tile the box exactly.
+trapezoids whose areas tile the box exactly.  locate uses the slab
+method: two bisections in an index built on its first call.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import math
+from bisect import bisect_left, bisect_right, insort
+from dataclasses import dataclass, field
 
 from .core import (
-    EPS_AREA,
     EPS_DIST,
     BBox,
     GeometryError,
     Point,
     Segment,
-    cross,
-    point_segment_distance,
+    _contact_candidates,
+    _segments_contact,
     points_equal,
 )
 
@@ -57,37 +60,13 @@ class TrapezoidalMap:
     segments: tuple[Segment, ...]
     extensions: tuple[VerticalExtension, ...]
     trapezoids: tuple[Trapezoid, ...]
+    # locate's slab index, built on its first call
+    _slabs: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def _seg_y_at(seg: Segment, x: float) -> float:
     a, b = seg.a, seg.b
     return a.y + (x - a.x) * (b.y - a.y) / (b.x - a.x)
-
-
-def _segments_conflict(s: Segment, t: Segment) -> bool:
-    """Contact anywhere except a shared endpoint of both segments."""
-    if (points_equal(s.a, t.a) and points_equal(s.b, t.b)) or (
-        points_equal(s.a, t.b) and points_equal(s.b, t.a)
-    ):
-        return True
-    o1 = cross(t.a, t.b, s.a)
-    o2 = cross(t.a, t.b, s.b)
-    o3 = cross(s.a, s.b, t.a)
-    o4 = cross(s.a, s.b, t.b)
-    if (
-        ((o1 > EPS_AREA and o2 < -EPS_AREA) or (o1 < -EPS_AREA and o2 > EPS_AREA))
-        and ((o3 > EPS_AREA and o4 < -EPS_AREA) or (o3 < -EPS_AREA and o4 > EPS_AREA))
-    ):
-        return True
-    for p in (s.a, s.b):
-        if point_segment_distance(p, t.a, t.b) <= EPS_DIST:
-            if not (points_equal(p, t.a) or points_equal(p, t.b)):
-                return True
-    for p in (t.a, t.b):
-        if point_segment_distance(p, s.a, s.b) <= EPS_DIST:
-            if not (points_equal(p, s.a) or points_equal(p, s.b)):
-                return True
-    return False
 
 
 def _default_bbox(segments) -> BBox:
@@ -114,11 +93,9 @@ def build_trapezoidal_map(segments, bbox: BBox | None = None) -> TrapezoidalMap:
             raise GeometryError("segment %d is not a Segment" % i)
         if abs(s.a.x - s.b.x) <= EPS_DIST:
             raise GeometryError("vertical segment unsupported: %d" % i)
-    n = len(segs)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _segments_conflict(segs[i], segs[j]):
-                raise GeometryError("segments intersect: %d and %d" % (i, j))
+    for i, j in _contact_candidates([(s.a, s.b) for s in segs]):
+        if _segments_contact(segs[i].a, segs[i].b, segs[j].a, segs[j].b, shared_ok=True):
+            raise GeometryError("segments intersect: %d and %d" % (i, j))
     if bbox is None:
         if not segs:
             raise GeometryError("empty segment set requires an explicit bbox")
@@ -128,30 +105,44 @@ def build_trapezoidal_map(segments, bbox: BBox | None = None) -> TrapezoidalMap:
             if not (bbox.contains(s.a) and bbox.contains(s.b)):
                 raise GeometryError("endpoint outside bbox: segment %d" % i)
     origins = _distinct_endpoints(segs)
-    extensions = tuple(_shoot_extension(segs, bbox, p) for p in origins)
-    trapezoids = tuple(_sweep_trapezoids(segs, bbox))
+    xranges = [(min(s.a.x, s.b.x), max(s.a.x, s.b.x)) for s in segs]
+    extensions = tuple(_shoot_extension(segs, xranges, bbox, p) for p in origins)
+    trapezoids = tuple(_sweep_trapezoids(segs, xranges, bbox, origins))
     return TrapezoidalMap(bbox=bbox, segments=segs, extensions=extensions, trapezoids=trapezoids)
 
 
 def _distinct_endpoints(segs) -> list[Point]:
-    """Endpoints in first-occurrence order, merged under the epsilon."""
+    """Endpoints in first-occurrence order, merged under the epsilon.
+
+    Points within EPS_DIST of each other fall in the same or adjacent
+    cells of a grid of side 2 * EPS_DIST, so each endpoint is compared
+    only with the kept points in its 3 x 3 block of cells.
+    """
+    cell = 2.0 * EPS_DIST
+    grid: dict[tuple[int, int], list[Point]] = {}
     out: list[Point] = []
     for s in segs:
         for p in (s.a, s.b):
-            if not any(points_equal(p, q) for q in out):
+            cx, cy = math.floor(p.x / cell), math.floor(p.y / cell)
+            if not any(
+                points_equal(p, q)
+                for gx in (cx - 1, cx, cx + 1)
+                for gy in (cy - 1, cy, cy + 1)
+                for q in grid.get((gx, gy), ())
+            ):
+                grid.setdefault((cx, cy), []).append(p)
                 out.append(p)
     return out
 
 
-def _shoot_extension(segs, bbox: BBox, origin: Point) -> VerticalExtension:
+def _shoot_extension(segs, xranges, bbox: BBox, origin: Point) -> VerticalExtension:
     ox, oy = origin.x, origin.y
     up_y, up_target = bbox.ymax, Wall.TOP
     down_y, down_target = bbox.ymin, Wall.BOTTOM
-    for idx, s in enumerate(segs):
-        xlo, xhi = (s.a.x, s.b.x) if s.a.x <= s.b.x else (s.b.x, s.a.x)
+    for idx, (xlo, xhi) in enumerate(xranges):
         if not (xlo <= ox <= xhi):
             continue
-        y = _seg_y_at(s, ox)
+        y = _seg_y_at(segs[idx], ox)
         if y > oy + EPS_DIST and y < up_y:
             up_y, up_target = y, idx
         elif y < oy - EPS_DIST and y > down_y:
@@ -175,13 +166,16 @@ def _event_xs(segs, bbox: BBox) -> list[float]:
     return merged
 
 
-def _sweep_trapezoids(segs, bbox: BBox) -> list[Trapezoid]:
+def _sweep_trapezoids(segs, xranges, bbox: BBox, origins) -> list[Trapezoid]:
     events = _event_xs(segs, bbox)
     endpoints_at: dict[float, list[Point]] = {x: [] for x in events}
-    for p in _distinct_endpoints(segs):
-        # endpoints snap to the nearest event (events are built from them)
-        ex = min(events, key=lambda x: abs(x - p.x))
-        endpoints_at[ex].append(p)
+    for p in origins:
+        # endpoints snap to the nearest event (events are built from them);
+        # of two events equally near, the lower x wins
+        k = bisect_left(events, p.x)
+        if k == len(events) or (k > 0 and p.x - events[k - 1] <= events[k] - p.x):
+            k -= 1
+        endpoints_at[events[k]].append(p)
     for pts in endpoints_at.values():
         pts.sort(key=lambda p: p.y)
 
@@ -207,11 +201,7 @@ def _sweep_trapezoids(segs, bbox: BBox) -> list[Trapezoid]:
         if xr - xl <= EPS_DIST:
             continue
         mid = (xl + xr) / 2.0
-        spanning = [
-            i
-            for i, s in enumerate(segs)
-            if min(s.a.x, s.b.x) <= mid <= max(s.a.x, s.b.x)
-        ]
+        spanning = [i for i, (lo, hi) in enumerate(xranges) if lo <= mid <= hi]
         spanning.sort(key=lambda i: _seg_y_at(segs[i], mid))
         bounds = [Wall.BOTTOM] + spanning + [Wall.TOP]
         gaps = [(bounds[i + 1], bounds[i]) for i in range(len(bounds) - 1)]
@@ -270,22 +260,69 @@ def locate(m: TrapezoidalMap, q: Point) -> int:
 
     Queries outside the box, or within EPS_DIST of any segment, extension
     or box wall, are rejected: the map assigns them no unique cell.
+
+    The first call caches a slab index on the map: the sorted trapezoid
+    x-boundaries and, for each interval between neighbouring boundaries,
+    the trapezoids over it from bottom to top.  A query bisects both, then
+    runs the strict EPS_DIST containment test on the hit and its two
+    neighbours and returns the lowest index that passes.
     """
     if not (
         m.bbox.xmin + EPS_DIST < q.x < m.bbox.xmax - EPS_DIST
         and m.bbox.ymin + EPS_DIST < q.y < m.bbox.ymax - EPS_DIST
     ):
         raise GeometryError("query outside bbox")
-    for idx, t in enumerate(m.trapezoids):
-        if not (t.left_x + EPS_DIST < q.x < t.right_x - EPS_DIST):
-            continue
-        if (
-            _bound_y_map(m, t.bottom, q.x) + EPS_DIST
-            < q.y
-            < _bound_y_map(m, t.top, q.x) - EPS_DIST
-        ):
-            return idx
+    if m._slabs is None:
+        object.__setattr__(m, "_slabs", _slab_index(m))
+    xs, stacks = m._slabs
+    k = bisect_right(xs, q.x) - 1
+    if 0 <= k < len(stacks):
+        traps = m.trapezoids
+        stack = stacks[k]
+        h = bisect_right(stack, q.y, key=lambda i: _bound_y_map(m, traps[i].bottom, q.x))
+        for idx in sorted(stack[max(h - 2, 0) : h + 1]):
+            t = traps[idx]
+            if (
+                t.left_x + EPS_DIST < q.x < t.right_x - EPS_DIST
+                and _bound_y_map(m, t.bottom, q.x) + EPS_DIST
+                < q.y
+                < _bound_y_map(m, t.top, q.x) - EPS_DIST
+            ):
+                return idx
     raise GeometryError("degenerate query: on a subdivision boundary")
+
+
+def _slab_index(m: TrapezoidalMap) -> tuple[list[float], list[list[int]]]:
+    """Sorted x-boundaries of the trapezoids and, per interval between two
+    neighbouring boundaries, the indices of the trapezoids spanning it
+    from bottom to top.
+
+    Each interval's stack is the previous one without the trapezoids that
+    end at its left boundary, with those starting there inserted by
+    their bottom and top heights at its midpoint.
+    """
+    traps = m.trapezoids
+    xs = sorted({t.left_x for t in traps} | {t.right_x for t in traps})
+    starting: list[list[int]] = [[] for _ in xs]
+    for idx, t in enumerate(traps):
+        if t.left_x < t.right_x:
+            starting[bisect_left(xs, t.left_x)].append(idx)
+    stacks: list[list[int]] = []
+    stack: list[int] = []
+    for k in range(len(xs) - 1):
+        x0, mid = xs[k], (xs[k] + xs[k + 1]) / 2.0
+        stack = [i for i in stack if traps[i].right_x > x0]
+        for idx in starting[k]:
+            insort(
+                stack,
+                idx,
+                key=lambda i: (
+                    _bound_y_map(m, traps[i].bottom, mid),
+                    _bound_y_map(m, traps[i].top, mid),
+                ),
+            )
+        stacks.append(stack)
+    return xs, stacks
 
 
 def _bound_dict(bound):

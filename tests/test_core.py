@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import geomgen
 from geoforge import (
@@ -26,7 +28,13 @@ from geoforge import (
     polygon_bbox,
     polygon_is_convex,
 )
-from geoforge.core import cross, distance, point_segment_distance
+from geoforge.core import (
+    _segments_contact,
+    _turning_is_convex_ccw,
+    cross,
+    distance,
+    point_segment_distance,
+)
 
 
 def test_point_validation():
@@ -93,6 +101,63 @@ def test_polygon_rejects_degenerate_inputs():
     # edge through a non-adjacent vertex
     with pytest.raises(GeometryError):
         Polygon([Point(0, 0), Point(4, 0), Point(4, 4), Point(2, 0), Point(0, 4)])
+    # a vertex within EPS_DIST of a non-adjacent edge, outside that edge's box
+    with pytest.raises(GeometryError, match="edges 0 and 2 touch"):
+        Polygon([Point(0, 0), Point(4, 0), Point(4, 4), Point(2, 5e-10), Point(0, 4)])
+
+
+def test_far_apart_near_collinear_edges_do_not_touch():
+    # edges 0 and 3 lie on one line, 23,018 units apart; their crossing
+    # determinants are float noise far above EPS_AREA
+    p1 = Point(-24288.827272819486, -193961.19724136437)
+    p2 = Point(132977.0151054941, -171426.56544095435)
+    q1 = Point(155994.65459965618, -168128.36652457577)
+    q2 = Point(191424.42254197577, -163051.63299312306)
+    poly = Polygon([p1, p2, Point(144000, -250000), q1, q2, Point(80000, -50000)])
+    assert poly.vertices[0] == p1 and len(poly) == 6
+
+
+_TOUCH = re.compile(r"self-intersecting polygon: edges (\d+) and (\d+) touch")
+
+
+def _first_touching_edges(verts):
+    """The all-pairs edge scan: first non-adjacent pair in contact, or None."""
+    n = len(verts)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if j == i + 1 or (i == 0 and j == n - 1):
+                continue
+            a, b = (verts[i], verts[(i + 1) % n]), (verts[j], verts[(j + 1) % n])
+            if _segments_contact(*a, *b, shared_ok=False):
+                return (i, j)
+    return None
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                min_size=4, max_size=10, unique=True),
+       st.booleans())
+def test_polygon_edge_scan_matches_all_pairs(raw, star):
+    # a small integer grid gives shared vertices, collinear overlaps and
+    # T-contacts; sorting by angle about the centroid gives simple
+    # non-convex loops as well as crossing ones
+    if star:
+        cx = sum(x for x, _ in raw) / len(raw)
+        cy = sum(y for _, y in raw) / len(raw)
+        raw = sorted(raw, key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
+    verts = [Point(x, y) for x, y in raw]
+    try:
+        Polygon(verts)
+        got = None
+    except GeometryError as e:
+        m = _TOUCH.fullmatch(str(e))
+        if m is None:
+            return  # rejected before the edge scan
+        got = (int(m[1]), int(m[2]))
+    area2 = sum(p.x * q.y - q.x * p.y for p, q in zip(verts, verts[1:] + verts[:1]))
+    ccw = verts if area2 > 0 else verts[::-1]
+    want = None if _turning_is_convex_ccw(ccw) else _first_touching_edges(ccw)
+    assert got == want
 
 
 def test_polygon_accepts_straight_interior_vertex():

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import geomgen
 from geoforge import (
@@ -18,7 +20,8 @@ from geoforge import (
     locate,
     trapezoid_area,
 )
-from geoforge.trapmap import map_to_dict, trapezoid_height
+from geoforge.core import EPS_DIST, _segments_contact
+from geoforge.trapmap import Trapezoid, _bound_y_map, map_to_dict, trapezoid_height
 
 
 def seg(x0, y0, x1, y1):
@@ -67,6 +70,19 @@ def test_shared_endpoint_emits_one_extension():
     assert len(m.extensions) == 3
     origins = sorted((e.origin.x, e.origin.y) for e in m.extensions)
     assert origins == [(0.0, 0.0), (1.0, 1.0), (2.0, 0.0)]
+    # endpoints within EPS_DIST in diagonal grid cells, either side of 0
+    m = build_trapezoidal_map([seg(-1, -1, 0, 0), seg(-5e-10, -5e-10, 1, -1)])
+    assert [e.origin for e in m.extensions] == [Point(-1, -1), Point(0, 0), Point(1, -1)]
+
+
+def test_endpoint_equally_near_two_events_joins_the_lower():
+    # x = 1e-9 merges into the event at 0 and lies as near to the next
+    # event, 2e-9: it is the left point of the cells that start at 0
+    m = build_trapezoidal_map(
+        [seg(0, 0, 1, 0), seg(1e-9, 1, 1, 2), seg(2e-9, 3, 1, 4)], bbox=BBox(-1, -1, 2, 5)
+    )
+    first = [t for t in m.trapezoids if t.left_x == 0.0 and t.bottom == 1]
+    assert len(first) == 1 and first[0].leftp == Point(1e-9, 1)
 
 
 def test_extensions_match_brute_force_rescan():
@@ -157,6 +173,11 @@ def test_build_errors():
         build_trapezoidal_map([seg(0, 0, 0, 1)])
     with pytest.raises(GeometryError):
         build_trapezoidal_map([seg(0, 0, 1, 1), seg(0, 1, 1, 0)])
+    with pytest.raises(GeometryError, match="segments intersect: 0 and 1"):
+        build_trapezoidal_map([seg(0, 0, 1, 1), seg(1, 1, 0, 0)])  # the same segment
+    with pytest.raises(GeometryError, match="segments intersect: 0 and 1"):
+        # an endpoint within EPS_DIST of the other segment, outside its box
+        build_trapezoidal_map([seg(0, 0, 1, 0), seg(0.5, 5e-10, 1, 1)])
     with pytest.raises(GeometryError):
         build_trapezoidal_map([])
     with pytest.raises(GeometryError):
@@ -177,3 +198,129 @@ def test_trapezoid_height_at_x():
     )
     assert trapezoid_height(m, above, 0.2) == pytest.approx(0.5)
     assert trapezoid_height(m, above, 0.8) == pytest.approx(0.4)
+
+
+def test_far_apart_near_collinear_segments_do_not_conflict():
+    # one line, 23,018 units apart: the crossing determinants are float
+    # noise far above EPS_AREA, but the segments share no point
+    segs = [
+        seg(-24288.827272819486, -193961.19724136437, 132977.0151054941, -171426.56544095435),
+        seg(155994.65459965618, -168128.36652457577, 191424.42254197577, -163051.63299312306),
+    ]
+    m = build_trapezoidal_map(segs)
+    assert len(m.extensions) == 4 and len(m.trapezoids) == 7
+
+
+_CONFLICT = re.compile(r"segments intersect: (\d+) and (\d+)")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
+                          st.integers(0, 4), st.integers(0, 4)),
+                min_size=1, max_size=8))
+def test_contact_check_matches_all_pairs(raw):
+    # a small integer grid gives shared endpoints, repeated segments,
+    # collinear overlaps and T-contacts
+    segs = [seg(*r) for r in raw if r[0] != r[2]]
+    if not segs:
+        return
+    want = None
+    for i in range(len(segs)):
+        for j in range(i + 1, len(segs)):
+            s, t = segs[i], segs[j]
+            if want is None and _segments_contact(s.a, s.b, t.a, t.b, shared_ok=True):
+                want = (i, j)
+    try:
+        build_trapezoidal_map(segs)
+        got = None
+    except GeometryError as e:
+        got = tuple(map(int, _CONFLICT.fullmatch(str(e)).groups()))
+    assert got == want
+
+
+def _locate_by_scan(m, q):
+    """The linear scan: the first trapezoid passing the strict test."""
+    if not (
+        m.bbox.xmin + EPS_DIST < q.x < m.bbox.xmax - EPS_DIST
+        and m.bbox.ymin + EPS_DIST < q.y < m.bbox.ymax - EPS_DIST
+    ):
+        raise GeometryError("query outside bbox")
+    for idx, t in enumerate(m.trapezoids):
+        if not (t.left_x + EPS_DIST < q.x < t.right_x - EPS_DIST):
+            continue
+        if (
+            _bound_y_map(m, t.bottom, q.x) + EPS_DIST
+            < q.y
+            < _bound_y_map(m, t.top, q.x) - EPS_DIST
+        ):
+            return idx
+    raise GeometryError("degenerate query: on a subdivision boundary")
+
+
+def _outcome(fn, m, q):
+    try:
+        return fn(m, q)
+    except GeometryError as e:
+        return str(e)
+
+
+def _assert_locate_matches_scan(m, queries):
+    for q in queries:
+        assert _outcome(locate, m, q) == _outcome(_locate_by_scan, m, q), q
+
+
+def _boundary_queries(m, rng):
+    """Points at every trapezoid's left side, offset by 0, +-5e-10, +-2e-9,
+    at a random height and at heights near its bottom and top."""
+    out = []
+    for t in m.trapezoids:
+        for dx in (0.0, 5e-10, -5e-10, 2e-9, -2e-9):
+            x = t.left_x + dx
+            ys = [rng.uniform(m.bbox.ymin, m.bbox.ymax)]
+            if t.left_x < x < t.right_x:
+                lo, hi = _bound_y_map(m, t.bottom, x), _bound_y_map(m, t.top, x)
+                ys += [lo + dy for dy in (0.0, 5e-10, 2e-9)]
+                ys += [hi - dy for dy in (0.0, 5e-10, 2e-9)]
+            out += [Point(x, y) for y in ys if m.bbox.contains(Point(x, y), 0.0)]
+    return out
+
+
+def test_locate_matches_linear_scan_on_random_maps():
+    rng = random.Random(404)
+    for trial in range(30):
+        n = rng.randint(1, 20)
+        raw = geomgen.random_noncrossing_segments(rng, n, lo=-5.0, hi=5.0)
+        if trial % 3 == 0:  # a shared-endpoint chain
+            raw = [(raw[0][1], (raw[0][1][0] + 1.0, raw[0][1][1] + 0.1))] + raw
+        m = build_trapezoidal_map([seg(a[0], a[1], b[0], b[1]) for a, b in raw])
+        queries = _boundary_queries(m, rng)
+        queries += [
+            Point(rng.uniform(m.bbox.xmin, m.bbox.xmax), rng.uniform(m.bbox.ymin, m.bbox.ymax))
+            for _ in range(200)
+        ]
+        _assert_locate_matches_scan(m, queries)
+
+
+def test_locate_on_a_map_built_by_hand():
+    # one segment, its four trapezoids listed out of sweep order; the map
+    # never goes through build_trapezoidal_map
+    s = seg(1, 1, 3, 2)
+    traps = (
+        Trapezoid(Wall.TOP, 0, 1.0, 3.0, Point(1, 1), Point(3, 2)),
+        Trapezoid(Wall.TOP, Wall.BOTTOM, 3.0, 4.0, Point(3, 2), None),
+        Trapezoid(0, Wall.BOTTOM, 1.0, 3.0, Point(1, 1), Point(3, 2)),
+        Trapezoid(Wall.TOP, Wall.BOTTOM, 0.0, 1.0, None, Point(1, 1)),
+    )
+    m = TrapezoidalMap(BBox(0, 0, 4, 4), (s,), (), traps)
+    fresh = TrapezoidalMap(BBox(0, 0, 4, 4), (s,), (), traps)
+    assert locate(m, Point(2, 3)) == 0
+    assert locate(m, Point(2, 0.5)) == 2
+    assert locate(m, Point(0.5, 1)) == 3
+    assert locate(m, Point(3.5, 1)) == 1
+    rng = random.Random(9)
+    _assert_locate_matches_scan(m, _boundary_queries(m, rng))
+    _assert_locate_matches_scan(
+        m, [Point(x / 8, y / 8) for x in range(33) for y in range(33)]
+    )
+    # the cached index is not part of the value
+    assert m == fresh and repr(m) == repr(fresh) and hash(m) == hash(fresh)
