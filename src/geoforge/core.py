@@ -46,11 +46,19 @@ class Point:
     y: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise GeometryError("point coordinates must be finite")
-        if abs(self.x) > COORD_LIMIT or abs(self.y) > COORD_LIMIT:
+        x = self.x
+        y = self.y
+        if type(x) is not float:
+            x = float(x)
+            object.__setattr__(self, "x", x)
+        if type(y) is not float:
+            y = float(y)
+            object.__setattr__(self, "y", y)
+        # one chain for the common case; NaN fails it too, so the finiteness
+        # test runs only on the way to an error
+        if not (-COORD_LIMIT <= x <= COORD_LIMIT and -COORD_LIMIT <= y <= COORD_LIMIT):
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise GeometryError("point coordinates must be finite")
             raise GeometryError(
                 "point coordinates must satisfy |x|, |y| <= %g" % COORD_LIMIT
             )

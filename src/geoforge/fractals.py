@@ -72,19 +72,28 @@ def sierpinski_carpet(seed: BBox, depth: int) -> FractalOutput:
         raise GeometryError("seed must be a bbox")
     _check_depth(depth, CARPET_MAX_DEPTH)
     cells: list[Polygon] = []
-    _carpet_cells(seed.xmin, seed.ymin, seed.xmax, seed.ymax, depth, cells)
+    _carpet_cells(seed.xmin, seed.ymin, seed.xmax, seed.ymax, depth, cells, {})
     return FractalOutput(kind=FractalKind.CARPET, depth=depth, cells=tuple(cells))
 
 
-def _carpet_cells(xmin, ymin, xmax, ymax, depth, out: list) -> None:
+def _corner(corners: dict, x: float, y: float) -> Point:
+    p = corners.get((x, y))
+    if p is None:
+        p = corners[(x, y)] = Point(x, y)
+    return p
+
+
+def _carpet_cells(xmin, ymin, xmax, ymax, depth, out: list, corners: dict) -> None:
+    # neighbouring cells share corners; `corners` holds one Point per (x, y)
+    # for the whole build
     if depth == 0:
         out.append(
             Polygon._unchecked(
                 (
-                    Point(xmin, ymin),
-                    Point(xmax, ymin),
-                    Point(xmax, ymax),
-                    Point(xmin, ymax),
+                    _corner(corners, xmin, ymin),
+                    _corner(corners, xmax, ymin),
+                    _corner(corners, xmax, ymax),
+                    _corner(corners, xmin, ymax),
                 )
             )
         )
@@ -97,7 +106,7 @@ def _carpet_cells(xmin, ymin, xmax, ymax, depth, out: list) -> None:
             if row == 1 and col == 1:
                 continue
             _carpet_cells(
-                xs[col], ys[row + 1], xs[col + 1], ys[row], depth - 1, out
+                xs[col], ys[row + 1], xs[col + 1], ys[row], depth - 1, out, corners
             )
 
 

@@ -4,12 +4,20 @@ Every dump in the package goes through this serializer so that equal
 structures produce byte-identical output: compact separators, keys in
 insertion order, numbers with at most 12 significant digits and no
 trailing zeros.
+
+`dumps` walks the value with an explicit stack, so nesting depth is
+bounded by memory, not by the interpreter's recursion limit.  It
+dispatches on the exact types the package's dumps use (float, list,
+tuple, dict, and an [x, y] pair of floats as one step) and falls back to
+isinstance checks for everything else.  Each distinct float is formatted
+once per call, through a memo that only floats reach.  Dict keys must be
+strings; any other key raises TypeError, since JSON has no other kind.
 """
 
 from __future__ import annotations
 
 import json
-import math
+from json.encoder import encode_basestring_ascii as _quote
 
 
 def format_number(value) -> str:
@@ -17,50 +25,101 @@ def format_number(value) -> str:
         raise TypeError("bool is not a number here")
     if isinstance(value, int):
         return str(value)
-    v = float(value)
-    if not math.isfinite(v):
+    return _float_text(float(value))
+
+
+def _float_text(v: float) -> str:
+    # "%.12g" spells inf and nan as text ending in "f" or "n"; no finite
+    # number does
+    s = "%.12g" % v
+    if s[-1] in "fn":
         raise ValueError("cannot serialize non-finite number")
-    if v == 0.0:
-        return "0"
-    return "%.12g" % v
+    return "0" if s == "-0" else s
+
+
+class TextMemo(dict):
+    """Number -> text, formatted by `fmt` on first lookup of each key.
+
+    Keys that compare equal share one entry, so a memo may only see values
+    whose equal keys format alike (for floats: only 0.0 and -0.0 collide).
+    """
+
+    __slots__ = ("fmt",)
+
+    def __init__(self, fmt) -> None:
+        super().__init__()
+        self.fmt = fmt
+
+    def __missing__(self, v) -> str:
+        s = self[v] = self.fmt(v)
+        return s
 
 
 def dumps(value) -> str:
     """Serialize nested dicts/lists/numbers/strings/bools/None."""
+    # keyed by floats only: 10**20 == 1e20 but they print differently
+    floats = TextMemo(_float_text)
     parts: list[str] = []
-    _write(value, parts)
-    return "".join(parts)
-
-
-def _write(value, parts: list[str]) -> None:
-    if value is None:
-        parts.append("null")
-    elif value is True:
-        parts.append("true")
-    elif value is False:
-        parts.append("false")
-    elif isinstance(value, (int, float)):
-        parts.append(format_number(value))
-    elif isinstance(value, str):
-        parts.append(json.dumps(value))
-    elif isinstance(value, (list, tuple)):
-        parts.append("[")
-        for i, item in enumerate(value):
-            if i:
-                parts.append(",")
-            _write(item, parts)
-        parts.append("]")
-    elif isinstance(value, dict):
-        parts.append("{")
-        for i, (key, item) in enumerate(value.items()):
-            if i:
-                parts.append(",")
-            parts.append(json.dumps(key))
-            parts.append(":")
-            _write(item, parts)
-        parts.append("}")
-    else:
-        raise TypeError("cannot serialize %r" % type(value).__name__)
+    out = parts.append
+    # `items` iterates over what is left of the innermost open container
+    # (the root is a one-item tuple); `frames` holds the (items, is_dict)
+    # of the containers around it
+    frames: list = []
+    items, is_dict, first = iter((value,)), False, True
+    while True:
+        for v in items:
+            if first:
+                first = False
+            else:
+                out(",")
+            if is_dict:
+                key, v = v
+                if not isinstance(key, str):
+                    raise TypeError("dict keys must be strings, not %r" % type(key).__name__)
+                out(_quote(key))
+                out(":")
+            t = type(v)
+            if t is float:
+                out(floats[v])
+                continue
+            if t is list or t is tuple:
+                if len(v) == 2 and type(v[0]) is float and type(v[1]) is float:
+                    out("[%s,%s]" % (floats[v[0]], floats[v[1]]))
+                    continue
+                nested, inner = v, False
+            elif t is dict:
+                nested, inner = v.items(), True
+            elif v is None:
+                out("null")
+                continue
+            elif v is True:
+                out("true")
+                continue
+            elif v is False:
+                out("false")
+                continue
+            elif isinstance(v, (int, float)):
+                out(format_number(v))
+                continue
+            elif isinstance(v, str):
+                out(_quote(v))
+                continue
+            elif isinstance(v, (list, tuple)):
+                nested, inner = v, False
+            elif isinstance(v, dict):
+                nested, inner = v.items(), True
+            else:
+                raise TypeError("cannot serialize %r" % type(v).__name__)
+            out("{" if inner else "[")
+            frames.append((items, is_dict))
+            items, is_dict, first = iter(nested), inner, True
+            break
+        else:
+            if not frames:
+                return "".join(parts)
+            out("}" if is_dict else "]")
+            items, is_dict = frames.pop()
+            first = False
 
 
 def loads(text: str):

@@ -5,6 +5,11 @@ y >= split goes North.  The point quadtree splits at the stored site, so
 its shape depends on insertion order.  The PR quadtree splits a region at
 its center once a leaf exceeds its capacity, so its shape depends only on
 the point set, the region, and the capacity.
+
+A point quadtree can be as deep as it has points (a diagonal input is one
+path), so its walks (equality, points(), the dump) use an explicit stack.
+parse_quadtree_array does not lift the limit: the stdlib JSON decoder
+bounds the nesting depth it reads.
 """
 
 from __future__ import annotations
@@ -46,21 +51,27 @@ class PointQuadtree:
 
 
 def _point_nodes_equal(a: PointNode | None, b: PointNode | None) -> bool:
-    if a is None or b is None:
-        return a is None and b is None
-    if (a.site.x, a.site.y) != (b.site.x, b.site.y):
-        return False
-    return all(
-        _point_nodes_equal(getattr(a, k), getattr(b, k)) for k in _CHILD_KEYS
-    )
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if a is None or b is None:
+            if a is not b:
+                return False
+            continue
+        if (a.site.x, a.site.y) != (b.site.x, b.site.y):
+            return False
+        stack.extend((getattr(a, k), getattr(b, k)) for k in _CHILD_KEYS)
+    return True
 
 
 def _collect_point_nodes(node: PointNode | None, out: list[Point]) -> None:
-    if node is None:
-        return
-    out.append(node.site)
-    for key in _CHILD_KEYS:
-        _collect_point_nodes(getattr(node, key), out)
+    # preorder; children go on the stack in reverse so that nw comes off first
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if node is not None:
+            out.append(node.site)
+            stack.extend((node.se, node.sw, node.ne, node.nw))
 
 
 def _quadrant_key(px: float, py: float, sx: float, sy: float) -> str:
@@ -234,16 +245,29 @@ def tree_to_dict(tree) -> dict:
     raise TypeError("not a quadtree: %r" % type(tree).__name__)
 
 
-def _point_node_dict(node: PointNode | None):
-    if node is None:
-        return None
-    return {
-        "site": [node.site.x, node.site.y],
-        "nw": _point_node_dict(node.nw),
-        "ne": _point_node_dict(node.ne),
-        "sw": _point_node_dict(node.sw),
-        "se": _point_node_dict(node.se),
-    }
+def _point_node_dict(root: PointNode | None):
+    # each node's dict is made with all five keys; an explicit stack then
+    # fills in the children's dicts
+    holder = {"root": None}
+    stack = [(root, holder, "root")] if root is not None else []
+    while stack:
+        node, parent, key = stack.pop()
+        d = parent[key] = {
+            "site": [node.site.x, node.site.y],
+            "nw": None,
+            "ne": None,
+            "sw": None,
+            "se": None,
+        }
+        if node.nw is not None:
+            stack.append((node.nw, d, "nw"))
+        if node.ne is not None:
+            stack.append((node.ne, d, "ne"))
+        if node.sw is not None:
+            stack.append((node.sw, d, "sw"))
+        if node.se is not None:
+            stack.append((node.se, d, "se"))
+    return holder["root"]
 
 
 def _pr_node_dict(node: PRNode):

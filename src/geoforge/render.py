@@ -2,20 +2,33 @@
 
 Both emitters consume the same drawables: the scene's own geometry first,
 then layers extracted from a structure dump (the plain-data form each
-module produces).  Layers cycle through the style's palette.  Output is
-deterministic: fixed element order and fixed coordinate formatting.
+module produces).  The drawables are plain named tuples: a Mark is one
+point, a Stroke a sequence of (x, y) pairs, open or closed; a fractal
+cell's own list from the dump serves as its stroke's points.  The
+point-tree walks use an explicit stack, so tree depth is not bounded by
+the recursion limit.  Layers cycle through the style's palette.  Output
+is deterministic: fixed element order and fixed coordinate formatting.
 
 SVG uses fixed 6-decimal coordinates and flips the y axis so figures read
 in math orientation.  Ipe files carry no stylesheet and use only the
 elements ipe, page, path, use and group, which Ipe 7.2.x opens with its
 defaults; coordinates are trimmed to at most 6 decimals.
+
+Figures repeat coordinates heavily (a depth-5 carpet has 262,144
+coordinate slots but about 244 distinct x and 244 distinct y values), so
+each document formats every distinct value once, through a memo keyed by
+the number.  Keys that compare equal print alike in both formats: 0.0 and
+-0.0 both print as zero, and an int prints as the float it equals.  Each
+path is built as one string.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 from .core import GeometryError
+from .jsontext import TextMemo
 from .scene import Scene
 
 IPE_VERSION = "70218"
@@ -47,28 +60,27 @@ class RenderStyle:
         return self.layer_colors[layer % len(self.layer_colors)]
 
 
-@dataclass(frozen=True)
-class Mark:
+class Mark(NamedTuple):
     x: float
     y: float
 
 
-@dataclass(frozen=True)
-class Stroke:
-    points: tuple[tuple[float, float], ...]
+class Stroke(NamedTuple):
+    # any sequence of (x, y) pairs, a dump's own lists included
+    points: Sequence[Sequence[float]]
     closed: bool
 
 
 def _rect(x0, y0, x1, y1) -> Stroke:
-    return Stroke(((x0, y0), (x1, y0), (x1, y1), (x0, y1)), closed=True)
+    return Stroke(((x0, y0), (x1, y0), (x1, y1), (x0, y1)), True)
 
 
 def _scene_layer(scene: Scene) -> list:
     layer: list = []
     for s in scene.segments:
-        layer.append(Stroke(((s.a.x, s.a.y), (s.b.x, s.b.y)), closed=False))
+        layer.append(Stroke(((s.a.x, s.a.y), (s.b.x, s.b.y)), False))
     for poly in scene.polygons:
-        layer.append(Stroke(tuple((v.x, v.y) for v in poly.vertices), closed=True))
+        layer.append(Stroke(tuple((v.x, v.y) for v in poly.vertices), True))
     for p in scene.points:
         layer.append(Mark(p.x, p.y))
     return layer
@@ -85,13 +97,13 @@ def _result_layers(results, scene: Scene) -> list[list]:
     if keys == {"kind", "root"}:
         return _quadtree_layers(results)
     if keys == {"kind", "depth", "cells"}:
-        return [[Stroke(tuple((x, y) for x, y in cell), closed=True) for cell in results["cells"]]]
+        return [[Stroke(cell, True) for cell in results["cells"]]]
     if keys == {"bbox", "segments", "extensions", "trapezoids"}:
         return _trapmap_layers(results)
     if keys == {"points", "edges"}:
         pts = results["points"]
         edges = [
-            Stroke(((pts[i][0], pts[i][1]), (pts[j][0], pts[j][1])), closed=False)
+            Stroke(((pts[i][0], pts[i][1]), (pts[j][0], pts[j][1])), False)
             for i, j in results["edges"]
         ]
         marks = [Mark(x, y) for x, y in pts]
@@ -109,9 +121,9 @@ def _onion_layers(layers_data: list) -> list[list]:
         layer: list = []
         pts = [(x, y) for x, y in layer_pts]
         if len(pts) >= 3:
-            layer.append(Stroke(tuple(pts), closed=True))
+            layer.append(Stroke(tuple(pts), True))
         elif len(pts) == 2:
-            layer.append(Stroke(tuple(pts), closed=False))
+            layer.append(Stroke(tuple(pts), False))
         layer.extend(Mark(x, y) for x, y in pts)
         out.append(layer)
     return out
@@ -133,17 +145,18 @@ def _quadtree_layers(data: dict) -> list[list]:
     return [lines, marks]
 
 
+def _point_tree_sites(root: dict):
+    """Sites of a point-tree dump in preorder, walked with an explicit stack."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node is not None:
+            yield node["site"]
+            stack.extend((node["se"], node["sw"], node["ne"], node["nw"]))
+
+
 def _point_tree_bounds(root: dict) -> tuple[float, float, float, float]:
-    sites: list[tuple[float, float]] = []
-
-    def walk(node):
-        if node is None:
-            return
-        sites.append(tuple(node["site"]))
-        for key in ("nw", "ne", "sw", "se"):
-            walk(node[key])
-
-    walk(root)
+    sites = list(_point_tree_sites(root))
     xs = [s[0] for s in sites]
     ys = [s[1] for s in sites]
     cx = (min(xs) + max(xs)) / 2.0
@@ -153,18 +166,22 @@ def _point_tree_bounds(root: dict) -> tuple[float, float, float, float]:
     return (cx - half, cy - half, cx + half, cy + half)
 
 
-def _point_tree_lines(node, bounds, lines: list, marks: list) -> None:
-    if node is None:
-        return
-    x0, y0, x1, y1 = bounds
-    sx, sy = node["site"]
-    lines.append(Stroke(((sx, y0), (sx, y1)), closed=False))
-    lines.append(Stroke(((x0, sy), (x1, sy)), closed=False))
-    marks.append(Mark(sx, sy))
-    _point_tree_lines(node["nw"], (x0, sy, sx, y1), lines, marks)
-    _point_tree_lines(node["ne"], (sx, sy, x1, y1), lines, marks)
-    _point_tree_lines(node["sw"], (x0, y0, sx, sy), lines, marks)
-    _point_tree_lines(node["se"], (sx, y0, x1, sy), lines, marks)
+def _point_tree_lines(root: dict, bounds, lines: list, marks: list) -> None:
+    # preorder with an explicit stack; children go on in reverse so that
+    # nw comes off first
+    stack = [(root, bounds)]
+    while stack:
+        node, (x0, y0, x1, y1) = stack.pop()
+        if node is None:
+            continue
+        sx, sy = node["site"]
+        lines.append(Stroke(((sx, y0), (sx, y1)), False))
+        lines.append(Stroke(((x0, sy), (x1, sy)), False))
+        marks.append(Mark(sx, sy))
+        stack.append((node["se"], (sx, y0, x1, sy)))
+        stack.append((node["sw"], (x0, y0, sx, sy)))
+        stack.append((node["ne"], (sx, sy, x1, y1)))
+        stack.append((node["nw"], (x0, sy, sx, y1)))
 
 
 def _pr_tree_lines(node, lines: list, marks: list) -> None:
@@ -179,13 +196,13 @@ def _pr_tree_lines(node, lines: list, marks: list) -> None:
 def _trapmap_layers(data: dict) -> list[list]:
     base: list = [_rect(*data["bbox"])]
     for (ax, ay), (bx, by) in data["segments"]:
-        base.append(Stroke(((ax, ay), (bx, by)), closed=False))
+        base.append(Stroke(((ax, ay), (bx, by)), False))
     ext: list = []
     for e in data["extensions"]:
         ox, oy = e["origin"]
         ux, uy = e["up_hit"]
         dx, dy = e["down_hit"]
-        ext.append(Stroke(((dx, dy), (ox, oy), (ux, uy)), closed=False))
+        ext.append(Stroke(((dx, dy), (ox, oy), (ux, uy)), False))
     return [base, ext]
 
 
@@ -194,14 +211,14 @@ def _floating_layers(data: dict) -> list[list]:
     dupin = [(x, y) for x, y in data["dupin"]]
     layer: list = []
     if len(dupin) >= 3:
-        layer.append(Stroke(tuple(dupin), closed=True))
+        layer.append(Stroke(tuple(dupin), True))
     elif len(dupin) == 2:
-        layer.append(Stroke(tuple(dupin), closed=False))
+        layer.append(Stroke(tuple(dupin), False))
     elif dupin:
         layer.append(Mark(*dupin[0]))
     out.append(layer)
     fb = data["convex_fb"]
-    out.append([] if fb is None else [Stroke(tuple((x, y) for x, y in fb), closed=True)])
+    out.append([] if fb is None else [Stroke(tuple((x, y) for x, y in fb), True)])
     return out
 
 
@@ -214,7 +231,7 @@ def _triangulation_layers(data: dict, scene: Scene) -> list[list]:
         tris.append(
             Stroke(
                 ((verts[i].x, verts[i].y), (verts[j].x, verts[j].y), (verts[k].x, verts[k].y)),
-                closed=True,
+                True,
             )
         )
     marks = [Mark(x, y) for x, y in data["samples"]]
@@ -236,7 +253,7 @@ def _bounds(scene: Scene, layers: list[list]) -> tuple[float, float, float, floa
     ys: list[float] = []
     for layer in layers:
         for item in layer:
-            if isinstance(item, Mark):
+            if type(item) is Mark:
                 xs.append(item.x)
                 ys.append(item.y)
             else:
@@ -273,23 +290,23 @@ def emit_svg(scene: Scene, results=None, style: RenderStyle | None = None) -> st
         % (_fmt_svg(x0), _fmt_svg(y0), _fmt_svg(x1 - x0), _fmt_svg(y1 - y0)),
         '<g transform="matrix(1 0 0 -1 0 %s)">' % _fmt_svg(y0 + y1),
     ]
+    c = TextMemo(_fmt_svg)
+    radius = _fmt_svg(style.mark_radius)
+    width = _fmt_svg(style.stroke_width)
     for index, layer in enumerate(layers):
         color = style.color(index)
         for item in layer:
-            if isinstance(item, Mark):
-                lines.append(
-                    '<circle cx="%s" cy="%s" r="%s" fill="%s"/>'
-                    % (_fmt_svg(item.x), _fmt_svg(item.y), _fmt_svg(style.mark_radius), color)
-                )
+            if type(item) is Mark:
+                x, y = item
+                lines.append(f'<circle cx="{c[x]}" cy="{c[y]}" r="{radius}" fill="{color}"/>')
             else:
-                parts = []
-                for i, (px, py) in enumerate(item.points):
-                    parts.append("%s %s %s" % ("M" if i == 0 else "L", _fmt_svg(px), _fmt_svg(py)))
+                ops = [f"L {c[x]} {c[y]}" for x, y in item.points]
+                if ops:
+                    ops[0] = "M" + ops[0][1:]
                 if item.closed:
-                    parts.append("Z")
+                    ops.append("Z")
                 lines.append(
-                    '<path d="%s" fill="none" stroke="%s" stroke-width="%s"/>'
-                    % (" ".join(parts), color, _fmt_svg(style.stroke_width))
+                    f'<path d="{" ".join(ops)}" fill="none" stroke="{color}" stroke-width="{width}"/>'
                 )
     lines.append("</g>")
     lines.append("</svg>")
@@ -306,23 +323,23 @@ def emit_ipe(scene: Scene, results=None, style: RenderStyle | None = None) -> st
         '<ipe version="%s" creator="%s">' % (IPE_VERSION, IPE_CREATOR),
         "<page>",
     ]
+    c = TextMemo(_fmt_ipe)
     for index, layer in enumerate(layers):
         color = _IPE_COLORS.get(style.color(index), "black")
+        path_open = f'<path stroke="{color}">'
         for item in layer:
-            if isinstance(item, Mark):
+            if type(item) is Mark:
+                x, y = item
                 lines.append(
-                    '<use name="mark/disk(sx)" pos="%s %s" size="normal" stroke="%s"/>'
-                    % (_fmt_ipe(item.x), _fmt_ipe(item.y), color)
+                    f'<use name="mark/disk(sx)" pos="{c[x]} {c[y]}" size="normal" stroke="{color}"/>'
                 )
             else:
-                lines.append('<path stroke="%s">' % color)
-                for i, (px, py) in enumerate(item.points):
-                    lines.append(
-                        "%s %s %s" % (_fmt_ipe(px), _fmt_ipe(py), "m" if i == 0 else "l")
-                    )
+                ops = [f"{c[x]} {c[y]} l" for x, y in item.points]
+                if ops:
+                    ops[0] = ops[0][:-1] + "m"
                 if item.closed:
-                    lines.append("h")
-                lines.append("</path>")
+                    ops.append("h")
+                lines.append("\n".join([path_open, *ops, "</path>"]))
     lines.append("</page>")
     lines.append("</ipe>")
     return "\n".join(lines) + "\n"

@@ -228,3 +228,21 @@ def test_existing_fifo_is_written_to_not_replaced(scenes, tmp_path):
     regular = tmp_path / "regular.json"
     assert main(["onion", "--input", scenes["points"], "--output", str(regular)]) == 0
     assert got == [regular.read_bytes()]
+
+
+def test_deep_point_quadtree_writes_every_format(tmp_path):
+    # 1500 diagonal points make a point quadtree that is one path 1500 levels
+    # deep; every walk over it must do without the interpreter's recursion
+    scene = tmp_path / "diagonal.json"
+    scene.write_text(json.dumps({"points": [[i, i] for i in range(1500)]}))
+    texts = {}
+    for fmt in ("json", "svg", "ipe"):
+        out = tmp_path / ("deep." + fmt)
+        args = ["quadtree", "--input", str(scene), "--output", str(out), "--format", fmt]
+        assert main(args) == 0, fmt
+        texts[fmt] = out.read_text()
+    assert texts["json"].startswith('{"kind":"point","root":{"site":[0,0],"nw":null,"ne":{')
+    assert texts["json"].count('"site"') == 1500
+    assert texts["json"].endswith(',"sw":null,"se":null}' * 1500 + "}\n")
+    assert texts["svg"].count("<circle") == 3000
+    assert texts["ipe"].count("<use") == 3000

@@ -43,6 +43,19 @@ def test_point_validation():
     for x, y in [(math.nan, 0), (0, math.inf), (1e6 + 1, 0), (0, -1.5e6)]:
         with pytest.raises(GeometryError):
             Point(x, y)
+    # non-finite wins over out-of-range, whichever coordinate carries it
+    for x, y in [(math.nan, 0), (0, -math.inf), (2e6, math.nan), (math.inf, 2e6)]:
+        with pytest.raises(GeometryError, match="must be finite"):
+            Point(x, y)
+    for x, y in [(1e6 + 1, 0), (0, -1.5e6), (-(10**7), 10**7)]:
+        with pytest.raises(GeometryError, match=r"must satisfy \|x\|, \|y\| <= 1e\+06"):
+            Point(x, y)
+
+    class Real(float):
+        pass
+
+    for p in [Point(1, -2), Point(Real(1.0), True), Point(1.0, -2.0)]:
+        assert type(p.x) is float and type(p.y) is float
 
 
 def test_segment_validation():

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geoforge.jsontext import dumps, format_number, loads
 
@@ -51,8 +53,140 @@ def test_dumps_compact_and_ordered():
 def test_dumps_rejects_unsupported_types():
     with pytest.raises(TypeError):
         dumps({"x": {1, 2}})
+    # JSON object keys are strings; {1:2} is not JSON
+    with pytest.raises(TypeError):
+        dumps({1: 2})
+    with pytest.raises(TypeError):
+        dumps([{"a": 1, None: 2}])
 
 
 def test_parse_then_dump_is_stable_for_short_decimals():
     text = '{"points":[[0.123456,0.5],[1e-05,123456.789012]]}'
     assert dumps(loads(text)) == text
+
+
+# The recursive writer that dumps replaced, kept as the reference it must match.
+
+
+def _reference_format_number(value) -> str:
+    if isinstance(value, bool):
+        raise TypeError("bool is not a number here")
+    if isinstance(value, int):
+        return str(value)
+    v = float(value)
+    if not math.isfinite(v):
+        raise ValueError("cannot serialize non-finite number")
+    if v == 0.0:
+        return "0"
+    return "%.12g" % v
+
+
+def _reference_write(value, parts: list) -> None:
+    if value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, (int, float)):
+        parts.append(_reference_format_number(value))
+    elif isinstance(value, str):
+        parts.append(json.dumps(value))
+    elif isinstance(value, (list, tuple)):
+        parts.append("[")
+        for i, item in enumerate(value):
+            if i:
+                parts.append(",")
+            _reference_write(item, parts)
+        parts.append("]")
+    elif isinstance(value, dict):
+        parts.append("{")
+        for i, (key, item) in enumerate(value.items()):
+            if i:
+                parts.append(",")
+            parts.append(json.dumps(key))
+            parts.append(":")
+            _reference_write(item, parts)
+        parts.append("}")
+    else:
+        raise TypeError("cannot serialize %r" % type(value).__name__)
+
+
+def _reference_dumps(value) -> str:
+    parts: list = []
+    _reference_write(value, parts)
+    return "".join(parts)
+
+
+_SPECIAL_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e-300, -1e-300,
+    1e6, -1e6, 1e20, -1e20, 0.1, 1 / 3, 123.4500001, 1e16, 12345678901234.5,
+]
+_SPECIAL_INTS = [0, -1, 7, 10**20, -(10**20), 2**63]
+_SPECIAL_TEXT = ['q"u', "back\\slash", "tab\tnl\ncr\r", "\x00\x1f\x7f", "café", "日本", "\U0001F600", ""]
+
+_floats = st.sampled_from(_SPECIAL_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+_scalars = (
+    _floats
+    | st.sampled_from(_SPECIAL_INTS)
+    | st.integers()
+    | st.booleans()
+    | st.none()
+    | st.sampled_from(_SPECIAL_TEXT)
+    | st.text(max_size=6)
+)
+_pairs = st.tuples(_floats, _floats)
+_keys = st.sampled_from(_SPECIAL_TEXT) | st.text(max_size=4)
+_values = st.recursive(
+    _scalars | _pairs.map(list) | _pairs,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(_keys, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_values)
+def test_dumps_matches_the_recursive_writer(value):
+    text = dumps(value)
+    assert text == _reference_dumps(value)
+    json.loads(text)
+
+
+def test_ints_and_equal_floats_keep_their_own_spelling():
+    for doc in ([10**20, 1e20, 10**20], [1e20, 10**20], {"a": 1e20, "b": 10**20}):
+        assert dumps(doc) == _reference_dumps(doc)
+    assert dumps([10**20, 1e20]) == "[100000000000000000000,1e+20]"
+    assert dumps([[1e20, -0.0], [0.0, 10**20]]) == "[[1e+20,0],[0,100000000000000000000]]"
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        math.nan,
+        [math.inf],
+        [1.0, -math.inf],
+        [math.nan, 1.0],
+        [[0.5, math.inf]],
+        ([1.0, 2.0], (-math.inf, 0.0)),
+        {"a": [0.0, math.nan]},
+        {"a": {"b": -math.inf}},
+    ],
+)
+def test_non_finite_numbers_raise_value_error(doc):
+    with pytest.raises(ValueError):
+        _reference_dumps(doc)
+    with pytest.raises(ValueError):
+        dumps(doc)
+
+
+def test_deep_nesting_needs_no_recursion():
+    doc: list = []
+    for _ in range(5000):
+        doc = [doc]
+    assert dumps(doc) == "[" * 5001 + "]" * 5001
+    obj: dict = {}
+    for _ in range(5000):
+        obj = {"k": obj, "v": [0.5, -0.0]}
+    assert dumps(obj) == '{"k":' * 5000 + "{}" + ',"v":[0.5,0]}' * 5000

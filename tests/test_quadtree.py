@@ -86,6 +86,29 @@ def test_point_tree_duplicate_site_rejected():
         build_point_quadtree([Point(1, 1), Point(2, 2), Point(1, 1)])
 
 
+def test_point_tree_points_come_in_preorder():
+    # children in nw, ne, sw, se order after their parent, whatever the
+    # insertion order; (20, 80) lies southeast of the northwest child
+    order = [(50, 50), (90, 10), (10, 10), (90, 90), (10, 90), (20, 80)]
+    tree = build_point_quadtree([Point(x, y) for x, y in order])
+    assert [(p.x, p.y) for p in tree.points()] == [
+        (50, 50), (10, 90), (20, 80), (90, 90), (10, 10), (90, 10)
+    ]
+    # the trees differ only where one has a leaf and the other has none
+    assert tree != build_point_quadtree([Point(x, y) for x, y in order[:-1]])
+    assert build_point_quadtree([Point(x, y) for x, y in order[:-1]]) != tree
+
+
+def test_deep_point_tree_compares_and_lists_its_points():
+    # a diagonal input makes one path 1500 levels deep
+    pts = [Point(i, i) for i in range(1500)]
+    tree = build_point_quadtree(pts)
+    assert tree == build_point_quadtree(pts)
+    assert tree != build_point_quadtree(pts[:-1] + [Point(1499, 1500)])
+    assert [(p.x, p.y) for p in tree.points()] == [(p.x, p.y) for p in pts]
+    assert tree_to_dict(tree)["root"]["ne"]["ne"]["site"] == [2.0, 2.0]
+
+
 def test_pr_tree_four_corners_capacity_one():
     pts = [Point(0.25, 0.25), Point(0.75, 0.25), Point(0.25, 0.75), Point(0.75, 0.75)]
     t = build_pr_quadtree(pts, capacity=1, region=BBox(0, 0, 1, 1))

@@ -6,7 +6,9 @@ import math
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from geoforge import render
 from geoforge import (
     BBox,
     GeometryError,
@@ -142,3 +144,122 @@ def test_scene_bbox_drives_the_viewbox():
     sc = Scene(points=(Point(5, 5),), segments=(), polygons=(), bbox=BBox(0, 0, 10, 10))
     svg = emit_svg(sc, None)
     assert 'viewBox="-0.500000 -0.500000 11.000000 11.000000"' in svg
+
+
+# The emitters as they were before the per-document coordinate memo: one
+# format call per coordinate, one line per Ipe path operator.  They share
+# only the layer gathering and the bounds with the package.
+
+
+def _reference_fmt_svg(v: float) -> str:
+    s = "%.6f" % v
+    return "0.000000" if s == "-0.000000" else s
+
+
+def _reference_fmt_ipe(v: float) -> str:
+    s = ("%.6f" % v).rstrip("0").rstrip(".")
+    return "0" if s == "-0" else s
+
+
+def _reference_svg(scene, results) -> str:
+    style = RenderStyle()
+    f = _reference_fmt_svg
+    layers = render._gather_layers(scene, results)
+    x0, y0, x1, y1 = render._padded(render._bounds(scene, layers))
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="%s %s %s %s">'
+        % (f(x0), f(y0), f(x1 - x0), f(y1 - y0)),
+        '<g transform="matrix(1 0 0 -1 0 %s)">' % f(y0 + y1),
+    ]
+    for index, layer in enumerate(layers):
+        color = style.color(index)
+        for item in layer:
+            if isinstance(item, render.Mark):
+                lines.append(
+                    '<circle cx="%s" cy="%s" r="%s" fill="%s"/>'
+                    % (f(item.x), f(item.y), f(style.mark_radius), color)
+                )
+            else:
+                parts = []
+                for i, (px, py) in enumerate(item.points):
+                    parts.append("%s %s %s" % ("M" if i == 0 else "L", f(px), f(py)))
+                if item.closed:
+                    parts.append("Z")
+                lines.append(
+                    '<path d="%s" fill="none" stroke="%s" stroke-width="%s"/>'
+                    % (" ".join(parts), color, f(style.stroke_width))
+                )
+    lines += ["</g>", "</svg>"]
+    return "\n".join(lines) + "\n"
+
+
+def _reference_ipe(scene, results) -> str:
+    style = RenderStyle()
+    f = _reference_fmt_ipe
+    layers = render._gather_layers(scene, results)
+    lines = [
+        '<?xml version="1.0"?>',
+        '<!DOCTYPE ipe SYSTEM "ipe.dtd">',
+        '<ipe version="70218" creator="geoforge">',
+        "<page>",
+    ]
+    for index, layer in enumerate(layers):
+        color = render._IPE_COLORS.get(style.color(index), "black")
+        for item in layer:
+            if isinstance(item, render.Mark):
+                lines.append(
+                    '<use name="mark/disk(sx)" pos="%s %s" size="normal" stroke="%s"/>'
+                    % (f(item.x), f(item.y), color)
+                )
+            else:
+                lines.append('<path stroke="%s">' % color)
+                for i, (px, py) in enumerate(item.points):
+                    lines.append("%s %s %s" % (f(px), f(py), "m" if i == 0 else "l"))
+                if item.closed:
+                    lines.append("h")
+                lines.append("</path>")
+    lines += ["</page>", "</ipe>"]
+    return "\n".join(lines) + "\n"
+
+
+# values that print alike after rounding, the two zeros, and negatives that
+# round to zero: a memo that conflates keys or loses the "-0" fix differs
+_TRICKY = [0.0, -0.0, -4e-7, -5e-7, 2.5e-7, 1e6, -1e6, 123.4500001, -123.4500001, 123.45, 0.5]
+
+
+def test_emitters_match_per_coordinate_formatting_on_tricky_values():
+    pts = [Point(x, y) for x in _TRICKY for y in _TRICKY[::-1]]
+    scene = Scene(points=tuple(pts[:30]), segments=(), polygons=(), bbox=None)
+    layers = [[[x, y] for x, y in zip(_TRICKY, _TRICKY[3:] + _TRICKY[:3])], [[-0.0, 0], [0, -0.0]]]
+    cells = {"kind": "carpet", "depth": 1, "cells": [
+        [[0, 0], [1e6, -0.0], [-5e-7, 2.5e-7], [-4e-7, 123.4500001]],
+        [[0.0, -0.0], [-0.0, 0.0], [123.45, -123.4500001]],
+        [],
+    ]}
+    sites = [Point(x, i) for i, x in enumerate(_TRICKY)] + [
+        Point(i + 0.5, y) for i, y in enumerate(_TRICKY)
+    ]
+    tree = tree_to_dict(build_point_quadtree(sites))
+    boxed = Scene(points=scene.points, segments=(), polygons=(), bbox=BBox(-1e6, -0.0, 1e6, 2.5e-7))
+    for sc, results in [(scene, None), (scene, layers), (scene, cells), (scene, tree),
+                        (boxed, layers), (boxed, tree)]:
+        assert emit_svg(sc, results) == _reference_svg(sc, results)
+        assert emit_ipe(sc, results) == _reference_ipe(sc, results)
+    svg = emit_svg(scene, layers)
+    assert "-0.000000" not in svg and "123.450000" in svg
+
+
+_coords = st.sampled_from(_TRICKY) | st.floats(-1e6, 1e6) | st.integers(-1000, 1000)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.tuples(_coords, _coords), min_size=1, max_size=8),
+    st.lists(st.lists(st.tuples(_coords, _coords).map(list), max_size=6), max_size=4),
+)
+def test_emitters_match_per_coordinate_formatting(scene_pts, layers):
+    scene = Scene(points=tuple(Point(x, y) for x, y in scene_pts), segments=(), polygons=(),
+                  bbox=None)
+    assert emit_svg(scene, layers) == _reference_svg(scene, layers)
+    assert emit_ipe(scene, layers) == _reference_ipe(scene, layers)
