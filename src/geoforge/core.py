@@ -73,6 +73,22 @@ def points_equal(p: Point, q: Point, tol: float = EPS_DIST) -> bool:
     return math.hypot(p.x - q.x, p.y - q.y) <= tol
 
 
+def _reject_duplicates(order: list, pts) -> None:
+    """Raise on two points equal under points_equal.
+
+    order lists (x, y, index into pts) sorted by x; only points whose x
+    lies within EPS_DIST of each other are compared.
+    """
+    for a in range(len(order) - 1):
+        x, _, i = order[a]
+        for b in range(a + 1, len(order)):
+            bx, _, j = order[b]
+            if bx - x > EPS_DIST:
+                break
+            if points_equal(pts[i], pts[j]):
+                raise GeometryError("duplicate point")
+
+
 def cross(p: Point, q: Point, r: Point) -> float:
     """Signed area determinant of the parallelogram (q - p, r - p).
 

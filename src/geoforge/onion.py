@@ -20,9 +20,9 @@ from .core import (
     GeometryError,
     Point,
     _monotone_chain,
+    _reject_duplicates,
     distance,
     point_segment_distance,
-    points_equal,
 )
 
 
@@ -54,17 +54,6 @@ def onion_decomposition(points) -> OnionDecomposition:
         order = [t for t in order if t[2] not in taken]
         layers.append(tuple(pts[i] for i in layer))
     return OnionDecomposition(tuple(layers))
-
-
-def _reject_duplicates(order: list, pts: list) -> None:
-    for a in range(len(order) - 1):
-        x, _, i = order[a]
-        for b in range(a + 1, len(order)):
-            bx, _, j = order[b]
-            if bx - x > EPS_DIST:
-                break
-            if points_equal(pts[i], pts[j]):
-                raise GeometryError("duplicate point")
 
 
 def _boundary_layer(order: list, pts: list) -> list[int]:

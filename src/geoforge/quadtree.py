@@ -9,7 +9,7 @@ the point set, the region, and the capacity.
 A point quadtree can be as deep as it has points (a diagonal input is one
 path), so its walks (equality, points(), the dump) use an explicit stack.
 parse_quadtree_array does not lift the limit: the stdlib JSON decoder
-bounds the nesting depth it reads.
+bounds the nesting depth it reads, and a deeper dump is a GeometryError.
 """
 
 from __future__ import annotations
@@ -286,9 +286,16 @@ def parse_quadtree_array(text: str):
     """Inverse of quadtree_to_array; rebuilds the node structure.
 
     A parsed PR tree has capacity None: the dump does not carry it and
-    structural equality does not depend on it.
+    structural equality does not depend on it.  A dump nested deeper than
+    the decoder or the node parsers can recurse raises GeometryError.
     """
-    data = jsontext.loads(text)
+    try:
+        return _parse_tree(jsontext.loads(text))
+    except RecursionError:
+        raise GeometryError("quadtree array nesting too deep") from None
+
+
+def _parse_tree(data):
     if not isinstance(data, dict) or set(data) != {"kind", "root"}:
         raise GeometryError("quadtree array must have exactly kind and root")
     kind = data["kind"]

@@ -166,6 +166,46 @@ def angle_skeleton_oracle(points, theta, eps_angle=1e-9):
     return edges
 
 
+def beta_skeleton_reference(points, theta, eps_angle=1e-9):
+    """Edge set from the library's former brute-force build.
+
+    Every pair is tested against every other point with the library's
+    square-root-free angle predicate, in the same float operations, so a
+    faster build must return exactly this set.  points are distinct
+    (x, y) tuples.
+    """
+    n = len(points)
+    xs = [p[0] for p in points]
+    ys = [p[1] for p in points]
+    # angle >= theta - EPS_ANGLE  <=>  cos(angle) <= cos(theta - EPS_ANGLE)
+    c = math.cos(theta - eps_angle)
+    c2 = c * c
+    edges = set()
+    for i in range(n):
+        xi, yi = xs[i], ys[i]
+        for j in range(i + 1, n):
+            xj, yj = xs[j], ys[j]
+            alive = True
+            for k in range(n):
+                if k == i or k == j:
+                    continue
+                ax = xi - xs[k]
+                ay = yi - ys[k]
+                bx = xj - xs[k]
+                by = yj - ys[k]
+                dot = ax * bx + ay * by
+                if c >= 0.0:
+                    if dot <= 0.0 or dot * dot <= c2 * (ax * ax + ay * ay) * (bx * bx + by * by):
+                        alive = False
+                        break
+                elif dot < 0.0 and dot * dot >= c2 * (ax * ax + ay * ay) * (bx * bx + by * by):
+                    alive = False
+                    break
+            if alive:
+                edges.add((i, j))
+    return edges
+
+
 def segments_properly_cross(a, b, c, d):
     d1 = cross3(c, d, a)
     d2 = cross3(c, d, b)

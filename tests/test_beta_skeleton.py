@@ -6,10 +6,23 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import geomgen
-from geoforge import BetaParameter, GeometryError, Point, beta_skeleton, theta_of_beta
+from geoforge import (
+    EPS_DIST,
+    BetaParameter,
+    GeometryError,
+    Point,
+    beta_skeleton,
+    onion_decomposition,
+    theta_of_beta,
+)
 from geoforge.beta_skeleton import graph_to_dict
+
+# both branches of the predicate, both sides of beta = 1, and betas whose
+# critical angle is at or below the float noise of the predicate
+BETAS = (0.05, 0.3, 0.7, 0.999999999, 1.0, 1.000000001, 1.5, 2.0, 10.0, 1e6, 1e10, 1e300)
 
 
 def test_theta_special_values():
@@ -139,3 +152,117 @@ def test_graph_dict_shape():
     d = graph_to_dict(beta_skeleton([Point(0, 0), Point(2, 0), Point(1, 3)], 1.0))
     assert d["points"] == [[0.0, 0.0], [2.0, 0.0], [1.0, 3.0]]
     assert all(i < j for i, j in d["edges"])
+
+
+def _distinct(raw):
+    kept = []
+    for x, y in raw:
+        p = Point(x, y)
+        if all(math.hypot(p.x - q.x, p.y - q.y) > EPS_DIST for q in kept):
+            kept.append(p)
+    if len(kept) < 2:
+        p = kept[0]
+        kept.append(Point(p.x - math.copysign(1.0, p.x), p.y))
+    return kept
+
+
+_unit = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def _point_sets(draw):
+    kind = draw(st.sampled_from(["grid", "line", "circle", "cluster", "uniform"]))
+    n = draw(st.integers(2, 40))
+    if kind == "grid":
+        g = draw(st.integers(1, 6))
+        raw = draw(st.lists(st.tuples(st.integers(-g, g), st.integers(-g, g)),
+                            min_size=n, max_size=n))
+    elif kind == "line":
+        x0, y0 = draw(st.tuples(st.integers(-10, 10), st.integers(-10, 10)))
+        dx, dy = draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (0.3, -0.7)]))
+        steps = draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n))
+        raw = [(x0 + t * dx, y0 + t * dy) for t in steps]
+        raw += draw(st.lists(st.tuples(_unit, _unit), max_size=3))
+    elif kind == "circle":
+        r = draw(st.sampled_from([1.0, 3.7, 1000.0]))
+        cx, cy = draw(st.tuples(st.integers(-50, 50), st.integers(-50, 50)))
+        k = draw(st.integers(3, 24))
+        turns = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+        raw = [(round(cx + r * math.cos(2 * math.pi * t / k), 6),
+                round(cy + r * math.sin(2 * math.pi * t / k), 6)) for t in turns]
+        raw += draw(st.lists(st.just((cx, cy)), max_size=1))
+    elif kind == "cluster":
+        cx, cy = draw(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)))
+        offsets = draw(st.lists(st.tuples(st.floats(-1e-3, 1e-3), st.floats(-1e-3, 1e-3)),
+                                min_size=n, max_size=n))
+        raw = [(min(1e6, max(-1e6, cx + dx)), min(1e6, max(-1e6, cy + dy)))
+               for dx, dy in offsets]
+        raw += draw(st.lists(st.tuples(st.sampled_from([-1e6, 1e6]), st.floats(-1e6, 1e6)),
+                             max_size=3))
+    else:
+        raw = draw(st.lists(st.tuples(_unit, _unit), min_size=n, max_size=n))
+    return _distinct(raw)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_point_sets())
+def test_walk_matches_every_pair_reference(pts):
+    raw = [(p.x, p.y) for p in pts]
+    for beta in BETAS:
+        want = geomgen.beta_skeleton_reference(raw, theta_of_beta(beta))
+        assert set(beta_skeleton(pts, beta).edges) == want, beta
+
+
+def test_cone_prune_at_the_45_degree_boundary():
+    # k sits 45 degrees from q as seen from (0, 0), where |ik| = |iq| cos 45
+    # puts k on the Gabriel circle of (0, 0) and q
+    cases = []
+    for qx, qy in ((1, 0), (0, 1), (-1, 0), (0, -1)):
+        for t in (0.49, 0.5, 0.505, 0.51, 0.52):
+            cases.append([(qx, qy), (t * (qx - qy), t * (qx + qy))])
+            cases.append([(qx, qy), (t * (qx + qy), t * (qy - qx))])
+    for qx, qy in ((1, 1), (-1, 1), (-1, -1), (1, -1)):
+        for t in (0.99, 1.0, 1.01, 1.02):
+            cases += [[(qx, qy), (t * qx, 0)], [(qx, qy), (0, t * qy)]]
+    for q, k in cases:
+        pts = [Point(0, 0), Point(*q), Point(*k)]
+        raw = [(p.x, p.y) for p in pts]
+        for beta in BETAS:
+            want = geomgen.beta_skeleton_reference(raw, theta_of_beta(beta))
+            assert set(beta_skeleton(pts, beta).edges) == want, (q, k, beta)
+
+
+def test_far_witness_rounding_is_within_reach():
+    # at beta = 1e6 the predicate's rounding kills (0, 1) through a witness
+    # about 4e-5 farther away than its exact critical circle allows
+    pts = [Point(0, 0), Point(0.5, 0), Point(0.5, 500501.50150125165)]
+    raw = [(p.x, p.y) for p in pts]
+    for beta in BETAS:
+        want = geomgen.beta_skeleton_reference(raw, theta_of_beta(beta))
+        assert set(beta_skeleton(pts, beta).edges) == want, beta
+    assert (0, 1) not in beta_skeleton(pts, 1e6).edges
+    for beta in BETAS:
+        assert beta_skeleton(pts[:2], beta).edge_list() == [(0, 1)]
+
+
+def test_duplicate_rule_is_the_onion_rule():
+    # both builders reject a pair exactly when points_equal holds
+    offsets = (EPS_DIST, math.nextafter(EPS_DIST, 0.0), math.nextafter(EPS_DIST, math.inf))
+    for base in ((0.0, 0.0), (-0.3, 0.7), (12.5, -3.0)):
+        for d in offsets:
+            for ux, uy in ((1, 0), (0, -1), (0.6, 0.8), (-0.8, 0.6)):
+                p = Point(*base)
+                q = Point(base[0] + ux * d, base[1] + uy * d)
+                pts = [p, Point(base[0] + 5.0, base[1] + 1.0), q]
+                want = math.hypot(p.x - q.x, p.y - q.y) <= EPS_DIST
+                for build in (onion_decomposition, lambda s: beta_skeleton(s, 1.0)):
+                    if want:
+                        with pytest.raises(GeometryError, match="duplicate point"):
+                            build(pts)
+                    else:
+                        build(pts)
+    a, b = Point(0, 0), Point(EPS_DIST, 0)
+    for build in (onion_decomposition, lambda s: beta_skeleton(s, 2.0)):
+        with pytest.raises(GeometryError, match="duplicate point"):
+            build([a, b])
+        build([a, Point(math.nextafter(EPS_DIST, math.inf), 0)])

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import stat
 import subprocess
 import sys
+import tempfile
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import geoforge
 from geoforge.cli import main
@@ -246,3 +250,65 @@ def test_deep_point_quadtree_writes_every_format(tmp_path):
     assert texts["json"].endswith(',"sw":null,"se":null}' * 1500 + "}\n")
     assert texts["svg"].count("<circle") == 3000
     assert texts["ipe"].count("<use") == 3000
+
+
+_COORD = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-10, 1e-9, 1e6, -1e6, 1e-300]),
+    st.integers(-3, 3),
+    st.floats(-10.0, 10.0),
+)
+_XY = st.tuples(_COORD, _COORD)
+
+
+def _box(corners):
+    (x0, y0), (x1, y1) = corners
+    return min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1)
+
+
+@st.composite
+def _fuzz_scenes(draw):
+    rectangle = st.tuples(_XY, _XY).map(_box).map(
+        lambda b: [(b[0], b[1]), (b[2], b[1]), (b[2], b[3]), (b[0], b[3])])
+    parts = {
+        "points": st.lists(_XY, max_size=8),
+        "segments": st.lists(st.tuples(_XY, _XY), max_size=4),
+        "polygons": st.tuples(rectangle | st.lists(_XY, min_size=3, max_size=3)
+                              | st.lists(_XY, min_size=3, max_size=6)),
+        "bbox": st.tuples(_XY, _XY).map(_box),
+    }
+    scene = {key: draw(value) for key, value in parts.items() if draw(st.booleans())}
+    if draw(st.integers(0, 9)) == 0:
+        scene.setdefault("points", []).append((1e6 + 1, 0.0))
+    return scene
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_fuzz_scenes(), st.sampled_from(["0.5", "1", "2", "1e12"]))
+def test_random_scenes_exit_zero_or_one_in_every_subcommand(scene, beta):
+    # the CLI contract: exit 0, or exit 1 with an error line; nothing escapes
+    commands = [
+        ["quadtree"],
+        ["pr-quadtree", "--capacity", "2"],
+        ["trapmap"],
+        ["onion"],
+        ["beta-skeleton", "--beta", beta],
+        ["floating-body", "--delta", "0.1", "--directions", "8"],
+        ["triangulate"],
+        ["sample", "--count", "5", "--seed", "3"],
+        ["sierpinski-triangle", "--depth", "2"],
+        ["sierpinski-carpet", "--depth", "1"],
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scene.json")
+        with open(path, "w") as fh:
+            json.dump(scene, fh)
+        for command in commands:
+            for fmt in ("json", "svg", "ipe"):
+                err = io.StringIO()
+                argv = command + ["--input", path, "--output", os.path.join(tmp, "out"),
+                                  "--format", fmt]
+                with contextlib.redirect_stderr(err):
+                    code = main(argv)
+                assert code in (0, 1), argv
+                if code == 1:
+                    assert err.getvalue().startswith("error: "), argv

@@ -7,6 +7,7 @@ import random
 import pytest
 
 import geomgen
+from geoforge import jsontext
 from geoforge import (
     MAX_DEPTH,
     BBox,
@@ -228,6 +229,24 @@ def test_parse_rejects_malformed_arrays():
     ]:
         with pytest.raises((GeometryError, ValueError)):
             parse_quadtree_array(text)
+
+
+def test_parse_reports_too_deep_dumps_as_geometry_error(monkeypatch):
+    deep_point = quadtree_to_array(build_point_quadtree([Point(i, i) for i in range(1500)]))
+    deep_pr = '{"kind":"pr","root":' + '{"region":[0,0,1,1],"children":[' * 3000
+    for text in (deep_point, deep_pr):
+        with pytest.raises(GeometryError, match="nesting too deep"):
+            parse_quadtree_array(text)
+    # nesting the decoder reads but the node parsers cannot recurse through
+    point_node = None
+    pr_node = {"region": [0, 0, 1, 1], "points": []}
+    for _ in range(5000):
+        point_node = {"site": [0, 0], "nw": point_node, "ne": None, "sw": None, "se": None}
+        pr_node = {"region": [0, 0, 1, 1], "children": [pr_node] * 4}
+    for data in ({"kind": "point", "root": point_node}, {"kind": "pr", "root": pr_node}):
+        monkeypatch.setattr(jsontext, "loads", lambda text, data=data: data)
+        with pytest.raises(GeometryError, match="nesting too deep"):
+            parse_quadtree_array("{}")
 
 
 def test_tree_to_dict_matches_array():
