@@ -235,6 +235,11 @@ def _segments_contact(p1: Point, p2: Point, q1: Point, q2: Point, shared_ok: boo
     b = _contact_box(q1, q2)
     if a[0] > b[2] or b[0] > a[2] or a[1] > b[3] or b[1] > a[3]:
         return False
+    return _boxed_segments_contact(p1, p2, q1, q2, shared_ok)
+
+
+def _boxed_segments_contact(p1: Point, p2: Point, q1: Point, q2: Point, shared_ok: bool) -> bool:
+    """_segments_contact for a pair whose widened boxes are known to overlap."""
     o1 = cross(q1, q2, p1)
     o2 = cross(q1, q2, p2)
     o3 = cross(p1, p2, q1)
@@ -261,8 +266,9 @@ def _contact_candidates(segments) -> list[tuple[int, int]]:
     """Index pairs i < j, sorted, of the (a, b) segments whose widened boxes overlap.
 
     A sweep over the boxes sorted by xmin.  Every pair it leaves out fails
-    the box test that _segments_contact starts with, so testing only these
-    pairs decides exactly as testing all pairs in the same order would.
+    the box test that _segments_contact starts with, and every pair it
+    keeps passes it, so _boxed_segments_contact on these pairs decides
+    exactly as _segments_contact on all pairs in the same order would.
     """
     boxes = [_contact_box(a, b) for a, b in segments]
     order = sorted(range(len(boxes)), key=lambda i: boxes[i][0])
@@ -320,7 +326,7 @@ class Polygon:
             for i, j in _contact_candidates(edges):
                 if j == i + 1 or (i == 0 and j == n - 1):
                     continue
-                if _segments_contact(*edges[i], *edges[j], shared_ok=False):
+                if _boxed_segments_contact(*edges[i], *edges[j], shared_ok=False):
                     raise GeometryError(
                         "self-intersecting polygon: edges %d and %d touch" % (i, j)
                     )

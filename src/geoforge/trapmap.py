@@ -24,8 +24,8 @@ from .core import (
     GeometryError,
     Point,
     Segment,
+    _boxed_segments_contact,
     _contact_candidates,
-    _segments_contact,
     points_equal,
 )
 
@@ -94,7 +94,7 @@ def build_trapezoidal_map(segments, bbox: BBox | None = None) -> TrapezoidalMap:
         if abs(s.a.x - s.b.x) <= EPS_DIST:
             raise GeometryError("vertical segment unsupported: %d" % i)
     for i, j in _contact_candidates([(s.a, s.b) for s in segs]):
-        if _segments_contact(segs[i].a, segs[i].b, segs[j].a, segs[j].b, shared_ok=True):
+        if _boxed_segments_contact(segs[i].a, segs[i].b, segs[j].a, segs[j].b, shared_ok=True):
             raise GeometryError("segments intersect: %d and %d" % (i, j))
     if bbox is None:
         if not segs:

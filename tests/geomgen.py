@@ -334,3 +334,52 @@ def hull_area(points):
         x1, y1 = hull[(i + 1) % len(hull)]
         total += x0 * y1 - x1 * y0
     return abs(total) / 2.0
+
+
+def cut_offset_reference(loop, ux, uy, target, area, diam):
+    """Cut offset from a bisection that clips the cap at every step.
+
+    The library's floating-body bisection with its clip-kernel cap area
+    written out in the same float operations: the kernel's pass keeps
+    the vertices whose value -ux * x + -uy * y - -c is <= 0 and inserts
+    a crossing point on each edge that runs strictly from one side to
+    the other.  It stops when the cap is within 1e-9 * area of target,
+    when the bracket is shorter than 1e-12 * diam, or when the midpoint
+    is no longer strictly inside the bracket, so a faster bisection must
+    return exactly this offset.  loop is a CCW list of (x, y) tuples.
+    """
+
+    def cap_area(c):
+        vals = [-ux * x + -uy * y - -c for x, y in loop]
+        cap = []
+        for s, e, vs, ve in zip(loop, loop[1:] + loop[:1], vals, vals[1:] + vals[:1]):
+            if vs <= 0.0:
+                cap.append(s)
+                crosses = vs < 0.0 and ve > 0.0
+            else:
+                crosses = ve < 0.0
+            if crosses:
+                t = vs / (vs - ve)
+                cap.append((s[0] + t * (e[0] - s[0]), s[1] + t * (e[1] - s[1])))
+        if len(cap) < 3:
+            return 0.0
+        total = 0.0
+        for (x0, y0), (x1, y1) in zip(cap, cap[1:] + cap[:1]):
+            total += x0 * y1 - x1 * y0
+        return 0.5 * abs(total)
+
+    lo = min(ux * x + uy * y for x, y in loop)
+    hi = max(ux * x + uy * y for x, y in loop)
+    c = 0.5 * (lo + hi)
+    while hi - lo >= 1e-12 * diam:
+        c = 0.5 * (lo + hi)
+        if not lo < c < hi:
+            break
+        cap = cap_area(c)
+        if abs(cap - target) <= 1e-9 * area:
+            return c
+        if cap > target:
+            lo = c
+        else:
+            hi = c
+    return c

@@ -181,11 +181,15 @@ def test_success_replaces_existing_file(scenes, tmp_path):
     assert out.read_text().endswith("\n") is False or json.loads(out.read_text())
 
 
-def test_module_entry_point_runs_as_subprocess(scenes, tmp_path):
+def _child_env() -> dict:
     # the child imports the package under test, wherever pytest found it
     src = os.path.dirname(os.path.dirname(geoforge.__file__))
     paths = [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+
+
+def test_module_entry_point_runs_as_subprocess(scenes, tmp_path):
+    env = _child_env()
     out = tmp_path / "sub.json"
     r = subprocess.run(
         [sys.executable, "-m", "geoforge", "quadtree", "--input", scenes["points"],
@@ -201,6 +205,27 @@ def test_module_entry_point_runs_as_subprocess(scenes, tmp_path):
     )
     assert r.returncode == 0
     assert "quadtree" in r.stdout and "sierpinski-carpet" in r.stdout
+
+
+def test_far_unit_square_floating_body_ends_in_every_format(tmp_path):
+    # near (1e6, -1e6) neighbouring offsets lie farther apart than the
+    # bracket tolerance and cap areas are noisier than the area tolerance;
+    # the bisection still has to stop
+    scene = tmp_path / "far.json"
+    scene.write_text(
+        '{"polygons":[[[999000,-999000],[999001,-999000],[999001,-998999],[999000,-998999]]]}'
+    )
+    for fmt in ("json", "svg", "ipe"):
+        r = subprocess.run(
+            [sys.executable, "-m", "geoforge", "floating-body", "--input", str(scene),
+             "--delta", "0.1", "--format", fmt, "--output", str(tmp_path / ("out." + fmt))],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+            timeout=60,
+        )
+        assert r.returncode == 0, r.stderr
+    assert len(json.loads((tmp_path / "out.json").read_text())["dupin"]) == 720
 
 
 def test_output_file_mode_follows_the_umask(scenes, tmp_path):

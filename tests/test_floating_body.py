@@ -7,6 +7,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import geomgen
 from geoforge import (
@@ -21,7 +22,11 @@ from geoforge import (
     dupin_floating_body,
     point_in_polygon,
     polygon_area,
+    polygon_bbox,
+    polygon_is_convex,
 )
+from geoforge import floating_body
+from geoforge.core import EPS_AREA
 from geoforge.floating_body import result_to_dict
 from geoforge.jsontext import dumps
 from geoforge.scene import parse_scene
@@ -171,3 +176,131 @@ def test_result_dict_shape():
     assert len(d["dupin"]) == 8
     assert d["convex_fb"] is None
     assert d["is_dupin_convex"] is True
+
+
+def _reference_offset(poly, phi, delta):
+    loop = [(v.x, v.y) for v in poly.vertices]
+    area = polygon_area(poly)
+    bb = polygon_bbox(poly)
+    diam = math.hypot(bb.width, bb.height)
+    return geomgen.cut_offset_reference(
+        loop, math.cos(phi), math.sin(phi), delta * area, area, diam
+    )
+
+
+@st.composite
+def _cut_cases(draw):
+    # convex polygons of every shape the fast cap area must get right, and
+    # directions that include the axis ties and a reflex edge's normal
+    kind = draw(st.sampled_from(["ngon", "rectangle", "collinear", "reflex"]))
+    size = draw(st.sampled_from([1e-3, 0.37, 1.0, 52.5, 1e3]))
+    ox = draw(st.sampled_from([0.0, 5e5, 999000.0, -999000.0]))
+    oy = draw(st.sampled_from([0.0, 5e5, 999000.0, -999000.0]))
+    phis = [k * math.pi / 2 for k in range(4)]
+    phis += draw(st.lists(st.floats(0.0, 2 * math.pi), min_size=1, max_size=3))
+    if kind == "rectangle":
+        aspect = draw(st.sampled_from([0.1, 1.0, 3.0]))
+        loop = [(ox, oy), (ox + size, oy), (ox + size, oy + aspect * size), (ox, oy + aspect * size)]
+    else:
+        n = draw(st.integers(3, 300))
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        step = 2 * math.pi / n
+        angles = [(k + rng.uniform(-0.4, 0.4)) * step for k in range(n)]
+        loop = [(ox + size * math.cos(a), oy + size * math.sin(a)) for a in angles]
+        if kind == "collinear":
+            # edge midpoints as extra vertices, on the line up to rounding
+            loop = [
+                q
+                for (x0, y0), (x1, y1) in zip(loop, loop[1:] + loop[:1])
+                for q in ((x0, y0), ((x0 + x1) / 2, (y0 + y1) / 2))
+            ]
+        elif kind == "reflex":
+            # one vertex pushed inward so that it turns clockwise by less than
+            # EPS_AREA: the projections onto that edge's normal are not unimodal
+            i = rng.randrange(n)
+            (x0, y0), (x1, y1) = loop[i], loop[(i + 1) % n]
+            length = math.hypot(x1 - x0, y1 - y0)
+            push = 0.5 * EPS_AREA / length
+            nx, ny = -(y1 - y0) / length, (x1 - x0) / length
+            loop.insert(i + 1, ((x0 + x1) / 2 + push * nx, (y0 + y1) / 2 + push * ny))
+            phis.append(math.atan2(-ny, -nx))
+    try:
+        poly = Polygon([Point(x, y) for x, y in loop])
+    except GeometryError:
+        assume(False)
+    assume(polygon_is_convex(poly))
+    delta = draw(st.sampled_from([1e-6, 0.1, 0.25, 0.45, 0.5]))
+    return poly, delta, phis
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(_cut_cases())
+def test_cut_offsets_equal_the_clip_every_step_reference(case):
+    poly, delta, phis = case
+    for phi in phis:
+        assert cut_halfplane(poly, phi, delta).c == _reference_offset(poly, phi, delta)
+
+
+def _count_kernel_calls(monkeypatch) -> list:
+    calls = []
+    kernel = floating_body._cap_area
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(floating_body, "_cap_area", counted)
+    return calls
+
+
+def test_fast_areas_settle_the_steps_and_the_kernel_the_rest(monkeypatch):
+    calls = _count_kernel_calls(monkeypatch)
+    n = 64
+    ngon = Polygon(
+        [Point(100 * math.cos(0.1 + 2 * math.pi * k / n), 100 * math.sin(0.1 + 2 * math.pi * k / n))
+         for k in range(n)]
+    )
+    for k in range(36):
+        phi = 2 * math.pi * k / 36
+        assert cut_halfplane(ngon, phi, 0.1).c == _reference_offset(ngon, phi, 0.1)
+    # about 28 steps a direction, nearly all settled without a clip
+    assert len(calls) <= 36
+
+    # a vertex reflex by 9e-10 < EPS_AREA: below the bottom edge the
+    # projections dip, and at delta 0.2 the cut passes through the dip,
+    # where the cap is two pieces; the whole direction goes to the kernel
+    dip = Polygon([Point(0, 0), Point(5e-4, 9e-7), Point(1e-3, 0), Point(5e-4, 4e-6)])
+    assert polygon_is_convex(dip)
+    del calls[:]
+    h = cut_halfplane(dip, 1.5 * math.pi, 0.2)
+    assert h.c == _reference_offset(dip, 1.5 * math.pi, 0.2)
+    assert -9e-7 < h.c < 0.0
+    assert len(calls) >= 10
+
+    # far from the origin the bound is too wide to settle anything
+    far = Polygon([Point(999000, -999000), Point(999001, -999000), Point(999001, -998999),
+                   Point(999000, -998999)])
+    del calls[:]
+    assert cut_halfplane(far, 0.3, 0.1).c == _reference_offset(far, 0.3, 0.1)
+    assert len(calls) >= 20
+
+
+def test_dupin_uses_the_offsets_and_midpoints_of_single_cuts(monkeypatch):
+    offsets = []
+    solve = floating_body._cut_offset
+
+    def recorded(*args):
+        offsets.append(solve(*args))
+        return offsets[-1]
+
+    monkeypatch.setattr(floating_body, "_cut_offset", recorded)
+    rng = random.Random(4242)
+    hull = geomgen.random_convex_polygon(rng, 40)
+    poly = Polygon([Point(x, y) for x, y in hull])
+    r = dupin_floating_body(poly, AreaFraction(0.3), n_directions=45)
+    assert len(offsets) == 45
+    step = 2.0 * math.pi / 45
+    for k, (c, mid) in enumerate(zip(offsets, r.dupin)):
+        h = cut_halfplane(poly, k * step, 0.3)
+        assert h.c == c
+        assert chord_midpoint(poly, h) == mid
