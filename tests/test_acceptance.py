@@ -343,10 +343,15 @@ def test_h_fractal_counts_exact_and_areas_shrink_geometrically():
 # (golden and fixture name, subcommand, extra flags).  onion-grid is a
 # random.Random(15).sample of 135 of the 225 points of a 15 x 15 grid with
 # spacing 10: many collinear boundary points and eight layers.
+# trapmap-chains exercises the trapezoidal map's tie rules: two polyline
+# chains (one turning back in x), a 4-segment fan from one point, two
+# endpoints 9e-10 apart in x that merge into one event, and segments whose
+# left x equals another's right x.
 GOLDEN_RUNS = [
     ("quadtree", "quadtree", []),
     ("pr-quadtree", "pr-quadtree", ["--capacity", "2"]),
     ("trapmap", "trapmap", []),
+    ("trapmap-chains", "trapmap", []),
     ("onion", "onion", []),
     ("onion-grid", "onion", []),
     ("beta-skeleton", "beta-skeleton", ["--beta", "1"]),
@@ -375,8 +380,8 @@ def test_i_golden_documents_per_subcommand(tmp_path, fmt):
             tags = {el.tag for el in ET.fromstring(got.decode("utf-8")).iter()}
             assert tags <= IPE_TAGS, (name, tags)
     print(
-        "\n[PASS] (i) all 11 fixture runs' %s documents are byte-identical to their "
-        "goldens (Ipe also inside the element whitelist)" % fmt
+        "\n[PASS] (i) all %d fixture runs' %s documents are byte-identical to their "
+        "goldens (Ipe also inside the element whitelist)" % (len(GOLDEN_RUNS), fmt)
     )
 
 
