@@ -3,12 +3,28 @@
 Every distinct segment endpoint shoots a vertical ray up and down; the
 rays stop at the first segment (or the box wall) they meet.  The cells of
 the resulting subdivision are trapezoids with vertical left/right sides.
+For n segments the map has at most 3n + 1 trapezoids whose areas tile the
+box exactly.
+
 The input check tests only the segment pairs whose bounding boxes
-overlap, each ray tests the segments whose x-range holds it, and the
-cells come from a left-to-right sweep that merges slab gaps sharing the
-same (top, bottom) pair.  For n segments the map has at most 3n + 1
-trapezoids whose areas tile the box exactly.  locate uses the slab
-method: two bisections in an index built on its first call.
+overlap.  The rays and the cells then come from one left-to-right sweep
+over the endpoint x-coordinates that keeps the segments over the current
+slab in their vertical order (Bentley & Ottmann 1979; de Berg et al.,
+Computational Geometry, ch. 6); a cell lasts while the same two bounds
+are neighbours.  The tie rules:
+
+- x-ranges are closed: a segment lies over a slab when its x-range holds
+  the slab's midpoint, and a ray at x meets the segments whose x-range
+  holds x, endpoints included;
+- segments of equal height at a slab's midpoint, and a ray's equally
+  near hits, go by the lowest index first;
+- a ray stops only at a segment more than EPS_DIST above (below) its
+  origin;
+- x-coordinates within EPS_DIST of the last kept one merge into one
+  event, and an endpoint equally near two events joins the lower one.
+
+locate uses the slab method: two bisections in an index built on its
+first call.
 """
 
 from __future__ import annotations
@@ -17,6 +33,7 @@ import enum
 import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 from .core import (
     EPS_DIST,
@@ -104,10 +121,7 @@ def build_trapezoidal_map(segments, bbox: BBox | None = None) -> TrapezoidalMap:
         for i, s in enumerate(segs):
             if not (bbox.contains(s.a) and bbox.contains(s.b)):
                 raise GeometryError("endpoint outside bbox: segment %d" % i)
-    origins = _distinct_endpoints(segs)
-    xranges = [(min(s.a.x, s.b.x), max(s.a.x, s.b.x)) for s in segs]
-    extensions = tuple(_shoot_extension(segs, xranges, bbox, p) for p in origins)
-    trapezoids = tuple(_sweep_trapezoids(segs, xranges, bbox, origins))
+    extensions, trapezoids = _sweep(segs, bbox, _distinct_endpoints(segs))
     return TrapezoidalMap(bbox=bbox, segments=segs, extensions=extensions, trapezoids=trapezoids)
 
 
@@ -135,27 +149,6 @@ def _distinct_endpoints(segs) -> list[Point]:
     return out
 
 
-def _shoot_extension(segs, xranges, bbox: BBox, origin: Point) -> VerticalExtension:
-    ox, oy = origin.x, origin.y
-    up_y, up_target = bbox.ymax, Wall.TOP
-    down_y, down_target = bbox.ymin, Wall.BOTTOM
-    for idx, (xlo, xhi) in enumerate(xranges):
-        if not (xlo <= ox <= xhi):
-            continue
-        y = _seg_y_at(segs[idx], ox)
-        if y > oy + EPS_DIST and y < up_y:
-            up_y, up_target = y, idx
-        elif y < oy - EPS_DIST and y > down_y:
-            down_y, down_target = y, idx
-    return VerticalExtension(
-        origin=origin,
-        up_hit=Point(ox, up_y),
-        up_target=up_target,
-        down_hit=Point(ox, down_y),
-        down_target=down_target,
-    )
-
-
 def _event_xs(segs, bbox: BBox) -> list[float]:
     xs = sorted({bbox.xmin, bbox.xmax} | {s.a.x for s in segs} | {s.b.x for s in segs})
     merged: list[float] = []
@@ -166,8 +159,119 @@ def _event_xs(segs, bbox: BBox) -> list[float]:
     return merged
 
 
-def _sweep_trapezoids(segs, xranges, bbox: BBox, origins) -> list[Trapezoid]:
+# Unit roundoff of a float; _TINY covers the underflow the bounds ignore.
+_U = 2.0**-53
+_TINY = 2.0**-1000
+
+
+def _sweep(segs, bbox: BBox, origins) -> tuple[tuple, tuple]:
+    """The extensions and the trapezoids, in one left-to-right pass.
+
+    Slab k runs between the merged events x_k and x_k+1, and its
+    midpoint is m_k.  Segment i, with closed x-range [lo_i, hi_i], lies
+    over slab k when lo_i <= m_k <= hi_i, so it enters at
+    bisect_left(mids, lo_i) and leaves at bisect_right(mids, hi_i); a
+    segment whose range holds no midpoint enters and leaves at the same
+    index and lies over no slab.  S_k, the segments over slab k, are
+    ordered by the key (y_i(m_k), i), where y_i(x) is _seg_y_at: an
+    index-ordered list stable-sorted by height, and the order that fixes
+    the gaps (top, bottom) of the slab.  At slab k the pass
+
+    1. removes the leaving segments from the ordered list ``act``,
+    2. re-checks at m_k the neighbour pairs that the removals created and
+       those whose certificate (below) has expired, swapping each pair
+       found out of order,
+    3. shoots the rays of the origins with bisect_left(mids, x) == k,
+    4. inserts the entering segments by bisecting the key at m_k,
+    5. closes the trapezoids of the gaps that are gone, in the order they
+       were opened, and opens the new gaps from bottom to top.
+
+    **Order.**  Claim: after step 4, act is S_k sorted by its key.  Let Y_i
+    be segment i's exact line.  For x in [lo_i, hi_i] the six roundings
+    of _seg_y_at give |y_i(x) - Y_i(x)| <= gamma_6 * (|a.y| + |T|), with
+    T = (x - a.x) * (b.y - a.y) / (b.x - a.x) and |T| <= |b.y - a.y|, so
+    ``err[i]`` = 8u * (|a.y| + |b.y - a.y|) + 2**-1000 bounds it with room
+    for its own roundings (u = 2**-53).  For
+    a pair A below B, D = Y_B - Y_A is linear in x, and D(m) > E =
+    err[A] + err[B] makes y_A(m) < y_B(m), so the keys keep that order.
+    When a pair becomes neighbours at m0 with heights y_A <= y_B (step 2
+    or 4), D(m0) >= (y_B - y_A) / (1 + u) - E.  With s the computed
+    slopes, the slope difference is off by at most gamma_4 * (|s_A| +
+    |s_B|), and over [m0, m] inside both ranges that moves D by at most
+    gamma_4 * (|dy_A| + |dy_B|) <= E.  Hence D(m) > E while
+    G + (s_B - s_A) * (m - m0) > 0, with G = (y_B - y_A) * 0.999 - 4E
+    below the exact margin (y_B - y_A) / (1 + u) - 3E.  If G <= 0 the
+    pair is checked again at the next slab; if s_B >= s_A it never
+    needs a check; otherwise the certificate covers the midpoints up to
+    x_exp = m0 + h, h = 0.5 * G / (s_A - s_B).  The rounded m0 + h lies
+    within h of m0 + h, because m0 itself is a float at distance h, so
+    every covered m has m - m0 <= 2h and (m - m0) * (s_A - s_B) <=
+    G * (1 + 3u), still below the exact margin.  A pair that neither left
+    nor was re-checked therefore keeps its key order.  Every other
+    neighbour pair has been compared at m_k, and each swap removes one
+    inversion of the fixed keys at m_k, so step 2 ends with all
+    neighbours in key order: the list is sorted.  This holds for
+    fans that share an endpoint, for endpoints on a midpoint and for
+    pairs closer than their rounding: such pairs get G <= 0 and are
+    compared at every slab, swapped when the keys say so.  Insertion by
+    bisection into a sorted list, with keys that are all distinct,
+    then gives the stable sort.  Neighbouring events are more than
+    EPS_DIST apart, so no slab is skipped.
+
+    **Rays.**  The map tests every segment with lo_i <= x <= hi_i for the
+    ray at an origin (x, y): the lowest y_i(x) above y + EPS_DIST (below
+    the top wall), then the lowest index, and likewise downwards.  With
+    m_k-1 < x <= m_k, such a segment lies over slab k - 1 or k, or over
+    none: every candidate is in L, the list after step 2, or enters or
+    leaves at k, and the latter few take the closed test one by one.  L
+    is sorted by the keys at m_k-1 (as part of S_k-1) and, if step 2
+    swapped nothing, at m_k.  Then for A before B in L, D >= -E at both
+    midpoints and so, being linear, at x, which gives y_A(x) <= y_B(x)
+    + 2 * (err[A] + err[B]).  A bisection of L at y finds a place where
+    the probed heights cross it.  The walk up from there keeps the
+    lowest height above y + EPS_DIST seen so far, or the top wall, and
+    stops at a segment whose height minus 3 * (its err + the largest
+    err) exceeds it: every later segment is then higher, so neither a
+    better hit upwards nor a hit downwards (the third multiple covers
+    the roundings of the test).  The walk down mirrors it.  The
+    candidates then
+    go through the map's own selection loop in index order, so the hit
+    is the same float from the same segment.  If step 2 swapped a pair,
+    the rays of that slab test all of L.
+
+    Every event adds or removes O(1) neighbour pairs and each ray makes
+    O(log n) probes plus a short walk, so band segments cost O(n log n)
+    height evaluations; an event shared by many endpoints costs its
+    origins times its entering and leaving segments.
+    """
+    n = len(segs)
+    bottom, top = n, n + 1  # the walls as bound ids
+    bound_of = list(range(n)) + [Wall.BOTTOM, Wall.TOP]
     events = _event_xs(segs, bbox)
+    mids = [(xl + xr) / 2.0 for xl, xr in zip(events, events[1:])]
+    nslab = len(mids)
+    lo = [min(s.a.x, s.b.x) for s in segs]
+    hi = [max(s.a.x, s.b.x) for s in segs]
+    err = [8.0 * _U * (abs(s.a.y) + abs(s.b.y - s.a.y)) + _TINY for s in segs]
+    err_max = max(err, default=0.0)
+    slope = [(s.b.y - s.a.y) / (s.b.x - s.a.x) for s in segs]
+    # per index k: the segments that enter and leave the list there, and
+    # those that enter or leave there or lie over no slab, the candidates
+    # the rays at k test one by one
+    entering: list[list[int]] = [[] for _ in range(nslab + 1)]
+    leaving: list[list[int]] = [[] for _ in range(nslab + 1)]
+    local: list[list[int]] = [[] for _ in range(nslab + 1)]
+    for i in range(n):
+        first, end = bisect_left(mids, lo[i]), bisect_right(mids, hi[i])
+        local[first].append(i)
+        if first < end:
+            entering[first].append(i)
+            leaving[end].append(i)
+            local[end].append(i)
+    rays: list[list[int]] = [[] for _ in range(nslab + 1)]
+    for o, p in enumerate(origins):
+        rays[bisect_left(mids, p.x)].append(o)
+
     endpoints_at: dict[float, list[Point]] = {x: [] for x in events}
     for p in origins:
         # endpoints snap to the nearest event (events are built from them);
@@ -194,47 +298,167 @@ def _sweep_trapezoids(segs, xranges, bbox: BBox, origins) -> list[Trapezoid]:
                 return p
         return None
 
-    done: list[Trapezoid] = []
-    open_traps: dict[tuple, tuple[float, Point | None]] = {}
-    for k in range(len(events) - 1):
-        xl, xr = events[k], events[k + 1]
-        if xr - xl <= EPS_DIST:
-            continue
-        mid = (xl + xr) / 2.0
-        spanning = [i for i, (lo, hi) in enumerate(xranges) if lo <= mid <= hi]
-        spanning.sort(key=lambda i: _seg_y_at(segs[i], mid))
-        bounds = [Wall.BOTTOM] + spanning + [Wall.TOP]
-        gaps = [(bounds[i + 1], bounds[i]) for i in range(len(bounds) - 1)]
-        gap_set = set(gaps)
-        for pair in [p for p in open_traps if p not in gap_set]:
-            start_x, leftp = open_traps.pop(pair)
-            done.append(
-                Trapezoid(
-                    top=pair[0],
-                    bottom=pair[1],
-                    left_x=start_x,
-                    right_x=xl,
-                    leftp=leftp,
-                    rightp=pick_endpoint(xl, pair),
-                )
-            )
-        for pair in gaps:
-            if pair not in open_traps:
-                leftp = pick_endpoint(xl, pair) if k > 0 else None
-                open_traps[pair] = (xl, leftp)
-    xlast = events[-1]
-    for pair, (start_x, leftp) in open_traps.items():
-        done.append(
-            Trapezoid(
-                top=pair[0],
-                bottom=pair[1],
-                left_x=start_x,
-                right_x=xlast,
-                leftp=leftp,
-                rightp=None,
-            )
+    ymin, ymax = bbox.ymin, bbox.ymax
+    extensions: list[VerticalExtension | None] = [None] * len(origins)
+
+    def shoot(o: int, active, scan) -> None:
+        origin = origins[o]
+        ox, oy = origin.x, origin.y
+        t_up, t_dn = oy + EPS_DIST, oy - EPS_DIST
+        memo: dict[int, float] = {}
+
+        def y_at(s: int) -> float:
+            y = memo.get(s)
+            if y is None:
+                y = memo[s] = _seg_y_at(segs[s], ox)
+            return y
+
+        cand = [s for s in scan if lo[s] <= ox <= hi[s]]
+        k = bisect_right(active, oy, key=y_at)
+        best = ymax  # the lowest height above t_up so far
+        for i in range(k, len(active)):
+            s = active[i]
+            y = y_at(s)
+            if y - 3.0 * (err[s] + err_max) > best:
+                break
+            cand.append(s)
+            if t_up < y < best:
+                best = y
+        best = ymin  # the highest height below t_dn so far
+        for i in range(k - 1, -1, -1):
+            s = active[i]
+            y = y_at(s)
+            if y + 3.0 * (err[s] + err_max) < best:
+                break
+            cand.append(s)
+            if best < y < t_dn:
+                best = y
+        up_y, up_target = ymax, Wall.TOP
+        down_y, down_target = ymin, Wall.BOTTOM
+        for s in sorted(set(cand)):
+            y = y_at(s)
+            if y > t_up and y < up_y:
+                up_y, up_target = y, s
+            elif y < t_dn and y > down_y:
+                down_y, down_target = y, s
+        extensions[o] = VerticalExtension(
+            origin=origin,
+            up_hit=Point(ox, up_y),
+            up_target=up_target,
+            down_hit=Point(ox, down_y),
+            down_target=down_target,
         )
-    return done
+
+    act: list[int] = []  # the segments over the current slab, bottom to top
+    up = [-1] * (n + 2)  # neighbour above; -1 once a segment has left
+    down = [-1] * (n + 2)
+    up[bottom], down[top] = top, bottom
+    certs: list[tuple[float, int, int]] = []  # heap of (x_exp, below, above)
+    gaps: dict[int, tuple] = {}  # bottom -> (seq, top, left x, leftp), in opening order
+    seq = 0
+    done: list[Trapezoid] = []
+    dirty = [bottom]  # bounds whose neighbour above changed
+
+    def certify(b: int, t: int, yb: float, yt: float, m0: float) -> None:
+        g = (yt - yb) * 0.999 - 4.0 * (err[b] + err[t])
+        if g <= 0.0:
+            heappush(certs, (m0, b, t))
+        elif slope[t] < slope[b]:
+            heappush(certs, (m0 + 0.5 * (g / (slope[b] - slope[t])), b, t))
+
+    for k in range(nslab):
+        xl, mid = events[k], mids[k]
+        at_mid: dict[int, float] = {}
+
+        def y_mid(s: int) -> float:
+            y = at_mid.get(s)
+            if y is None:
+                y = at_mid[s] = _seg_y_at(segs[s], mid)
+            return y
+
+        closed = []
+        work = []
+        for r in leaving[k]:
+            b, t = down[r], up[r]
+            up[b], down[t] = t, b
+            up[r] = down[r] = -1
+            act.remove(r)
+            g = gaps.pop(r)
+            closed.append((g[0], g[1], r, g[2], g[3]))
+            dirty.append(b)
+            work.append(b)
+        while certs and certs[0][0] < mid:
+            _, b, t = heappop(certs)
+            if up[b] == t:
+                work.append(b)
+        swapped = False
+        while work:
+            b = work.pop()
+            t = up[b]
+            if b == bottom or t == top or t < 0:
+                continue
+            yb, yt = y_mid(b), y_mid(t)
+            if (yb, b) < (yt, t):
+                certify(b, t, yb, yt, mid)
+                continue
+            swapped = True
+            i = act.index(b)
+            act[i], act[i + 1] = t, b
+            x, y = down[b], up[t]
+            up[x], down[t], up[t], down[b], up[b], down[y] = t, x, b, t, y, b
+            certify(t, b, yt, yb, mid)
+            dirty += (x, t, b)
+            work += (x, b)
+
+        for o in rays[k]:
+            if swapped:
+                shoot(o, (), act + local[k])
+            else:
+                shoot(o, act, local[k])
+
+        for s in entering[k]:
+            ys = y_mid(s)
+            i = bisect_left(act, (ys, s), key=lambda v: (y_mid(v), v))
+            b = act[i - 1] if i else bottom
+            t = act[i] if i < len(act) else top
+            act.insert(i, s)
+            up[b], down[s], up[s], down[t] = s, b, t, s
+            if b != bottom:
+                certify(b, s, y_mid(b), ys, mid)
+            if t != top:
+                certify(s, t, ys, y_mid(t), mid)
+            dirty += (b, s)
+
+        opened = []
+        for b in set(dirty):
+            t = up[b]
+            if t < 0:
+                continue
+            g = gaps.get(b)
+            if g is not None:
+                if g[1] == t:
+                    continue
+                del gaps[b]
+                closed.append((g[0], g[1], b, g[2], g[3]))
+            opened.append(b)
+        dirty = []
+        closed.sort()
+        for _, t, b, start_x, leftp in closed:
+            pair = (bound_of[t], bound_of[b])
+            done.append(Trapezoid(pair[0], pair[1], start_x, xl, leftp, pick_endpoint(xl, pair)))
+        opened.sort(key=lambda b: (-math.inf, b) if b == bottom else (y_mid(b), b))
+        for b in opened:
+            t = up[b]
+            leftp = pick_endpoint(xl, (bound_of[t], bound_of[b])) if k > 0 else None
+            gaps[b] = (seq, t, xl, leftp)
+            seq += 1
+
+    for o in rays[nslab]:
+        shoot(o, (), local[nslab])
+    xlast = events[-1]
+    for b, (_, t, start_x, leftp) in gaps.items():
+        done.append(Trapezoid(bound_of[t], bound_of[b], start_x, xlast, leftp, None))
+    return tuple(extensions), tuple(done)
 
 
 def trapezoid_height(m: TrapezoidalMap, t: Trapezoid, x: float) -> float:

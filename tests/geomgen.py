@@ -383,3 +383,96 @@ def cut_offset_reference(loop, ux, uy, target, area, diam):
         else:
             hi = c
     return c
+
+
+def trapmap_reference(segs, bbox):
+    """(extensions, trapezoids) of the trapezoidal map, rescanned from scratch.
+
+    The map's construction as it was before the one-pass sweep: each ray
+    tests every segment whose closed x-range holds it, and each slab
+    filters every segment by its closed x-range at the slab's midpoint
+    and stable-sorts them by height there.  segs is a sequence of
+    geoforge Segments that passed the map's input check, in the box
+    bbox; the library's build must return exactly these tuples.
+    """
+    from bisect import bisect_left
+
+    from geoforge.core import EPS_DIST, Point
+    from geoforge.trapmap import (
+        Trapezoid,
+        VerticalExtension,
+        Wall,
+        _distinct_endpoints,
+        _event_xs,
+        _seg_y_at,
+    )
+
+    origins = _distinct_endpoints(segs)
+    xranges = [(min(s.a.x, s.b.x), max(s.a.x, s.b.x)) for s in segs]
+
+    def shoot(origin):
+        ox, oy = origin.x, origin.y
+        up_y, up_target = bbox.ymax, Wall.TOP
+        down_y, down_target = bbox.ymin, Wall.BOTTOM
+        for idx, (xlo, xhi) in enumerate(xranges):
+            if not (xlo <= ox <= xhi):
+                continue
+            y = _seg_y_at(segs[idx], ox)
+            if y > oy + EPS_DIST and y < up_y:
+                up_y, up_target = y, idx
+            elif y < oy - EPS_DIST and y > down_y:
+                down_y, down_target = y, idx
+        return VerticalExtension(
+            origin=origin,
+            up_hit=Point(ox, up_y),
+            up_target=up_target,
+            down_hit=Point(ox, down_y),
+            down_target=down_target,
+        )
+
+    events = _event_xs(segs, bbox)
+    endpoints_at = {x: [] for x in events}
+    for p in origins:
+        k = bisect_left(events, p.x)
+        if k == len(events) or (k > 0 and p.x - events[k - 1] <= events[k] - p.x):
+            k -= 1
+        endpoints_at[events[k]].append(p)
+    for pts in endpoints_at.values():
+        pts.sort(key=lambda p: p.y)
+
+    def bound_y(bound, x):
+        if bound is Wall.TOP:
+            return bbox.ymax
+        if bound is Wall.BOTTOM:
+            return bbox.ymin
+        return _seg_y_at(segs[bound], x)
+
+    def pick_endpoint(x, pair):
+        lo = bound_y(pair[1], x) - EPS_DIST
+        hi = bound_y(pair[0], x) + EPS_DIST
+        for p in endpoints_at.get(x, ()):
+            if lo <= p.y <= hi:
+                return p
+        return None
+
+    done = []
+    open_traps = {}
+    for k in range(len(events) - 1):
+        xl, xr = events[k], events[k + 1]
+        if xr - xl <= EPS_DIST:
+            continue
+        mid = (xl + xr) / 2.0
+        spanning = [i for i, (lo, hi) in enumerate(xranges) if lo <= mid <= hi]
+        spanning.sort(key=lambda i: _seg_y_at(segs[i], mid))
+        bounds = [Wall.BOTTOM] + spanning + [Wall.TOP]
+        gaps = [(bounds[i + 1], bounds[i]) for i in range(len(bounds) - 1)]
+        gap_set = set(gaps)
+        for pair in [p for p in open_traps if p not in gap_set]:
+            start_x, leftp = open_traps.pop(pair)
+            done.append(Trapezoid(pair[0], pair[1], start_x, xl, leftp, pick_endpoint(xl, pair)))
+        for pair in gaps:
+            if pair not in open_traps:
+                open_traps[pair] = (xl, pick_endpoint(xl, pair) if k > 0 else None)
+    for pair, (start_x, leftp) in open_traps.items():
+        done.append(Trapezoid(pair[0], pair[1], start_x, events[-1], leftp, None))
+    return tuple(shoot(p) for p in origins), tuple(done)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import re
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import geomgen
+import geoforge.trapmap as trapmap
 from geoforge import (
     BBox,
     GeometryError,
@@ -324,3 +326,145 @@ def test_locate_on_a_map_built_by_hand():
     )
     # the cached index is not part of the value
     assert m == fresh and repr(m) == repr(fresh) and hash(m) == hash(fresh)
+
+
+def _fan(rng, k, spread, scale):
+    """k segments from (0, 0), their angles spread over `spread` radians."""
+    base = rng.uniform(-1.2, 1.2)
+    side = rng.choice((1.0, -1.0))
+    out = []
+    for i in range(k):
+        angle = base + spread * i / (k - 1)
+        r = scale * rng.uniform(0.5, 2.0)
+        out.append(((0.0, 0.0), (side * r * math.cos(angle), r * math.sin(angle))))
+    rng.shuffle(out)
+    return out
+
+
+def _tie_rule_scene(family, seed, n, scale):
+    """(raw segments, bbox or None) of one family that exercises a tie rule."""
+    rng = random.Random(seed)
+    if family == "band":
+        return geomgen.random_noncrossing_segments(rng, n, -scale, scale), None
+    if family == "chains":  # shuffled x-monotone polylines, some running right to left
+        raw = []
+        for c in range(1 + n % 3):
+            xs = sorted(rng.uniform(0.0, scale) for _ in range(n // 3 + 3))
+            if rng.random() < 0.5:
+                xs.reverse()
+            pts = [(x, c * scale + rng.uniform(0.0, 0.9 * scale)) for x in xs]
+            raw += zip(pts, pts[1:])
+        rng.shuffle(raw)
+        return raw, None
+    if family == "fan":
+        return _fan(rng, 2 + n % 11, 10 ** rng.uniform(-11, -1), scale), None
+    if family == "fan-on-midpoint":
+        # endpoints at x = -d and x = d make the events -d and d (0 merges
+        # into -d), so the fan's centre is a slab midpoint where its
+        # segments tie in height.  The scene has unit size and the fan a
+        # wide spread, so at the rays from those endpoints its heights
+        # differ by more than their rounding.
+        d = rng.choice((0.6e-9, 0.75e-9, 1e-9))
+        raw = _fan(rng, 2 + n % 11, 10 ** rng.uniform(-5, -1), 1.0)
+        return raw + [((-d, 3.0), (-d - 1.0, 3.5)), ((d, -3.0), (d + 1.0, -3.5))], None
+    if family == "noisy-fan":
+        # a fan pointing left, so narrow that rounding orders its heights
+        # near the centre, where the endpoints of segments far below put
+        # many events; shuffled, so index ties disagree with the geometry
+        r0 = min(scale, 1e4)
+        cy = rng.choice((1.0, 3e5, -3e5, 8e5))
+        spread = 10 ** rng.uniform(-14, -9)
+        base = rng.uniform(-0.5, 0.5)
+        raw = []
+        for i in range(3 + n % 10):
+            r = r0 * rng.uniform(0.5, 1.0)
+            angle = base + spread * i
+            raw.append(((0.0, cy), (-r * math.cos(angle), cy + r * math.sin(angle))))
+        for i in range(2 + n % 11):
+            x = -(10 ** rng.uniform(-8, -1)) * r0
+            raw.append(((x, cy - r0 * (2 + i)), (x - 0.3 * r0, cy - r0 * (2 + i) + 0.1)))
+        rng.shuffle(raw)
+        return raw, None
+    if family == "merged-events":  # left ends within 1e-9 in x: one event
+        raw = geomgen.random_noncrossing_segments(rng, n, 0.0, scale)
+        x0 = raw[0][0][0]
+        return [((x0 + rng.choice((0.0, 4e-10, 9e-10, 1e-9)), a[1]), b) if i % 3 == 0 else (a, b)
+                for i, (a, b) in enumerate(raw)], None
+    if family == "shared-x":  # every second segment starts at the x where the one before ends
+        raw = geomgen.random_noncrossing_segments(rng, n, 0.0, scale)
+        for i in range(1, len(raw), 2):
+            end = raw[i - 1][1][0]
+            raw[i] = ((end, raw[i][0][1]), (max(raw[i][1][0], end + 0.1 * scale), raw[i][1][1]))
+        return raw, None
+    if family == "no-slab":
+        # the third segment spans 1.05e-9 in x between the events 0 and
+        # 1.2e-9 and holds no slab midpoint
+        raw = [((0.0, 0.0), (-scale, 0.5)), ((1.2e-9, 5.0), (scale, 5.5)),
+               ((0.9e-9, 2.0), (1.95e-9, 2.0 + rng.uniform(-1.0, 1.0)))]
+        return raw + geomgen.random_noncrossing_segments(rng, n, -scale, -1.0), None
+    if family == "wall":  # the tight box: extreme endpoints and one segment on its walls
+        raw = geomgen.random_noncrossing_segments(rng, n, 0.0, scale)
+        raw.append(((0.1 * scale, -1.0), (0.9 * scale, -1.0)))
+        xs = [p[0] for s in raw for p in s]
+        ys = [p[1] for s in raw for p in s]
+        return raw, BBox(min(xs), min(ys), max(xs), max(ys))
+    return [], BBox(-scale, -1.0, scale, 1.0)  # empty
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(["band", "chains", "fan", "fan-on-midpoint", "noisy-fan",
+                     "merged-events", "shared-x", "no-slab", "wall", "empty"]),
+    st.integers(0, 2**32),
+    st.integers(1, 40),
+    st.sampled_from([1.0, 1e3, 1e5]),
+)
+def test_sweep_matches_the_rescanning_reference(family, seed, n, scale):
+    raw, bbox = _tie_rule_scene(family, seed, n, scale)
+    segs = [seg(a[0], a[1], b[0], b[1]) for a, b in raw if abs(a[0] - b[0]) > EPS_DIST]
+    try:
+        m = build_trapezoidal_map(segs, bbox)
+    except GeometryError:
+        return  # the contact check turned the scene down
+    want = geomgen.trapmap_reference(m.segments, m.bbox)
+    assert m.extensions == want[0]
+    assert m.trapezoids == want[1]
+
+
+def test_ray_under_a_narrow_fan_whose_heights_round_out_of_order():
+    # segments 1, 2 and 3 leave (0, 3e5) with slopes 2.5e-9 apart.  At the
+    # slab midpoints either side of x = 0.00646... the sweep orders them
+    # 3, 1, 2 (1 and 2 tie, so by index); at that x their heights round
+    # to 176, 177 and 176 in the last hex digits.  The ray up from the
+    # origin there must reach segment 2: the lowest index of the lowest.
+    segs = [
+        seg(0.007672550958595686, 299990.0, 0.5076725509585956, 299989.8),
+        seg(0.0, 300000.0, 1.9124769133828114, 299999.9995832015),
+        seg(0.0, 300000.0, 1.817706875627661, 299999.9996038507),
+        seg(0.0, 300000.0, 1.125112822701852, 299999.99975479115),
+        seg(0.005463810653394167, 299999.9999988082, 0.006463810653394167, 299998.9999988082),
+    ]
+    m = build_trapezoidal_map(segs)
+    assert (m.extensions, m.trapezoids) == geomgen.trapmap_reference(m.segments, m.bbox)
+    ray = next(e for e in m.extensions if e.origin == Point(0.006463810653394167, 299998.9999988082))
+    assert ray.up_target == 2
+
+
+def test_height_evaluations_grow_near_linearly(monkeypatch):
+    # a build that scans every segment per ray or per slab grows about 4x
+    # per doubling here; the one-pass sweep about 2.2x
+    calls = [0]
+    seg_y_at = trapmap._seg_y_at
+
+    def counted(s, x):
+        calls[0] += 1
+        return seg_y_at(s, x)
+
+    monkeypatch.setattr(trapmap, "_seg_y_at", counted)
+    counts = []
+    for n in (200, 400, 800):
+        raw = geomgen.random_noncrossing_segments(random.Random(n), n)
+        calls[0] = 0
+        build_trapezoidal_map([seg(a[0], a[1], b[0], b[1]) for a, b in raw])
+        counts.append(calls[0])
+    assert all(b < 2.6 * a for a, b in zip(counts, counts[1:])), counts
