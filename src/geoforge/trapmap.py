@@ -301,8 +301,7 @@ def _sweep(segs, bbox: BBox, origins) -> tuple[tuple, tuple]:
     ymin, ymax = bbox.ymin, bbox.ymax
     extensions: list[VerticalExtension | None] = [None] * len(origins)
 
-    def shoot(o: int, active, scan) -> None:
-        origin = origins[o]
+    def shoot(origin: Point, active, scan) -> VerticalExtension:
         ox, oy = origin.x, origin.y
         t_up, t_dn = oy + EPS_DIST, oy - EPS_DIST
         memo: dict[int, float] = {}
@@ -341,7 +340,7 @@ def _sweep(segs, bbox: BBox, origins) -> tuple[tuple, tuple]:
                 up_y, up_target = y, s
             elif y < t_dn and y > down_y:
                 down_y, down_target = y, s
-        extensions[o] = VerticalExtension(
+        return VerticalExtension(
             origin=origin,
             up_hit=Point(ox, up_y),
             up_target=up_target,
@@ -354,7 +353,7 @@ def _sweep(segs, bbox: BBox, origins) -> tuple[tuple, tuple]:
     down = [-1] * (n + 2)
     up[bottom], down[top] = top, bottom
     certs: list[tuple[float, int, int]] = []  # heap of (x_exp, below, above)
-    gaps: dict[int, tuple] = {}  # bottom -> (seq, top, left x, leftp), in opening order
+    gaps: dict[int, tuple] = {}  # bottom -> (seq, top, bottom, left x, leftp), in opening order
     seq = 0
     done: list[Trapezoid] = []
     dirty = [bottom]  # bounds whose neighbour above changed
@@ -383,8 +382,7 @@ def _sweep(segs, bbox: BBox, origins) -> tuple[tuple, tuple]:
             up[b], down[t] = t, b
             up[r] = down[r] = -1
             act.remove(r)
-            g = gaps.pop(r)
-            closed.append((g[0], g[1], r, g[2], g[3]))
+            closed.append(gaps.pop(r))
             dirty.append(b)
             work.append(b)
         while certs and certs[0][0] < mid:
@@ -412,9 +410,9 @@ def _sweep(segs, bbox: BBox, origins) -> tuple[tuple, tuple]:
 
         for o in rays[k]:
             if swapped:
-                shoot(o, (), act + local[k])
+                extensions[o] = shoot(origins[o], (), act + local[k])
             else:
-                shoot(o, act, local[k])
+                extensions[o] = shoot(origins[o], act, local[k])
 
         for s in entering[k]:
             ys = y_mid(s)
@@ -438,8 +436,7 @@ def _sweep(segs, bbox: BBox, origins) -> tuple[tuple, tuple]:
             if g is not None:
                 if g[1] == t:
                     continue
-                del gaps[b]
-                closed.append((g[0], g[1], b, g[2], g[3]))
+                closed.append(gaps.pop(b))
             opened.append(b)
         dirty = []
         closed.sort()
@@ -450,13 +447,13 @@ def _sweep(segs, bbox: BBox, origins) -> tuple[tuple, tuple]:
         for b in opened:
             t = up[b]
             leftp = pick_endpoint(xl, (bound_of[t], bound_of[b])) if k > 0 else None
-            gaps[b] = (seq, t, xl, leftp)
+            gaps[b] = (seq, t, b, xl, leftp)
             seq += 1
 
     for o in rays[nslab]:
-        shoot(o, (), local[nslab])
+        extensions[o] = shoot(origins[o], (), local[nslab])
     xlast = events[-1]
-    for b, (_, t, start_x, leftp) in gaps.items():
+    for _, t, b, start_x, leftp in gaps.values():
         done.append(Trapezoid(bound_of[t], bound_of[b], start_x, xlast, leftp, None))
     return tuple(extensions), tuple(done)
 
