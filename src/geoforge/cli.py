@@ -1,16 +1,18 @@
 """Command-line interface.
 
 Every subcommand reads one scene file, runs one structure, and writes one
-document (JSON dump by default, SVG or Ipe with --format).  Output goes
-through a temp file and an atomic rename so a crash never leaves a
-half-written file; "-" streams to stdout instead, and an existing device
-or FIFO is written to in place.  Exit codes: 0 on success, 1 when the
-input fails to parse or validate, 2 for usage errors.
+document (JSON dump by default, SVG or Ipe with --format).  The document
+reaches the output as a stream of text chunks, and every check runs before
+the first chunk.  Output goes through a temp file and an atomic rename so a
+crash never leaves a half-written file; "-" streams to stdout instead, and
+an existing device or FIFO is written to in place.  Exit codes: 0 on
+success, 1 when the input fails to parse or validate, 2 for usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -29,7 +31,7 @@ from .fractals import (
 )
 from .onion import layers_to_lists, onion_decomposition
 from .quadtree import build_point_quadtree, build_pr_quadtree, tree_to_dict
-from .render import emit_ipe, emit_svg
+from .render import ipe_chunks, svg_chunks
 from .scene import Scene, SceneError, parse_scene
 from .trapmap import build_trapezoidal_map, map_to_dict
 from .triangulation import (
@@ -232,22 +234,30 @@ _DISPATCH = {
 }
 
 
-def _write_output(path: str, text: str) -> None:
+def _write_output(path: str, chunks) -> None:
+    """Write the text chunks to path, or to stdout for "-".
+
+    A regular file is written through a temp file beside it and renamed
+    over the target, so an error in the chunk source or in the write
+    leaves the target as it was and removes the temp file.  stdout, and an
+    existing device or FIFO, are written as the chunks come: there an
+    error after the first chunk leaves what was written so far.
+    """
     if path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     target = os.path.abspath(path)
     if os.path.exists(target) and not os.path.isfile(target):
         # a device or FIFO: write through it; a rename would replace it
         with open(target, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         return
     umask = os.umask(0)
     os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".geoforge-")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         # mkstemp creates the file 0600; give it the mode a plain open would
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, target)
@@ -264,12 +274,12 @@ def main(argv=None) -> int:
             scene = parse_scene(fh.read())
         result = _DISPATCH[args.command](scene, args)
         if args.format == "json":
-            out = jsontext.dumps(result) + "\n"
+            chunks = itertools.chain(jsontext.iterdumps(result), ("\n",))
         elif args.format == "svg":
-            out = emit_svg(scene, result)
+            chunks = svg_chunks(scene, result)
         else:
-            out = emit_ipe(scene, result)
-        _write_output(args.output, out)
+            chunks = ipe_chunks(scene, result)
+        _write_output(args.output, chunks)
     except (SceneError, GeometryError, OSError, UnicodeDecodeError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 1

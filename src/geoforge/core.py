@@ -254,12 +254,41 @@ def _boxed_segments_contact(p1: Point, p2: Point, q1: Point, q2: Point, shared_o
         or (points_equal(p1, q2) and points_equal(p2, q1))
     ):
         return True
+    near = False
     for p, s1, s2 in ((p1, q1, q2), (p2, q1, q2), (q1, p1, p2), (q2, p1, p2)):
-        if point_segment_distance(p, s1, s2) <= EPS_DIST and not (
-            shared_ok and (points_equal(p, s1) or points_equal(p, s2))
-        ):
-            return True
-    return False
+        if point_segment_distance(p, s1, s2) <= EPS_DIST:
+            if not (shared_ok and (points_equal(p, s1) or points_equal(p, s2))):
+                return True
+            near = True
+    # The EPS_AREA test misses a crossing whose endpoint lies within
+    # EPS_AREA / |other segment| of the other's line but farther than
+    # EPS_DIST from it, so opposite float signs also count when rounding
+    # cannot have made them.  A pair that shares an endpoint is left alone:
+    # there any crossing lies within the tolerance of the shared point.
+    return (
+        not near
+        and (o1 > 0.0 > o2 or o2 > 0.0 > o1)
+        and (o3 > 0.0 > o4 or o4 > 0.0 > o3)
+        and _sign_is_sure(q1, q2, p1)
+        and _sign_is_sure(q1, q2, p2)
+        and _sign_is_sure(p1, p2, q1)
+        and _sign_is_sure(p1, p2, q2)
+    )
+
+
+# Shewchuk's first orient2d error bound (1997): (3 + 16u)u, u = 2**-53
+_CROSS_ERR = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
+
+
+def _sign_is_sure(p: Point, q: Point, r: Point) -> bool:
+    """True when rounding cannot have flipped the sign of cross(p, q, r).
+
+    The products are cross's own, so left - right is cross(p, q, r) bit
+    for bit.  2**-1060 covers products that underflow.
+    """
+    left = (q.x - p.x) * (r.y - p.y)
+    right = (q.y - p.y) * (r.x - p.x)
+    return abs(left - right) > _CROSS_ERR * (abs(left) + abs(right)) + 2.0**-1060
 
 
 def _contact_candidates(segments) -> list[tuple[int, int]]:

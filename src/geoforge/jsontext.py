@@ -5,19 +5,33 @@ structures produce byte-identical output: compact separators, keys in
 insertion order, numbers with at most 12 significant digits and no
 trailing zeros.
 
-`dumps` walks the value with an explicit stack, so nesting depth is
-bounded by memory, not by the interpreter's recursion limit.  It
-dispatches on the exact types the package's dumps use (float, list,
-tuple, dict, and an [x, y] pair of floats as one step) and falls back to
-isinstance checks for everything else.  Each distinct float is formatted
-once per call, through a memo that only floats reach.  Dict keys must be
-strings; any other key raises TypeError, since JSON has no other kind.
+`iterdumps` walks the value with an explicit stack, so nesting depth is
+bounded by memory, not by the interpreter's recursion limit.  It yields
+the text in chunks of CHUNK_PARTS parts, and `dumps` joins them.  Besides
+lists and tuples, any other `collections.abc.Sequence` that is not text or
+bytes is an array and is iterated once, so a lazy sequence, such as a
+fractal dump's cells, streams without ever being a list.
+
+The walk dispatches on the exact types the package's dumps use (float,
+list, tuple, dict, and an [x, y] pair of floats as one step) and falls
+back to isinstance checks for everything else.  Each distinct float is
+formatted once per call, through a memo that only floats reach and that
+starts over at a chunk's end once it holds MEMO_LIMIT entries.  Dict keys
+must be strings; any other key raises TypeError, since JSON has no other
+kind.  An error raises where the walk meets it, so chunks before it may
+already have been yielded.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from json.encoder import encode_basestring_ascii as _quote
+
+# parts per chunk of iterdumps, and entries a TextMemo holds before it
+# starts over; both keep memory flat however large the document
+CHUNK_PARTS = 4096
+MEMO_LIMIT = 1 << 16
 
 
 def format_number(value) -> str:
@@ -54,9 +68,19 @@ class TextMemo(dict):
         s = self[v] = self.fmt(v)
         return s
 
+    def trim(self) -> None:
+        """Start over once MEMO_LIMIT entries are held; writers call it per chunk."""
+        if len(self) >= MEMO_LIMIT:
+            self.clear()
+
 
 def dumps(value) -> str:
     """Serialize nested dicts/lists/numbers/strings/bools/None."""
+    return "".join(iterdumps(value))
+
+
+def iterdumps(value):
+    """The text of dumps(value), in chunks of CHUNK_PARTS parts."""
     # keyed by floats only: 10**20 == 1e20 but they print differently
     floats = TextMemo(_float_text)
     parts: list[str] = []
@@ -68,6 +92,13 @@ def dumps(value) -> str:
     items, is_dict, first = iter((value,)), False, True
     while True:
         for v in items:
+            if len(parts) >= CHUNK_PARTS:
+                # cleared before the yield, so the parts are not held while
+                # the chunk is written
+                chunk = "".join(parts)
+                parts.clear()
+                floats.trim()
+                yield chunk
             if first:
                 first = False
             else:
@@ -104,7 +135,7 @@ def dumps(value) -> str:
             elif isinstance(v, str):
                 out(_quote(v))
                 continue
-            elif isinstance(v, (list, tuple)):
+            elif isinstance(v, Sequence) and not isinstance(v, (bytes, bytearray, memoryview)):
                 nested, inner = v, False
             elif isinstance(v, dict):
                 nested, inner = v.items(), True
@@ -116,7 +147,8 @@ def dumps(value) -> str:
             break
         else:
             if not frames:
-                return "".join(parts)
+                yield "".join(parts)
+                return
             out("}" if is_dict else "]")
             items, is_dict = frames.pop()
             first = False

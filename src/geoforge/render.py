@@ -4,7 +4,7 @@ Both emitters consume the same drawables: the scene's own geometry first,
 then layers extracted from a structure dump (the plain-data form each
 module produces).  The drawables are plain named tuples: a Mark is one
 point, a Stroke a sequence of (x, y) pairs, open or closed; a fractal
-cell's own list from the dump serves as its stroke's points.  The
+cell's own vertex list serves as its stroke's points.  The
 point-tree walks use an explicit stack, so tree depth is not bounded by
 the recursion limit.  Layers cycle through the style's palette.  Output
 is deterministic: fixed element order and fixed coordinate formatting.
@@ -14,10 +14,22 @@ in math orientation.  Ipe files carry no stylesheet and use only the
 elements ipe, page, path, use and group, which Ipe 7.2.x opens with its
 defaults; coordinates are trimmed to at most 6 decimals.
 
+`svg_chunks` and `ipe_chunks` give a document as chunks: the head, then
+up to CHUNK_LINES drawables of one layer at a time, then the tail; and
+`emit_svg` and `emit_ipe` join them.  Every check runs when a chunk
+generator is made, before its first chunk.  The SVG viewBox comes before
+the first path, so the bounds are found first: the scene bbox when there
+is one; otherwise the layers are measured, except a fractal dump's cells
+(a `CellSequence`), which carry their bounds.  The fractal layer is the
+one layer made while it is written, one stroke per cell, so a fractal's
+document streams in memory that does not grow with its depth; every
+other dump is bounded by its input and is gathered whole.
+
 Figures repeat coordinates heavily (a depth-5 carpet has 262,144
 coordinate slots but about 244 distinct x and 244 distinct y values), so
 each document formats every distinct value once, through a memo keyed by
-the number.  Keys that compare equal print alike in both formats: 0.0 and
+the number that starts over after a chunk once it holds MEMO_LIMIT
+entries.  Keys that compare equal print alike in both formats: 0.0 and
 -0.0 both print as zero, and an int prints as the float it equals.  Each
 path is built as one string.
 """
@@ -25,11 +37,15 @@ path is built as one string.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import NamedTuple, Sequence
 
 from .core import GeometryError
+from .fractals import CellSequence
 from .jsontext import TextMemo
 from .scene import Scene
+
+CHUNK_LINES = 1024
 
 IPE_VERSION = "70218"
 IPE_CREATOR = "geoforge"
@@ -71,6 +87,10 @@ class Stroke(NamedTuple):
     closed: bool
 
 
+def _closed_stroke(points) -> Stroke:
+    return Stroke(points, True)
+
+
 def _rect(x0, y0, x1, y1) -> Stroke:
     return Stroke(((x0, y0), (x1, y0), (x1, y1), (x0, y1)), True)
 
@@ -97,7 +117,11 @@ def _result_layers(results, scene: Scene) -> list[list]:
     if keys == {"kind", "root"}:
         return _quadtree_layers(results)
     if keys == {"kind", "depth", "cells"}:
-        return [[Stroke(cell, True) for cell in results["cells"]]]
+        cells = results["cells"]
+        if isinstance(cells, CellSequence):
+            # made while it is written; it carries the bounds of all its cells
+            return [cells.remade(_closed_stroke)]
+        return [[Stroke(cell, True) for cell in cells]]
     if keys == {"bbox", "segments", "extensions", "trapezoids"}:
         return _trapmap_layers(results)
     if keys == {"points", "edges"}:
@@ -252,6 +276,11 @@ def _bounds(scene: Scene, layers: list[list]) -> tuple[float, float, float, floa
     xs: list[float] = []
     ys: list[float] = []
     for layer in layers:
+        if type(layer) is CellSequence:
+            x0, y0, x1, y1 = layer.bounds
+            xs += (x0, x1)
+            ys += (y0, y1)
+            continue
         for item in layer:
             if type(item) is Mark:
                 xs.append(item.x)
@@ -279,67 +308,98 @@ def _fmt_ipe(v: float) -> str:
     return "0" if s == "-0" else s
 
 
+def _batches(layer):
+    """The layer's items in lists of at most CHUNK_LINES."""
+    items = iter(layer)
+    while batch := list(islice(items, CHUNK_LINES)):
+        yield batch
+
+
 def emit_svg(scene: Scene, results=None, style: RenderStyle | None = None) -> str:
     """Render a scene plus an optional structure dump as an SVG document."""
+    return "".join(svg_chunks(scene, results, style))
+
+
+def svg_chunks(scene: Scene, results=None, style: RenderStyle | None = None):
+    """The emit_svg document as chunks; every check runs in this call."""
     style = style or RenderStyle()
     layers = _gather_layers(scene, results)
     x0, y0, x1, y1 = _padded(_bounds(scene, layers))
-    lines = [
+    head = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="%s %s %s %s">'
         % (_fmt_svg(x0), _fmt_svg(y0), _fmt_svg(x1 - x0), _fmt_svg(y1 - y0)),
         '<g transform="matrix(1 0 0 -1 0 %s)">' % _fmt_svg(y0 + y1),
+        "",
     ]
+    return chain(("\n".join(head),), _svg_body(layers, style), ("</g>\n</svg>\n",))
+
+
+def _svg_body(layers, style: RenderStyle):
     c = TextMemo(_fmt_svg)
     radius = _fmt_svg(style.mark_radius)
     width = _fmt_svg(style.stroke_width)
     for index, layer in enumerate(layers):
         color = style.color(index)
-        for item in layer:
-            if type(item) is Mark:
-                x, y = item
-                lines.append(f'<circle cx="{c[x]}" cy="{c[y]}" r="{radius}" fill="{color}"/>')
-            else:
-                ops = [f"L {c[x]} {c[y]}" for x, y in item.points]
-                if ops:
-                    ops[0] = "M" + ops[0][1:]
-                if item.closed:
-                    ops.append("Z")
-                lines.append(
-                    f'<path d="{" ".join(ops)}" fill="none" stroke="{color}" stroke-width="{width}"/>'
-                )
-    lines.append("</g>")
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+        for batch in _batches(layer):
+            lines = []
+            for item in batch:
+                if type(item) is Mark:
+                    x, y = item
+                    lines.append(f'<circle cx="{c[x]}" cy="{c[y]}" r="{radius}" fill="{color}"/>')
+                else:
+                    ops = [f"L {c[x]} {c[y]}" for x, y in item.points]
+                    if ops:
+                        ops[0] = "M" + ops[0][1:]
+                    if item.closed:
+                        ops.append("Z")
+                    lines.append(
+                        f'<path d="{" ".join(ops)}" fill="none" stroke="{color}" stroke-width="{width}"/>'
+                    )
+            lines.append("")
+            yield "\n".join(lines)
+            c.trim()
 
 
 def emit_ipe(scene: Scene, results=None, style: RenderStyle | None = None) -> str:
     """Render a scene plus an optional structure dump as an Ipe document."""
+    return "".join(ipe_chunks(scene, results, style))
+
+
+def ipe_chunks(scene: Scene, results=None, style: RenderStyle | None = None):
+    """The emit_ipe document as chunks; every check runs in this call."""
     style = style or RenderStyle()
     layers = _gather_layers(scene, results)
-    lines = [
+    head = [
         '<?xml version="1.0"?>',
         '<!DOCTYPE ipe SYSTEM "ipe.dtd">',
         '<ipe version="%s" creator="%s">' % (IPE_VERSION, IPE_CREATOR),
         "<page>",
+        "",
     ]
+    return chain(("\n".join(head),), _ipe_body(layers, style), ("</page>\n</ipe>\n",))
+
+
+def _ipe_body(layers, style: RenderStyle):
     c = TextMemo(_fmt_ipe)
     for index, layer in enumerate(layers):
         color = _IPE_COLORS.get(style.color(index), "black")
         path_open = f'<path stroke="{color}">'
-        for item in layer:
-            if type(item) is Mark:
-                x, y = item
-                lines.append(
-                    f'<use name="mark/disk(sx)" pos="{c[x]} {c[y]}" size="normal" stroke="{color}"/>'
-                )
-            else:
-                ops = [f"{c[x]} {c[y]} l" for x, y in item.points]
-                if ops:
-                    ops[0] = ops[0][:-1] + "m"
-                if item.closed:
-                    ops.append("h")
-                lines.append("\n".join([path_open, *ops, "</path>"]))
-    lines.append("</page>")
-    lines.append("</ipe>")
-    return "\n".join(lines) + "\n"
+        for batch in _batches(layer):
+            lines = []
+            for item in batch:
+                if type(item) is Mark:
+                    x, y = item
+                    lines.append(
+                        f'<use name="mark/disk(sx)" pos="{c[x]} {c[y]}" size="normal" stroke="{color}"/>'
+                    )
+                else:
+                    ops = [f"{c[x]} {c[y]} l" for x, y in item.points]
+                    if ops:
+                        ops[0] = ops[0][:-1] + "m"
+                    if item.closed:
+                        ops.append("h")
+                    lines.append("\n".join([path_open, *ops, "</path>"]))
+            lines.append("")
+            yield "\n".join(lines)
+            c.trim()

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import geoforge
+from geoforge import cli, jsontext
 from geoforge.cli import main
 
 POINTS = '{"points":[[10,10],[40,70],[80,20],[60,60],[30,30]]}'
@@ -257,6 +258,79 @@ def test_existing_fifo_is_written_to_not_replaced(scenes, tmp_path):
     regular = tmp_path / "regular.json"
     assert main(["onion", "--input", scenes["points"], "--output", str(regular)]) == 0
     assert got == [regular.read_bytes()]
+
+
+@pytest.mark.parametrize(
+    "fmt, owner, source",
+    [("json", jsontext, "iterdumps"), ("svg", cli, "svg_chunks"), ("ipe", cli, "ipe_chunks")],
+)
+def test_chunk_source_failing_after_its_first_chunk_leaves_the_target(
+    scenes, tmp_path, capsys, monkeypatch, fmt, owner, source
+):
+    resumed = []
+
+    def failing(*args):
+        yield "<first chunk>"
+        resumed.append(True)
+        raise OSError("chunk source failed")
+
+    monkeypatch.setattr(owner, source, failing)
+    out = tmp_path / "result.out"
+    out.write_text("stale")
+    code = main(["sierpinski-carpet", "--input", scenes["box"], "--output", str(out),
+                 "--format", fmt, "--depth", "2"])
+    assert code == 1 and resumed
+    assert capsys.readouterr().err.startswith("error: chunk source failed")
+    assert out.read_text() == "stale"
+    assert not [p.name for p in tmp_path.iterdir() if p.name.startswith(".geoforge-")]
+
+
+@pytest.mark.parametrize("fmt", ["json", "svg", "ipe"])
+def test_rejected_seed_writes_nothing_to_stdout(scenes, capsys, fmt):
+    code = main(["sierpinski-triangle", "--input", scenes["polygon"], "--output", "-",
+                 "--format", fmt, "--depth", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: seed must be a triangle")
+    assert captured.out == ""
+
+
+# Prints the child's own peak RSS (KB) before and after one CLI run.  It
+# reads VmHWM: on Linux, ru_maxrss also counts the peak of the process that
+# spawned the child, here the test runner, which hides the child's own.
+_RSS_CHILD = """
+import sys
+from geoforge.cli import main
+def peak():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+before = peak()
+code = main(sys.argv[1:])
+print(code, before, peak())
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_carpet_memory_does_not_grow_with_depth(scenes, tmp_path):
+    # a depth-5 carpet has 32,768 cells; writing it whole took about 30 MB
+    # more than depth 3, streaming it takes well under 1 MB more
+    runs = {}
+    for depth in (3, 4, 5):
+        for fmt in ("json", "svg"):
+            argv = ["sierpinski-carpet", "--input", scenes["box"], "--depth", str(depth),
+                    "--format", fmt, "--output", str(tmp_path / ("d%d.%s" % (depth, fmt)))]
+            runs[depth, fmt] = subprocess.Popen(
+                [sys.executable, "-c", _RSS_CHILD] + argv,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_child_env())
+    growth = {}
+    for key, child in runs.items():
+        out, err = child.communicate(timeout=60)
+        code, before, after = map(int, out.split())
+        assert child.returncode == 0 and code == 0, err
+        growth[key] = after - before
+    for fmt in ("json", "svg"):
+        for depth in (4, 5):
+            assert growth[depth, fmt] - growth[3, fmt] < 8 * 1024, (depth, fmt, growth)
 
 
 def test_deep_point_quadtree_writes_every_format(tmp_path):

@@ -28,7 +28,10 @@ from geoforge import (
     polygon_bbox,
     polygon_is_convex,
 )
+from geoforge import build_trapezoidal_map
 from geoforge.core import (
+    EPS_AREA,
+    EPS_DIST,
     _segments_contact,
     _turning_is_convex_ccw,
     cross,
@@ -324,3 +327,70 @@ def test_point_in_polygon_nonconvex_matches_convex_decomposition():
             assert PointLocation.INSIDE in (in_lower, in_upper) or (
                 in_lower is PointLocation.BOUNDARY and in_upper is PointLocation.BOUNDARY
             )
+
+
+def _near_line_pair(length: float, share: float, sign: float):
+    """q along the x axis and p from (-1, h) to (0.65 * length, sign * e).
+
+    e is 0.9 * EPS_AREA / length: p's end is area-collinear with q yet more
+    than EPS_DIST off its line.  With sign -1, p crosses q at
+    x = share * length; with +1 its end is mirrored above the axis.
+    """
+    e = 0.9 * EPS_AREA / length
+    x_end = 0.65 * length
+    x_cross = share * length
+    h = e * (x_cross + 1.0) / (x_end - x_cross)
+    return ((0.0, 0.0), (length, 0.0)), ((-1.0, h), (x_end, sign * e))
+
+
+def test_near_line_crossings_are_contact_in_polygons_and_trapmaps():
+    box = BBox(-2, -2, 2, 2)
+    cases = [(((0.0, 0.0), (0.01, 0.0)), ((-1.0, 3.35e-5), (0.0065, -1e-7)))]
+    cases += [_near_line_pair(length, share, sign)
+              for length in (0.002, 0.01, 0.05, 0.3)
+              for share in (0.1, 0.35, 0.6)
+              for sign in (-1.0, 1.0)]
+    crossing = 0
+    for q, p in cases:
+        crosses = geomgen.segments_properly_cross(*p, *q)
+        (qa, qb), (pa, pb) = [(Point(*a), Point(*b)) for a, b in (q, p)]
+        assert abs(cross(qa, qb, pb)) <= EPS_AREA
+        assert point_segment_distance(pb, qa, qb) > EPS_DIST
+        for shared_ok in (True, False):
+            assert _segments_contact(pa, pb, qa, qb, shared_ok) is crosses, (q, p)
+        segments = [Segment(qa, qb), Segment(pa, pb)]
+        if crosses:
+            crossing += 1
+            with pytest.raises(GeometryError, match="intersect"):
+                build_trapezoidal_map(segments, box)
+            # a 7-gon whose edges 0 and 4 are q and p
+            (x0, _), (x1, _) = q
+            (px, py), (ex, ey) = p
+            loop = [(x0, 0.0), (x1, 0.0), (x1, 1.0), (px, 1.0), (px, py), (ex, ey), (ex, -1.0)]
+            with pytest.raises(GeometryError, match="edges 0 and 4 touch"):
+                Polygon([Point(x, y) for x, y in loop])
+        else:
+            assert len(build_trapezoidal_map(segments, box).segments) == 2
+    assert crossing == 13
+
+
+def test_crossings_the_float_signs_do_not_prove_stay_apart():
+    # a fan whose ends are 5.7e-10 apart crosses within the tolerance of
+    # its shared point: with shared_ok that is no contact
+    fan = (Point(0, 0), Point(1, 1), Point(-4e-10, 4e-10), Point(1, 0))
+    assert _segments_contact(*fan, shared_ok=True) is False
+    assert _segments_contact(*fan, shared_ok=False) is True
+    # end to end on one line, 3e-9 apart: the float orientations come out
+    # opposite in both pairs (the exact ones do not), and rounding can have
+    # made them, so this is no crossing
+    a, b, c, d = [(-12.674140128724275, 19.61614092589059),
+                  (-3.5483963650505252, 24.077705518627674),
+                  (-3.5483963623553825, 24.077705519945326),
+                  (5.577347398623225, 28.539270111364754)]
+    assert geomgen.segments_properly_cross(a, b, c, d)
+    line = [Point(*v) for v in (a, b, c, d)]
+    for shared_ok in (True, False):
+        assert _segments_contact(*line, shared_ok) is False
+    for p1, p2, q1, q2 in (fan, line):
+        m = build_trapezoidal_map([Segment(p1, p2), Segment(q1, q2)], BBox(-20, -2, 10, 30))
+        assert len(m.segments) == 2

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from geoforge import (
     BBox,
@@ -18,7 +19,7 @@ from geoforge import (
     sierpinski_carpet,
     sierpinski_triangle,
 )
-from geoforge.fractals import CARPET_MAX_DEPTH, TRIANGLE_MAX_DEPTH, output_to_dict
+from geoforge.fractals import CARPET_MAX_DEPTH, TRIANGLE_MAX_DEPTH, CellSequence, output_to_dict
 
 EQUILATERAL = Polygon([Point(0, 0), Point(1, 0), Point(0.5, math.sqrt(3) / 2)])
 
@@ -129,3 +130,73 @@ def test_seed_type_validation():
 def test_dict_shape():
     d = output_to_dict(sierpinski_triangle(Polygon([Point(0, 0), Point(2, 0), Point(0, 2)]), 0))
     assert d == {"kind": "triangle", "depth": 0, "cells": [[[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]]]}
+
+
+def test_cells_are_a_lazy_sequence_that_any_pass_sees_alike():
+    out = sierpinski_carpet(BBox(0, 0, 9, 9), 2)
+    cells = out.cells
+    assert isinstance(cells, CellSequence) and len(cells) == 64
+    first = list(cells)
+    assert list(cells) == first and cells == first and cells == tuple(first)
+    assert cells[0] == first[0] and cells[-1] == first[-1] and cells[17] == first[17]
+    assert cells[3:6] == first[3:6] and list(reversed(cells)) == first[::-1]
+    with pytest.raises(IndexError):
+        cells[64]
+    with pytest.raises(IndexError):
+        cells[-65]
+    dumped = output_to_dict(out)["cells"]
+    assert dumped == [[[p.x, p.y] for p in c.vertices] for c in first]
+    assert dumped.bounds == cells.bounds == (0.0, 0.0, 9.0, 9.0)
+
+
+def _extremes(cells):
+    xs = [x for cell in cells for x, _ in cell]
+    ys = [y for cell in cells for _, y in cell]
+    return min(xs), min(ys), max(xs), max(ys)
+
+
+def _clamped(v: float) -> float:
+    return max(-1e6, min(1e6, v))
+
+
+_centers = st.sampled_from([0.0, 1e6, -1e6, 999999.9, -0.5]) | st.floats(-1e6, 1e6)
+_scales = st.sampled_from([1e-3, 1.0, 1e3, 1e6])
+_offsets = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    _centers, _centers, _scales,
+    st.lists(st.tuples(_offsets, _offsets), min_size=3, max_size=3),
+    st.integers(0, 8),
+)
+def test_triangle_cells_stay_in_the_seed_box(cx, cy, scale, offsets, depth):
+    corners = [(_clamped(cx + scale * dx), _clamped(cy + scale * dy)) for dx, dy in offsets]
+    try:
+        seed = Polygon([Point(x, y) for x, y in corners])
+    except GeometryError:
+        assume(False)
+    out = sierpinski_triangle(seed, depth)
+    xs = [v.x for v in seed.vertices]
+    ys = [v.y for v in seed.vertices]
+    box = (min(xs), min(ys), max(xs), max(ys))
+    # the cells reach every side of the seed's box and never leave it
+    assert out.cells.bounds == box
+    assert _extremes(output_to_dict(out)["cells"]) == box
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_centers, _centers, _scales, _scales, st.floats(0.01, 1.0), st.floats(0.01, 1.0),
+       st.integers(0, 4))
+def test_carpet_cells_stay_in_the_seed_box(cx, cy, sx, sy, fx, fy, depth):
+    x0, y0 = _clamped(cx), _clamped(cy)
+    x1, y1 = _clamped(x0 + sx * fx), _clamped(y0 + sy * fy)
+    assume(x0 < x1 and y0 < y1)
+    out = sierpinski_carpet(BBox(x0, y0, x1, y1), depth)
+    assert out.cells.bounds == (x0, y0, x1, y1)
+    assert _extremes(output_to_dict(out)["cells"]) == (x0, y0, x1, y1)
+
+
+def test_carpet_seed_outside_the_coordinate_domain_fails_before_any_cell():
+    with pytest.raises(GeometryError, match="point coordinates"):
+        sierpinski_carpet(BBox(0, 0, 2e6, 1), 3)

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geoforge.jsontext import dumps, format_number, loads
+from geoforge import jsontext
+from geoforge.jsontext import dumps, format_number, iterdumps, loads
 
 
 def test_float_formatting():
@@ -190,3 +192,45 @@ def test_deep_nesting_needs_no_recursion():
     for _ in range(5000):
         obj = {"k": obj, "v": [0.5, -0.0]}
     assert dumps(obj) == '{"k":' * 5000 + "{}" + ',"v":[0.5,0]}' * 5000
+
+
+class _OnePassCells(Sequence):
+    """A lazy sequence that counts its passes and refuses indexing."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.passes = 0
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, i):
+        raise AssertionError("iterdumps indexed a lazy sequence")
+
+    def __iter__(self):
+        self.passes += 1
+        return ([[float(i), 0.5], [-0.0, float(i) / 3.0]] for i in range(self.n))
+
+
+def test_iterdumps_streams_a_lazy_sequence_in_bounded_chunks():
+    cells = _OnePassCells(3000)
+    chunks = list(iterdumps({"kind": "lazy", "cells": cells}))
+    assert cells.passes == 1
+    plain = {"kind": "lazy", "cells": list(_OnePassCells(3000))}
+    assert "".join(chunks) == dumps(plain) == _reference_dumps(plain)
+    # every cell is 5 parts; a chunk holds about CHUNK_PARTS of them
+    assert len(chunks) > 2
+    assert max(len(c) for c in chunks) < 40 * jsontext.CHUNK_PARTS
+    with pytest.raises(TypeError):
+        dumps([b"bytes are not an array"])
+    with pytest.raises(TypeError):
+        dumps({"x": bytearray(b"no")})
+
+
+def test_memo_that_starts_over_prints_the_same_text(monkeypatch):
+    values = [[i / 7.0, -i / 7.0, 0.1 * (i % 5), i] for i in range(200)]
+    expect = _reference_dumps(values)
+    monkeypatch.setattr(jsontext, "MEMO_LIMIT", 3)
+    monkeypatch.setattr(jsontext, "CHUNK_PARTS", 8)
+    chunks = list(iterdumps(values))
+    assert len(chunks) > 50 and "".join(chunks) == expect

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geoforge import render
+from geoforge import jsontext, render
 from geoforge import (
     BBox,
     GeometryError,
@@ -263,3 +265,99 @@ def test_emitters_match_per_coordinate_formatting(scene_pts, layers):
                   bbox=None)
     assert emit_svg(scene, layers) == _reference_svg(scene, layers)
     assert emit_ipe(scene, layers) == _reference_ipe(scene, layers)
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _all_layers_bounds(scene, layers):
+    """The bounds as found before the writers streamed: every layer measured."""
+    if scene.bbox is not None:
+        b = scene.bbox
+        return b.xmin, b.ymin, b.xmax, b.ymax
+    xs: list = []
+    ys: list = []
+    for layer in layers:
+        for item in layer:
+            if isinstance(item, render.Mark):
+                xs.append(item.x)
+                ys.append(item.y)
+            else:
+                xs.extend(p[0] for p in item.points)
+                ys.extend(p[1] for p in item.points)
+    return min(xs), min(ys), max(xs), max(ys)
+
+
+def _viewbox(svg: str) -> str:
+    return re.search(r'viewBox="([^"]*)"', svg).group(1)
+
+
+def _fractal_cases():
+    tri_scene = parse_scene((FIXTURES / "sierpinski-triangle.json").read_text())
+    carpet_scene = parse_scene((FIXTURES / "sierpinski-carpet.json").read_text())
+    tri = output_to_dict(sierpinski_triangle(tri_scene.polygons[0], 3))
+    carpet = output_to_dict(sierpinski_carpet(carpet_scene.bbox, 2))
+    # without a scene bbox, and with scene geometry on either side of the cells
+    unboxed = Scene(points=(Point(40, 50),), segments=(), polygons=(), bbox=None)
+    wide = Scene(points=(Point(-3, 70), Point(100, -1)), segments=(), polygons=tri_scene.polygons,
+                 bbox=None)
+    lopsided = output_to_dict(sierpinski_triangle(
+        Polygon([Point(0.1, 0.7), Point(1e6, -3.3), Point(-2.5e5, 999999.9)]), 5))
+    return [(tri_scene, tri), (carpet_scene, carpet), (unboxed, carpet), (wide, tri),
+            (unboxed, lopsided)]
+
+
+def test_streamed_viewbox_equals_the_bounds_of_every_layer():
+    for scene, dump in _fractal_cases():
+        layers = render._gather_layers(scene, dump)
+        expect = render._padded(_all_layers_bounds(scene, layers))
+        assert render._bounds(scene, layers) == _all_layers_bounds(scene, layers)
+        f = render._fmt_svg
+        x0, y0, x1, y1 = expect
+        assert _viewbox(emit_svg(scene, dump)) == "%s %s %s %s" % (
+            f(x0), f(y0), f(x1 - x0), f(y1 - y0))
+        # the cells given as plain lists are measured, and draw the same
+        plain = dict(dump, cells=[list(cell) for cell in dump["cells"]])
+        assert emit_svg(scene, plain) == emit_svg(scene, dump) == _reference_svg(scene, plain)
+        assert emit_ipe(scene, plain) == emit_ipe(scene, dump) == _reference_ipe(scene, plain)
+
+
+def test_chunks_join_to_the_document_and_stay_bounded():
+    scene = Scene(points=(Point(1, 2),), segments=(), polygons=(), bbox=BBox(0, 0, 81, 81))
+    dump = output_to_dict(sierpinski_carpet(scene.bbox, 4))
+    n = render.CHUNK_LINES
+    for chunks, whole in [(render.svg_chunks(scene, dump), emit_svg(scene, dump)),
+                          (render.ipe_chunks(scene, dump), emit_ipe(scene, dump))]:
+        chunks = list(chunks)
+        assert "".join(chunks) == whole
+        # the head, the scene's one mark, n cells at a time, the tail
+        assert len(chunks) == 3 + -(-len(dump["cells"]) // n)
+        assert all(c.endswith("\n") for c in chunks)
+    svg = list(render.svg_chunks(scene, dump))
+    assert [c.count("\n") for c in svg[2:-1]] == [n] * (len(svg) - 3)
+
+
+def test_chunk_generators_check_before_the_first_chunk():
+    empty = Scene(points=(), segments=(), polygons=(), bbox=None)
+    for make in (render.svg_chunks, render.ipe_chunks):
+        with pytest.raises(GeometryError, match="nothing to render"):
+            make(empty, None)
+        with pytest.raises(GeometryError, match="cannot render"):
+            make(scene_of_points((0, 0)), {"surprise": 1})
+
+
+def test_small_chunks_and_a_memo_that_starts_over_draw_the_same(monkeypatch):
+    sites = [Point(x, i) for i, x in enumerate(_TRICKY)] + [
+        Point(i + 0.5, y) for i, y in enumerate(_TRICKY)
+    ]
+    scene = Scene(points=tuple(sites), segments=(), polygons=(), bbox=None)
+    tree = tree_to_dict(build_point_quadtree(sites))
+    cells = output_to_dict(sierpinski_triangle(Polygon([Point(0.1, 0), Point(1, 0.3),
+                                                        Point(0.2, 0.9)]), 3))
+    expect = [(emit_svg(scene, r), emit_ipe(scene, r)) for r in (tree, cells)]
+    monkeypatch.setattr(jsontext, "MEMO_LIMIT", 3)
+    monkeypatch.setattr(render, "CHUNK_LINES", 2)
+    for (svg, ipe), results in zip(expect, (tree, cells)):
+        chunks = list(render.svg_chunks(scene, results))
+        assert len(chunks) > 10 and "".join(chunks) == svg == _reference_svg(scene, results)
+        assert emit_ipe(scene, results) == ipe == _reference_ipe(scene, results)
