@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -119,6 +120,56 @@ def test_parameter_errors_exit_two(scenes, tmp_path, capsys):
         assert e.value.code == 2, args
         capsys.readouterr()
         assert not os.path.exists(out)
+
+
+# Each subcommand with the flags it requires; the usage cases add to these.
+USAGE_COMMANDS = [
+    ["quadtree"],
+    ["pr-quadtree", "--capacity", "2"],
+    ["trapmap"],
+    ["onion"],
+    ["beta-skeleton", "--beta", "1"],
+    ["floating-body", "--delta", "0.1"],
+    ["triangulate"],
+    ["sample", "--count", "5", "--seed", "7"],
+    ["sierpinski-triangle", "--depth", "2"],
+    ["sierpinski-carpet", "--depth", "2"],
+]
+USAGE_GOLDEN = Path(__file__).parent / "golden" / "cli-usage.txt"
+
+
+def usage_transcript() -> str:
+    """Each usage case's argv, exit code, stdout and stderr, as one text.
+
+    Regenerate the golden with
+    ``COLUMNS=80 PYTHONPATH=src:tests python -c "import sys, test_cli;
+    sys.stdout.write(test_cli.usage_transcript())" > tests/golden/cli-usage.txt``.
+    No case gets as far as opening its --input or --output.
+    """
+    cases = [["--help"], [], ["no-such-command"], ["-h", "onion"]]
+    for command in USAGE_COMMANDS:
+        files = ["--input", "scene.json", "--output", "out.json"]
+        cases += [[command[0], "--help"], [command[0]], command + files + ["extra"],
+                  command + files + ["--format", "pdf"]]
+    parts = []
+    for argv in cases:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        parts.append("$ geoforge %s\n[exit %s]\n[stdout]\n%s[stderr]\n%s"
+                     % (" ".join(argv), code, out.getvalue(), err.getvalue()))
+    return "\n".join(parts)
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="the golden holds Python 3.11's argparse wording")
+def test_usage_texts_match_their_golden(monkeypatch):
+    # argparse wraps help and usage to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    assert usage_transcript() == USAGE_GOLDEN.read_text()
 
 
 def test_beta_error_message_names_the_range(scenes, tmp_path, capsys):
