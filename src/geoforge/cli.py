@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import tempfile
+from typing import Callable, NamedTuple
 
 from . import jsontext
 from .beta_skeleton import beta_skeleton, graph_to_dict
@@ -42,55 +43,20 @@ from .triangulation import (
 )
 
 
-def _beta_arg(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError("beta must be a finite real > 0")
-    return value
+def _number_arg(convert, accept, message: str):
+    """An argparse type: convert(text) must succeed and accept(value) hold.
 
-
-def _delta_arg(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and 0.0 < value <= 0.5):
-        raise argparse.ArgumentTypeError("delta must be in (0, 0.5]")
-    return value
-
-
-def _capacity_arg(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("capacity must be an integer >= 1")
-    return value
-
-
-def _count_arg(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("count must be an integer >= 1")
-    return value
-
-
-def _seed_arg(text: str) -> int:
-    value = int(text)
-    if not (0 <= value < 2**64):
-        raise argparse.ArgumentTypeError("seed must be an unsigned 64-bit integer")
-    return value
-
-
-def _directions_arg(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("directions must be an integer >= 1")
-    return value
-
-
-def _depth_arg(cap: int):
-    def parse(text: str) -> int:
-        value = int(text)
-        if not (0 <= value <= cap):
-            raise argparse.ArgumentTypeError("depth must be an integer in [0, %d]" % cap)
+    Either failure raises ArgumentTypeError with message, so the usage
+    error states the rule rather than a function name.
+    """
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(message) from None
+        if not accept(value):
+            raise argparse.ArgumentTypeError(message)
         return value
-
     return parse
 
 
@@ -102,6 +68,119 @@ def _bbox_arg(text: str) -> BBox:
         return BBox(*(float(p) for p in parts))
     except (ValueError, GeometryError) as err:
         raise argparse.ArgumentTypeError("bad bbox: %s" % err) from None
+
+
+def _depth_flag(cap: int):
+    depth = _number_arg(int, lambda v: 0 <= v <= cap, "depth must be an integer in [0, %d]" % cap)
+    return ("--depth", dict(type=depth, required=True, help="recursion depth"))
+
+
+def _first_polygon(scene: Scene) -> Polygon:
+    if not scene.polygons:
+        raise GeometryError("scene has no polygons")
+    return scene.polygons[0]
+
+
+def _scene_bbox(scene: Scene) -> BBox:
+    if scene.bbox is None:
+        raise GeometryError("scene has no bbox")
+    return scene.bbox
+
+
+class _Command(NamedTuple):
+    help: str
+    flags: tuple  # (flag, add_argument keywords) pairs, in --help order
+    run: Callable  # run(scene, args) returns the dump
+
+
+# One record per subcommand, in --help order: the parser is built from it
+# and main dispatches through it.
+_COMMANDS = {
+    "quadtree": _Command(
+        "point quadtree of scene points", (),
+        lambda scene, args: tree_to_dict(build_point_quadtree(scene.points)),
+    ),
+    "pr-quadtree": _Command(
+        "PR quadtree of scene points",
+        (
+            ("--capacity", dict(
+                type=_number_arg(int, lambda v: v >= 1, "capacity must be an integer >= 1"),
+                required=True, help="leaf capacity")),
+            ("--bbox", dict(type=_bbox_arg, help="region override (xmin,ymin,xmax,ymax)")),
+        ),
+        lambda scene, args: tree_to_dict(build_pr_quadtree(
+            scene.points, args.bbox if args.bbox is not None else scene.bbox, args.capacity
+        )),
+    ),
+    "trapmap": _Command(
+        "trapezoidal map of scene segments",
+        (("--bbox", dict(type=_bbox_arg, help="bbox override (xmin,ymin,xmax,ymax)")),),
+        lambda scene, args: map_to_dict(build_trapezoidal_map(
+            scene.segments, args.bbox if args.bbox is not None else scene.bbox
+        )),
+    ),
+    "onion": _Command(
+        "onion decomposition of scene points", (),
+        lambda scene, args: layers_to_lists(onion_decomposition(scene.points)),
+    ),
+    "beta-skeleton": _Command(
+        "beta-skeleton of scene points",
+        (
+            ("--beta", dict(
+                type=_number_arg(float, lambda v: math.isfinite(v) and v > 0.0,
+                                 "beta must be a finite real > 0"),
+                required=True, help="beta parameter (> 0)")),
+        ),
+        lambda scene, args: graph_to_dict(beta_skeleton(scene.points, args.beta)),
+    ),
+    "floating-body": _Command(
+        "floating body of the first scene polygon",
+        (
+            ("--delta", dict(
+                type=_number_arg(float, lambda v: math.isfinite(v) and 0.0 < v <= 0.5,
+                                 "delta must be in (0, 0.5]"),
+                required=True, help="area fraction in (0, 0.5]")),
+            ("--directions", dict(
+                type=_number_arg(int, lambda v: v >= 1, "directions must be an integer >= 1"),
+                default=720, help="direction grid size")),
+        ),
+        lambda scene, args: result_to_dict(
+            dupin_floating_body(_first_polygon(scene), args.delta, args.directions)
+        ),
+    ),
+    "triangulate": _Command(
+        "triangulate the first scene polygon", (),
+        lambda scene, args: triangulation_to_dict(triangulate(_first_polygon(scene))),
+    ),
+    "sample": _Command(
+        "sample uniform points in the first scene polygon",
+        (
+            ("--count", dict(
+                type=_number_arg(int, lambda v: v >= 1, "count must be an integer >= 1"),
+                required=True, help="number of samples")),
+            ("--seed", dict(
+                type=_number_arg(int, lambda v: 0 <= v < 2**64,
+                                 "seed must be an unsigned 64-bit integer"),
+                required=True, help="64-bit RNG seed")),
+        ),
+        lambda scene, args: triangulation_to_dict(
+            tri := triangulate(_first_polygon(scene)),
+            sample_points(tri, SampleRequest(count=args.count, seed=args.seed)),
+        ),
+    ),
+    "sierpinski-triangle": _Command(
+        "Sierpinski triangle of the first polygon",
+        (_depth_flag(TRIANGLE_MAX_DEPTH),),
+        lambda scene, args: output_to_dict(
+            sierpinski_triangle(_first_polygon(scene), args.depth)
+        ),
+    ),
+    "sierpinski-carpet": _Command(
+        "Sierpinski carpet of the scene bbox",
+        (_depth_flag(CARPET_MAX_DEPTH),),
+        lambda scene, args: output_to_dict(sierpinski_carpet(_scene_bbox(scene), args.depth)),
+    ),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -116,122 +195,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--format", choices=("json", "svg", "ipe"), default="json", help="output format"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("quadtree", parents=[common], help="point quadtree of scene points")
-
-    pr = sub.add_parser("pr-quadtree", parents=[common], help="PR quadtree of scene points")
-    pr.add_argument("--capacity", type=_capacity_arg, required=True, help="leaf capacity")
-    pr.add_argument("--bbox", type=_bbox_arg, help="region override (xmin,ymin,xmax,ymax)")
-
-    tm = sub.add_parser("trapmap", parents=[common], help="trapezoidal map of scene segments")
-    tm.add_argument("--bbox", type=_bbox_arg, help="bbox override (xmin,ymin,xmax,ymax)")
-
-    sub.add_parser("onion", parents=[common], help="onion decomposition of scene points")
-
-    bs = sub.add_parser("beta-skeleton", parents=[common], help="beta-skeleton of scene points")
-    bs.add_argument("--beta", type=_beta_arg, required=True, help="beta parameter (> 0)")
-
-    fb = sub.add_parser(
-        "floating-body", parents=[common], help="floating body of the first scene polygon"
-    )
-    fb.add_argument("--delta", type=_delta_arg, required=True, help="area fraction in (0, 0.5]")
-    fb.add_argument(
-        "--directions", type=_directions_arg, default=720, help="direction grid size"
-    )
-
-    sub.add_parser(
-        "triangulate", parents=[common], help="triangulate the first scene polygon"
-    )
-
-    sp = sub.add_parser(
-        "sample", parents=[common], help="sample uniform points in the first scene polygon"
-    )
-    sp.add_argument("--count", type=_count_arg, required=True, help="number of samples")
-    sp.add_argument("--seed", type=_seed_arg, required=True, help="64-bit RNG seed")
-
-    st = sub.add_parser(
-        "sierpinski-triangle", parents=[common], help="Sierpinski triangle of the first polygon"
-    )
-    st.add_argument(
-        "--depth", type=_depth_arg(TRIANGLE_MAX_DEPTH), required=True, help="recursion depth"
-    )
-
-    sc = sub.add_parser(
-        "sierpinski-carpet", parents=[common], help="Sierpinski carpet of the scene bbox"
-    )
-    sc.add_argument(
-        "--depth", type=_depth_arg(CARPET_MAX_DEPTH), required=True, help="recursion depth"
-    )
+    for name, command in _COMMANDS.items():
+        subparser = sub.add_parser(name, parents=[common], help=command.help)
+        for flag, keywords in command.flags:
+            subparser.add_argument(flag, **keywords)
     return parser
-
-
-def _first_polygon(scene: Scene) -> Polygon:
-    if not scene.polygons:
-        raise GeometryError("scene has no polygons")
-    return scene.polygons[0]
-
-
-def _run_quadtree(scene: Scene, args):
-    return tree_to_dict(build_point_quadtree(scene.points))
-
-
-def _run_pr_quadtree(scene: Scene, args):
-    region = args.bbox if args.bbox is not None else scene.bbox
-    return tree_to_dict(build_pr_quadtree(scene.points, region, args.capacity))
-
-
-def _run_trapmap(scene: Scene, args):
-    bbox = args.bbox if args.bbox is not None else scene.bbox
-    return map_to_dict(build_trapezoidal_map(scene.segments, bbox))
-
-
-def _run_onion(scene: Scene, args):
-    return layers_to_lists(onion_decomposition(scene.points))
-
-
-def _run_beta_skeleton(scene: Scene, args):
-    return graph_to_dict(beta_skeleton(scene.points, args.beta))
-
-
-def _run_floating_body(scene: Scene, args):
-    return result_to_dict(
-        dupin_floating_body(_first_polygon(scene), args.delta, args.directions)
-    )
-
-
-def _run_triangulate(scene: Scene, args):
-    return triangulation_to_dict(triangulate(_first_polygon(scene)))
-
-
-def _run_sample(scene: Scene, args):
-    tri = triangulate(_first_polygon(scene))
-    samples = sample_points(tri, SampleRequest(count=args.count, seed=args.seed))
-    return triangulation_to_dict(tri, samples)
-
-
-def _run_sierpinski_triangle(scene: Scene, args):
-    poly = _first_polygon(scene)
-    return output_to_dict(sierpinski_triangle(poly, args.depth))
-
-
-def _run_sierpinski_carpet(scene: Scene, args):
-    if scene.bbox is None:
-        raise GeometryError("scene has no bbox")
-    return output_to_dict(sierpinski_carpet(scene.bbox, args.depth))
-
-
-_DISPATCH = {
-    "quadtree": _run_quadtree,
-    "pr-quadtree": _run_pr_quadtree,
-    "trapmap": _run_trapmap,
-    "onion": _run_onion,
-    "beta-skeleton": _run_beta_skeleton,
-    "floating-body": _run_floating_body,
-    "triangulate": _run_triangulate,
-    "sample": _run_sample,
-    "sierpinski-triangle": _run_sierpinski_triangle,
-    "sierpinski-carpet": _run_sierpinski_carpet,
-}
 
 
 def _write_output(path: str, chunks) -> None:
@@ -272,7 +240,7 @@ def main(argv=None) -> int:
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             scene = parse_scene(fh.read())
-        result = _DISPATCH[args.command](scene, args)
+        result = _COMMANDS[args.command].run(scene, args)
         if args.format == "json":
             chunks = itertools.chain(jsontext.iterdumps(result), ("\n",))
         elif args.format == "svg":

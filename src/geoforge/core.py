@@ -222,24 +222,13 @@ def _contact_box(p: Point, q: Point) -> tuple:
     return (min(p.x, q.x) - w, min(p.y, q.y) - w, max(p.x, q.x) + w, max(p.y, q.y) + w)
 
 
-def _segments_contact(p1: Point, p2: Point, q1: Point, q2: Point, shared_ok: bool) -> bool:
+def _boxed_segments_contact(p1: Point, p2: Point, q1: Point, q2: Point, shared_ok: bool) -> bool:
     """True when the closed segments p1p2 and q1q2 share a point (within EPS_DIST).
 
-    Segments whose widened boxes (_contact_box) are disjoint never touch,
-    which also keeps the EPS_AREA crossing test away from the float noise
-    of far-apart collinear segments.  With shared_ok, an endpoint of one
-    segment that equals an endpoint of the other is not contact, but two
-    segments with the same endpoints still are.
+    Only for a pair whose widened boxes (_contact_box) overlap.  With
+    shared_ok, an endpoint of one segment that equals an endpoint of the
+    other is not contact, but two segments with the same endpoints still are.
     """
-    a = _contact_box(p1, p2)
-    b = _contact_box(q1, q2)
-    if a[0] > b[2] or b[0] > a[2] or a[1] > b[3] or b[1] > a[3]:
-        return False
-    return _boxed_segments_contact(p1, p2, q1, q2, shared_ok)
-
-
-def _boxed_segments_contact(p1: Point, p2: Point, q1: Point, q2: Point, shared_ok: bool) -> bool:
-    """_segments_contact for a pair whose widened boxes are known to overlap."""
     o1 = cross(q1, q2, p1)
     o2 = cross(q1, q2, p2)
     o3 = cross(p1, p2, q1)
@@ -294,10 +283,12 @@ def _sign_is_sure(p: Point, q: Point, r: Point) -> bool:
 def _contact_candidates(segments) -> list[tuple[int, int]]:
     """Index pairs i < j, sorted, of the (a, b) segments whose widened boxes overlap.
 
-    A sweep over the boxes sorted by xmin.  Every pair it leaves out fails
-    the box test that _segments_contact starts with, and every pair it
-    keeps passes it, so _boxed_segments_contact on these pairs decides
-    exactly as _segments_contact on all pairs in the same order would.
+    A sweep over the boxes sorted by xmin.  Segments whose widened boxes
+    are disjoint never touch, which also keeps the EPS_AREA crossing test
+    away from the float noise of far-apart collinear segments.  The sweep
+    leaves out exactly those pairs, so _boxed_segments_contact on the pairs
+    it keeps, in this order, finds the same first contact as a box test
+    followed by _boxed_segments_contact on all pairs in order would.
     """
     boxes = [_contact_box(a, b) for a, b in segments]
     order = sorted(range(len(boxes)), key=lambda i: boxes[i][0])

@@ -86,6 +86,15 @@ def _seg_y_at(seg: Segment, x: float) -> float:
     return a.y + (x - a.x) * (b.y - a.y) / (b.x - a.x)
 
 
+def _bound_y(bound, x: float, segs, bbox: BBox) -> float:
+    """Height at x of a trapezoid bound: a segment index or a box wall."""
+    if bound is Wall.TOP:
+        return bbox.ymax
+    if bound is Wall.BOTTOM:
+        return bbox.ymin
+    return _seg_y_at(segs[bound], x)
+
+
 def _default_bbox(segments) -> BBox:
     xs = [v for s in segments for v in (s.a.x, s.b.x)]
     ys = [v for s in segments for v in (s.a.y, s.b.y)]
@@ -283,16 +292,9 @@ def _sweep(segs, bbox: BBox, origins) -> tuple[tuple, tuple]:
     for pts in endpoints_at.values():
         pts.sort(key=lambda p: p.y)
 
-    def bound_y(bound, x: float) -> float:
-        if bound is Wall.TOP:
-            return bbox.ymax
-        if bound is Wall.BOTTOM:
-            return bbox.ymin
-        return _seg_y_at(segs[bound], x)
-
     def pick_endpoint(x: float, pair) -> Point | None:
-        lo = bound_y(pair[1], x) - EPS_DIST
-        hi = bound_y(pair[0], x) + EPS_DIST
+        lo = _bound_y(pair[1], x, segs, bbox) - EPS_DIST
+        hi = _bound_y(pair[0], x, segs, bbox) + EPS_DIST
         for p in endpoints_at.get(x, ()):
             if lo <= p.y <= hi:
                 return p
@@ -459,15 +461,7 @@ def _sweep(segs, bbox: BBox, origins) -> tuple[tuple, tuple]:
 
 
 def trapezoid_height(m: TrapezoidalMap, t: Trapezoid, x: float) -> float:
-    return _bound_y_map(m, t.top, x) - _bound_y_map(m, t.bottom, x)
-
-
-def _bound_y_map(m: TrapezoidalMap, bound, x: float) -> float:
-    if bound is Wall.TOP:
-        return m.bbox.ymax
-    if bound is Wall.BOTTOM:
-        return m.bbox.ymin
-    return _seg_y_at(m.segments[bound], x)
+    return _bound_y(t.top, x, m.segments, m.bbox) - _bound_y(t.bottom, x, m.segments, m.bbox)
 
 
 def trapezoid_area(m: TrapezoidalMap, t: Trapezoid) -> float:
@@ -498,16 +492,16 @@ def locate(m: TrapezoidalMap, q: Point) -> int:
     xs, stacks = m._slabs
     k = bisect_right(xs, q.x) - 1
     if 0 <= k < len(stacks):
-        traps = m.trapezoids
+        traps, segs, bbox = m.trapezoids, m.segments, m.bbox
         stack = stacks[k]
-        h = bisect_right(stack, q.y, key=lambda i: _bound_y_map(m, traps[i].bottom, q.x))
+        h = bisect_right(stack, q.y, key=lambda i: _bound_y(traps[i].bottom, q.x, segs, bbox))
         for idx in sorted(stack[max(h - 2, 0) : h + 1]):
             t = traps[idx]
             if (
                 t.left_x + EPS_DIST < q.x < t.right_x - EPS_DIST
-                and _bound_y_map(m, t.bottom, q.x) + EPS_DIST
+                and _bound_y(t.bottom, q.x, segs, bbox) + EPS_DIST
                 < q.y
-                < _bound_y_map(m, t.top, q.x) - EPS_DIST
+                < _bound_y(t.top, q.x, segs, bbox) - EPS_DIST
             ):
                 return idx
     raise GeometryError("degenerate query: on a subdivision boundary")
@@ -522,7 +516,7 @@ def _slab_index(m: TrapezoidalMap) -> tuple[list[float], list[list[int]]]:
     end at its left boundary, with those starting there inserted by
     their bottom and top heights at its midpoint.
     """
-    traps = m.trapezoids
+    traps, segs, bbox = m.trapezoids, m.segments, m.bbox
     xs = sorted({t.left_x for t in traps} | {t.right_x for t in traps})
     starting: list[list[int]] = [[] for _ in xs]
     for idx, t in enumerate(traps):
@@ -538,8 +532,8 @@ def _slab_index(m: TrapezoidalMap) -> tuple[list[float], list[list[int]]]:
                 stack,
                 idx,
                 key=lambda i: (
-                    _bound_y_map(m, traps[i].bottom, mid),
-                    _bound_y_map(m, traps[i].top, mid),
+                    _bound_y(traps[i].bottom, mid, segs, bbox),
+                    _bound_y(traps[i].top, mid, segs, bbox),
                 ),
             )
         stacks.append(stack)

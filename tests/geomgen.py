@@ -214,6 +214,27 @@ def segments_properly_cross(a, b, c, d):
     return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
 
 
+def segments_contact(p1, p2, q1, q2, shared_ok):
+    """True when the closed segments p1p2 and q1q2 share a point (within EPS_DIST).
+
+    The library's widened-box test followed by its _boxed_segments_contact,
+    for any pair: run on all pairs in order, it must name the same first
+    pair as the library's _contact_candidates sweep.  Segments whose
+    widened boxes (_contact_box) are disjoint never touch, which also keeps
+    the EPS_AREA crossing test away from the float noise of far-apart
+    collinear segments.  With shared_ok, an endpoint of one segment that
+    equals an endpoint of the other is not contact, but two segments with
+    the same endpoints still are.
+    """
+    from geoforge.core import _boxed_segments_contact, _contact_box
+
+    a = _contact_box(p1, p2)
+    b = _contact_box(q1, q2)
+    if a[0] > b[2] or b[0] > a[2] or a[1] > b[3] or b[1] > a[3]:
+        return False
+    return _boxed_segments_contact(p1, p2, q1, q2, shared_ok)
+
+
 def random_noncrossing_segments(rng, count, lo=0.0, hi=1.0):
     """count non-vertical segments in disjoint horizontal bands.
 

@@ -120,6 +120,34 @@ def test_parameter_errors_exit_two(scenes, tmp_path, capsys):
         assert e.value.code == 2, args
         capsys.readouterr()
         assert not os.path.exists(out)
+    # a value that does not parse as a number states the flag's rule
+    non_numeric = [
+        (["beta-skeleton", "--input", scenes["points"], "--beta", "x"],
+         "beta must be a finite real > 0"),
+        (["floating-body", "--input", scenes["polygon"], "--delta", "x"],
+         "delta must be in (0, 0.5]"),
+        (["floating-body", "--input", scenes["polygon"], "--delta", "0.1",
+          "--directions", "x"], "directions must be an integer >= 1"),
+        (["pr-quadtree", "--input", scenes["points"], "--capacity", "x"],
+         "capacity must be an integer >= 1"),
+        (["sample", "--input", scenes["polygon"], "--count", "x", "--seed", "1"],
+         "count must be an integer >= 1"),
+        (["sample", "--input", scenes["polygon"], "--count", "1" * 5000, "--seed", "1"],
+         "count must be an integer >= 1"),
+        (["sample", "--input", scenes["polygon"], "--count", "5", "--seed", "x"],
+         "seed must be an unsigned 64-bit integer"),
+        (["sierpinski-triangle", "--input", scenes["triangle"], "--depth", "z"],
+         "depth must be an integer in [0, 12]"),
+        (["sierpinski-carpet", "--input", scenes["box"], "--depth", "z"],
+         "depth must be an integer in [0, 7]"),
+    ]
+    for args, rule in non_numeric:
+        with pytest.raises(SystemExit) as e:
+            main(args + ["--output", out])
+        assert e.value.code == 2, args
+        err = capsys.readouterr().err
+        assert rule in err and "invalid" not in err, err
+        assert not os.path.exists(out)
 
 
 # Each subcommand with the flags it requires; the usage cases add to these.
@@ -170,6 +198,20 @@ def test_usage_texts_match_their_golden(monkeypatch):
     # argparse wraps help and usage to the terminal width
     monkeypatch.setenv("COLUMNS", "80")
     assert usage_transcript() == USAGE_GOLDEN.read_text()
+
+
+def test_readme_subcommand_table_matches_the_command_table():
+    # rows look like: | `pr-quadtree` | `--capacity N`, `--bbox x0,y0,x1,y1` | ... |
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    rows = []
+    for line in readme.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if line.startswith("| `") and len(cells) == 3:
+            flags = [item.split()[0] for item in cells[1].split("`")[1::2]]
+            rows.append((cells[0].strip("`"), flags))
+    want = [(name, [flag for flag, _ in command.flags])
+            for name, command in cli._COMMANDS.items()]
+    assert rows == want
 
 
 def test_beta_error_message_names_the_range(scenes, tmp_path, capsys):

@@ -32,7 +32,6 @@ from geoforge import build_trapezoidal_map
 from geoforge.core import (
     EPS_AREA,
     EPS_DIST,
-    _segments_contact,
     _turning_is_convex_ccw,
     cross,
     distance,
@@ -144,7 +143,7 @@ def _first_touching_edges(verts):
             if j == i + 1 or (i == 0 and j == n - 1):
                 continue
             a, b = (verts[i], verts[(i + 1) % n]), (verts[j], verts[(j + 1) % n])
-            if _segments_contact(*a, *b, shared_ok=False):
+            if geomgen.segments_contact(*a, *b, shared_ok=False):
                 return (i, j)
     return None
 
@@ -357,7 +356,7 @@ def test_near_line_crossings_are_contact_in_polygons_and_trapmaps():
         assert abs(cross(qa, qb, pb)) <= EPS_AREA
         assert point_segment_distance(pb, qa, qb) > EPS_DIST
         for shared_ok in (True, False):
-            assert _segments_contact(pa, pb, qa, qb, shared_ok) is crosses, (q, p)
+            assert geomgen.segments_contact(pa, pb, qa, qb, shared_ok) is crosses, (q, p)
         segments = [Segment(qa, qb), Segment(pa, pb)]
         if crosses:
             crossing += 1
@@ -378,8 +377,8 @@ def test_crossings_the_float_signs_do_not_prove_stay_apart():
     # a fan whose ends are 5.7e-10 apart crosses within the tolerance of
     # its shared point: with shared_ok that is no contact
     fan = (Point(0, 0), Point(1, 1), Point(-4e-10, 4e-10), Point(1, 0))
-    assert _segments_contact(*fan, shared_ok=True) is False
-    assert _segments_contact(*fan, shared_ok=False) is True
+    assert geomgen.segments_contact(*fan, shared_ok=True) is False
+    assert geomgen.segments_contact(*fan, shared_ok=False) is True
     # end to end on one line, 3e-9 apart: the float orientations come out
     # opposite in both pairs (the exact ones do not), and rounding can have
     # made them, so this is no crossing
@@ -390,7 +389,7 @@ def test_crossings_the_float_signs_do_not_prove_stay_apart():
     assert geomgen.segments_properly_cross(a, b, c, d)
     line = [Point(*v) for v in (a, b, c, d)]
     for shared_ok in (True, False):
-        assert _segments_contact(*line, shared_ok) is False
+        assert geomgen.segments_contact(*line, shared_ok) is False
     for p1, p2, q1, q2 in (fan, line):
         m = build_trapezoidal_map([Segment(p1, p2), Segment(q1, q2)], BBox(-20, -2, 10, 30))
         assert len(m.segments) == 2

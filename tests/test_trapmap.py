@@ -22,8 +22,8 @@ from geoforge import (
     locate,
     trapezoid_area,
 )
-from geoforge.core import EPS_DIST, _segments_contact
-from geoforge.trapmap import Trapezoid, _bound_y_map, map_to_dict, trapezoid_height
+from geoforge.core import EPS_DIST
+from geoforge.trapmap import Trapezoid, _bound_y, map_to_dict, trapezoid_height
 
 
 def seg(x0, y0, x1, y1):
@@ -230,7 +230,7 @@ def test_contact_check_matches_all_pairs(raw):
     for i in range(len(segs)):
         for j in range(i + 1, len(segs)):
             s, t = segs[i], segs[j]
-            if want is None and _segments_contact(s.a, s.b, t.a, t.b, shared_ok=True):
+            if want is None and geomgen.segments_contact(s.a, s.b, t.a, t.b, shared_ok=True):
                 want = (i, j)
     try:
         build_trapezoidal_map(segs)
@@ -251,9 +251,9 @@ def _locate_by_scan(m, q):
         if not (t.left_x + EPS_DIST < q.x < t.right_x - EPS_DIST):
             continue
         if (
-            _bound_y_map(m, t.bottom, q.x) + EPS_DIST
+            _bound_y(t.bottom, q.x, m.segments, m.bbox) + EPS_DIST
             < q.y
-            < _bound_y_map(m, t.top, q.x) - EPS_DIST
+            < _bound_y(t.top, q.x, m.segments, m.bbox) - EPS_DIST
         ):
             return idx
     raise GeometryError("degenerate query: on a subdivision boundary")
@@ -280,7 +280,8 @@ def _boundary_queries(m, rng):
             x = t.left_x + dx
             ys = [rng.uniform(m.bbox.ymin, m.bbox.ymax)]
             if t.left_x < x < t.right_x:
-                lo, hi = _bound_y_map(m, t.bottom, x), _bound_y_map(m, t.top, x)
+                lo = _bound_y(t.bottom, x, m.segments, m.bbox)
+                hi = _bound_y(t.top, x, m.segments, m.bbox)
                 ys += [lo + dy for dy in (0.0, 5e-10, 2e-9)]
                 ys += [hi - dy for dy in (0.0, 5e-10, 2e-9)]
             out += [Point(x, y) for y in ys if m.bbox.contains(Point(x, y), 0.0)]
