@@ -183,7 +183,13 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser, with every subcommand or with only the one named.
+
+    Building one subparser instead of ten is most of a run's own time.
+    The one-subparser parser lists all ten names in its usage line, so
+    its usage errors read as the full parser's do.
+    """
     parser = argparse.ArgumentParser(
         prog="geoforge",
         description="Planar geometry structures with JSON, SVG and Ipe output.",
@@ -194,8 +200,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("json", "svg", "ipe"), default="json", help="output format"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in _COMMANDS.items():
+    # The full parser keeps argparse's metavar, which shapes the "required:
+    # command" and "invalid choice" texts that only it can print.
+    metavar = None if only is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if only is None else (only,):
+        command = _COMMANDS[name]
         subparser = sub.add_parser(name, parents=[common], help=command.help)
         for flag, keywords in command.flags:
             subparser.add_argument(flag, **keywords)
@@ -236,7 +246,10 @@ def _write_output(path: str, chunks) -> None:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    only = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _build_parser(only).parse_args(argv)
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             scene = parse_scene(fh.read())

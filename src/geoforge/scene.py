@@ -50,9 +50,7 @@ def parse_scene(text: str) -> Scene:
     for key in data:
         if key not in _ALLOWED_KEYS:
             raise SceneError("unknown scene key %r" % key)
-    points = tuple(
-        _parse_point(v, "points[%d]" % i) for i, v in enumerate(_entry_list(data, "points"))
-    )
+    points = tuple(_parse_points(_entry_list(data, "points"), lambda i: "points[%d]" % i))
     segments = tuple(
         _parse_segment(v, "segments[%d]" % i)
         for i, v in enumerate(_entry_list(data, "segments"))
@@ -99,6 +97,28 @@ def _parse_point(value, where: str) -> Point:
         raise SceneError("%s: %s" % (where, err)) from None
 
 
+def _parse_points(values: list, where) -> list[Point]:
+    """Points from [x, y] entries; where(i) names entry i in an error.
+
+    An entry that is exactly a list of two floats goes straight to Point.
+    Every other entry, and one whose Point raises, takes _parse_point, so
+    the messages are the same either way and the name is built only
+    there.
+    """
+    points = []
+    for i, value in enumerate(values):
+        if type(value) is list and len(value) == 2:
+            x, y = value
+            if type(x) is float and type(y) is float:
+                try:
+                    points.append(Point(x, y))
+                    continue
+                except GeometryError:
+                    pass
+        points.append(_parse_point(value, where(i)))
+    return points
+
+
 def _parse_segment(value, where: str) -> Segment:
     if not isinstance(value, list) or len(value) != 2:
         raise SceneError("%s: expected [[x, y], [x, y]]" % where)
@@ -113,7 +133,7 @@ def _parse_segment(value, where: str) -> Segment:
 def _parse_polygon(value, where: str) -> Polygon:
     if not isinstance(value, list) or len(value) < 3:
         raise SceneError("%s: expected a list of at least 3 vertices" % where)
-    verts = [_parse_point(v, where) for v in value]
+    verts = _parse_points(value, lambda i: where)
     try:
         return Polygon(tuple(verts))
     except GeometryError as err:

@@ -319,6 +319,23 @@ def random_convex_polygon(rng, n_points, lo=-1.0, hi=1.0, min_vertices=3):
             return hull
 
 
+def star_polygon(rng, n, span=1000.0):
+    """A CCW n-gon star-shaped about the middle of [0, span]^2.
+
+    The benchmark's stars: vertex k sits within 0.3 of a step from angle
+    2*pi*k/n, at radius 0.25 * span (even k) or 0.45 * span (odd k), each
+    plus up to 0.04 * span.  The angles increase around the loop, so the
+    loop is simple.
+    """
+    step = 2.0 * math.pi / n
+    verts = []
+    for k in range(n):
+        phi = (k + rng.uniform(-0.3, 0.3)) * step
+        r = span * ((0.45 if k % 2 else 0.25) + rng.uniform(0.0, 0.04))
+        verts.append((span / 2.0 + r * math.cos(phi), span / 2.0 + r * math.sin(phi)))
+    return verts
+
+
 def peel_oracle(points):
     """Layers as sets, peeled with the gift-wrapping hull above."""
     remaining = list(points)
@@ -497,3 +514,57 @@ def trapmap_reference(segs, bbox):
     for pair, (start_x, leftp) in open_traps.items():
         done.append(Trapezoid(pair[0], pair[1], start_x, events[-1], leftp, None))
     return tuple(shoot(p) for p in origins), tuple(done)
+
+
+def triangulate_reference(poly):
+    """Triangles of the ear clipper that rescans from the lowest index.
+
+    The library's clipper as it was before the status heap and the
+    vertex grid: after every clip it scans the remaining vertices in
+    index order, drops the first straight corner (|cross| <= EPS_AREA)
+    without a triangle or clips the first ear, and tests each candidate
+    ear against every other remaining vertex.  poly is a geoforge
+    Polygon; the library's triangulate must return exactly these
+    triangles, or raise the same GeometryError.
+    """
+    from geoforge.core import EPS_AREA, GeometryError, cross
+
+    def blocked(alive, ia, ib, ic, a, b, c):
+        for idx in alive:
+            if idx == ia or idx == ib or idx == ic:
+                continue
+            p = verts[idx]
+            if (
+                cross(a, b, p) >= -EPS_AREA
+                and cross(b, c, p) >= -EPS_AREA
+                and cross(c, a, p) >= -EPS_AREA
+            ):
+                return True
+        return False
+
+    def clip_one(alive, triangles):
+        m = len(alive)
+        for pos in range(m):
+            ia, ib, ic = alive[pos - 1], alive[pos], alive[(pos + 1) % m]
+            a, b, c = verts[ia], verts[ib], verts[ic]
+            cr = cross(a, b, c)
+            if abs(cr) <= EPS_AREA:
+                del alive[pos]
+                return True
+            if cr < 0.0 or blocked(alive, ia, ib, ic, a, b, c):
+                continue
+            triangles.append((ia, ib, ic))
+            del alive[pos]
+            return True
+        return False
+
+    verts = poly.vertices
+    alive = list(range(len(verts)))
+    triangles = []
+    while len(alive) > 3:
+        if not clip_one(alive, triangles):
+            raise GeometryError("ear clipping stalled")
+    ia, ib, ic = alive
+    if cross(verts[ia], verts[ib], verts[ic]) > EPS_AREA:
+        triangles.append((ia, ib, ic))
+    return tuple(triangles)

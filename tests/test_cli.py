@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -198,6 +199,26 @@ def test_usage_texts_match_their_golden(monkeypatch):
     # argparse wraps help and usage to the terminal width
     monkeypatch.setenv("COLUMNS", "80")
     assert usage_transcript() == USAGE_GOLDEN.read_text()
+
+
+def test_a_subcommand_run_builds_only_its_own_subparser(scenes, tmp_path, monkeypatch, capsys):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    assert main(["onion", "--input", scenes["points"], "--output", str(tmp_path / "o.json")]) == 0
+    assert built == ["onion"]
+    # with no command first, the full parser serves --help and the errors
+    for argv in (["--help"], ["-h", "onion"], ["no-such-command"], []):
+        built.clear()
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert built == list(cli._COMMANDS)
+    capsys.readouterr()
 
 
 def test_readme_subcommand_table_matches_the_command_table():

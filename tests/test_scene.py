@@ -113,3 +113,48 @@ def test_random_scene_round_trips():
         assert [(p.x, p.y) for p in back.points] == [(p.x, p.y) for p in sc.points]
         assert len(back.segments) == len(sc.segments)
         assert len(back.polygons) == len(sc.polygons)
+
+
+MALFORMED_VERTICES = [
+    # (the entry as JSON text, the message after "<where>: ")
+    ("[true,1.0]", "expected [x, y] numbers"),
+    ("[1.0,false]", "expected [x, y] numbers"),
+    ("[1.0]", "expected [x, y] numbers"),
+    ("[1.0,2.0,3.0]", "expected [x, y] numbers"),
+    ("[[1.0],2.0]", "expected [x, y] numbers"),
+    ("[[1.0,2.0]]", "expected [x, y] numbers"),
+    ("[1.0,[2.0]]", "expected [x, y] numbers"),
+    ('"1.0,2.0"', "expected [x, y] numbers"),
+    ("null", "expected [x, y] numbers"),
+    ("[1e400,0.0]", "point coordinates must be finite"),
+    ("[0.0,-1e400]", "point coordinates must be finite"),
+    ("[NaN,0.0]", "point coordinates must be finite"),
+    ("[2000000.0,0.0]", "point coordinates must satisfy |x|, |y| <= 1e+06"),
+    ("[0.0,-1000000.5]", "point coordinates must satisfy |x|, |y| <= 1e+06"),
+    ("[2000000,0]", "point coordinates must satisfy |x|, |y| <= 1e+06"),
+    ("[1,-2000000.0]", "point coordinates must satisfy |x|, |y| <= 1e+06"),
+    ("[1" + "0" * 400 + ",0.0]", "number too large"),
+]
+
+
+@pytest.mark.parametrize("entry, message", MALFORMED_VERTICES)
+def test_malformed_vertex_messages(entry, message):
+    cases = [
+        ('{"points":[%s]}' % entry, "points[0]: " + message),
+        ('{"points":[[0.5,0.5],%s]}' % entry, "points[1]: " + message),
+        ('{"polygons":[[[0.0,0.0],[1.0,0.0],%s]]}' % entry, "polygons[0]: " + message),
+        ('{"polygons":[[[0.0,0.0],[1.0,0.0],[0.0,1.0]],[%s,[0.0,0.0],[1.0,0.0]]]}' % entry,
+         "polygons[1]: " + message),
+    ]
+    for text, want in cases:
+        with pytest.raises(SceneError) as err:
+            parse_scene(text)
+        assert str(err.value) == want, text
+
+
+def test_int_and_float_coordinates_parse_alike():
+    sc = parse_scene('{"points":[[1,2.5],[1.5,2],[3,4],[0.25,-0.75]],'
+                     '"polygons":[[[0,0],[1.0,0],[0.5,1]]]}')
+    assert sc.points == (Point(1.0, 2.5), Point(1.5, 2.0), Point(3.0, 4.0), Point(0.25, -0.75))
+    assert all(type(p.x) is float and type(p.y) is float for p in sc.points)
+    assert sc.polygons[0].vertices == (Point(0.0, 0.0), Point(1.0, 0.0), Point(0.5, 1.0))

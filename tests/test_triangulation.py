@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import geomgen
 from geoforge import (
@@ -18,7 +20,8 @@ from geoforge import (
     sample_points,
     triangulate,
 )
-from geoforge.core import cross
+from geoforge import triangulation
+from geoforge.core import EPS_AREA, cross
 from geoforge.triangulation import (
     _sample_with_rng,
     triangle_areas,
@@ -184,3 +187,168 @@ def test_dict_shape():
     d = triangulation_to_dict(t, sample_points(t, SampleRequest(count=2, seed=1)))
     assert d["triangles"] == [[0, 1, 2]]
     assert len(d["samples"]) == 2
+
+
+def _comb(rng, teeth, s):
+    """Peaks on top and teeth from the bottom, each tooth's tip within a
+    few EPS_AREA of the chord under a peak, on either side of it."""
+    loop = [(0.0, 0.0)]
+    for i in range(teeth):
+        # cross(chord, tip) = -k * EPS_AREA: the reference's test passes for k <= 1
+        k = rng.choice((-1.0, 0.25, 0.5, 0.999, 1.0, 1.001, 2.0, 4.0))
+        tip = ((2 * i + 1 + rng.uniform(-0.2, 0.2)) * s, s - k * EPS_AREA / (2.0 * s))
+        loop += [((2 * i + 0.7) * s, 0.0), tip, ((2 * i + 1.3) * s, 0.0)]
+    loop += [(2 * teeth * s, 0.0), (2 * teeth * s, s)]
+    for i in reversed(range(teeth)):
+        loop += [((2 * i + 1) * s, 2 * s), (2 * i * s, s)]
+    return loop
+
+
+def _family_loop(family, rng, n):
+    if family == "random":
+        return geomgen.random_simple_polygon(rng, 3 + n % 28)
+    if family == "star":
+        return geomgen.star_polygon(rng, 3 + n % 118)
+    if family == "star-grid-50":  # rounding makes straight corners
+        return [(50.0 * round(x / 50.0), 50.0 * round(y / 50.0))
+                for x, y in geomgen.star_polygon(rng, 3 + n % 118)]
+    if family == "convex":
+        angles = sorted(rng.uniform(0.0, 2.0 * math.pi) for _ in range(3 + n % 58))
+        return [(math.cos(a), math.sin(a)) for a in angles]
+    if family == "near-edge":
+        return _comb(rng, 1 + n % 8, rng.choice((1e-3, 0.1, 1.0, 30.0)))
+    if family == "collinear":  # midpoints on a 10-unit grid star are exact
+        loop = []
+        for x, y in geomgen.star_polygon(rng, 3 + n % 40, span=400.0):
+            loop.append((10.0 * round(x / 10.0), 10.0 * round(y / 10.0)))
+        out = []
+        for i, (x, y) in enumerate(loop):
+            out.append((x, y))
+            nx, ny = loop[(i + 1) % len(loop)]
+            for _ in range(rng.choice((0, 0, 1, 3))):
+                x, y = (x + nx) / 2.0, (y + ny) / 2.0
+                out.append((x, y))
+        return out
+    if family == "flat-corners":
+        # a wide convex polygon with the midpoint of some edges pushed out
+        # by a hair: corners with cross near EPS_AREA but products near
+        # r**2, where the grid query cannot bound the area and reads every
+        # cell.  One of them comes first, so it is evaluated while flat.
+        r = 10.0 ** rng.uniform(2.0, 5.9)
+        angles = sorted(rng.uniform(0.0, 2.0 * math.pi) for _ in range(3 + n % 12))
+        loop = [(r * math.cos(a), r * math.sin(a)) for a in angles]
+        out = []
+        for i, (x, y) in enumerate(loop):
+            out.append((x, y))
+            nx, ny = loop[(i + 1) % len(loop)]
+            length = math.hypot(nx - x, ny - y)
+            if (i == 0 or rng.random() < 0.5) and length > 0.0:
+                push = 10.0 ** rng.uniform(-1.0, 3.0) * EPS_AREA / length
+                out.append(((x + nx) / 2.0 + push * (ny - y) / length,
+                            (y + ny) / 2.0 - push * (nx - x) / length))
+        return out[1:] + out[:1]
+    # "tiny": EPS_AREA is a sizeable share of every triangle
+    scale = 10.0 ** -rng.uniform(3.0, 4.0)
+    return [(x * scale, y * scale) for x, y in geomgen.random_simple_polygon(rng, 4 + n % 8)]
+
+
+def _outcome(clip, poly):
+    try:
+        return clip(poly)
+    except GeometryError as err:
+        return str(err)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(["random", "star", "star-grid-50", "convex", "near-edge", "collinear",
+                     "flat-corners", "tiny"]),
+    st.integers(0, 2**32),
+    st.integers(0, 10**6),
+)
+def test_clipper_matches_the_rescanning_reference(family, seed, n):
+    rng = random.Random(seed)
+    try:
+        poly = Polygon([Point(x, y) for x, y in _family_loop(family, rng, n)])
+    except GeometryError:
+        return  # the family's rounding made an invalid polygon
+    want = _outcome(geomgen.triangulate_reference, poly)
+    assert _outcome(lambda p: triangulate(p).triangles, poly) == want
+
+
+def test_stall_matches_the_reference():
+    # an octagon 2.3e-4 across: EPS_AREA blocks every convex corner
+    poly = Polygon([Point(x, y) for x, y in [
+        (6.715726082814181e-05, 3.311765694333986e-05),
+        (0.00014965161707477593, 6.86126531493904e-05),
+        (0.00018838582172521555, 0.00015007430186930254),
+        (0.00019244903054236665, 0.00012021136434245469),
+        (0.00022866911846729858, 0.000149419382187583),
+        (0.00017387390035867011, 0.0001835259458223333),
+        (6.0292729026626195e-05, 0.00019844062728636608),
+        (0.00018017727805880835, 0.00014797634252212467),
+    ]])
+    with pytest.raises(GeometryError, match="ear clipping stalled"):
+        geomgen.triangulate_reference(poly)
+    with pytest.raises(GeometryError, match="ear clipping stalled"):
+        triangulate(poly)
+
+
+def test_grid_query_reaches_a_blocker_outside_the_triangles_box():
+    # cross(a, b, c) = 3e-9, so the region where all three tests pass is
+    # abc scaled by 1 + 3 EPS_AREA / (2A) = 2 about its centroid.  On the
+    # line y = 0 it runs to x = 2.67, past abc's box [0, 2]: p sits in
+    # grid column 3 of 4, which abc's box does not reach.
+    h = 1.5e-9
+    a, b, c, p = Point(0.0, 0.0), Point(1.0, -h), Point(2.0, 0.0), Point(2.5, 0.0)
+    assert cross(a, b, c) == pytest.approx(3e-9)
+    assert min(cross(a, b, p), cross(b, c, p), cross(c, a, p)) >= -EPS_AREA
+    far = [Point(0.3 * k, 0.5) for k in range(11)] + [Point(0.0, -0.5)]
+    grid = triangulation._VertexGrid((a, b, c, p, *far))
+    assert grid.side == 4 and grid.cell_of[3] % 4 == 3
+    assert {cell % 4 for cell in grid.cell_of[:3]} == {0, 1, 2}
+    assert grid.blocker(0, 1, 2, cross(a, b, c)) == 3
+
+
+def test_grid_query_reads_every_cell_when_the_area_is_unsure(monkeypatch):
+    # b bends the diagonal ac by cross = 1.5e-9, while the determinant's
+    # products are 5e5 each: their rounding bound exceeds cr, so the
+    # query cannot bound the region and reads every cell.  p, 600 past c
+    # on the diagonal, passes all three tests.
+    e = 7.5e-13
+    a, b, c = Point(0.0, 0.0), Point(500.0 + e, 500.0 - e), Point(1000.0, 1000.0)
+    p = Point(1600.0, 1600.0)
+    assert EPS_AREA < cross(a, b, c) < 2e-9
+    assert min(cross(a, b, p), cross(b, c, p), cross(c, a, p)) >= -EPS_AREA
+    grid = triangulation._VertexGrid((a, b, c, p, Point(2000.0, 0.0), Point(0.0, 2000.0)))
+
+    def no_raster(*args):
+        raise AssertionError("the query bounded the region")
+
+    monkeypatch.setattr(grid, "_raster", no_raster)
+    assert grid.blocker(0, 1, 2, cross(a, b, c)) == 3
+
+
+def test_orientation_tests_grow_subquadratically(monkeypatch):
+    # The rescanning clipper tests every remaining vertex against each
+    # convex corner its scan from index 0 meets: about 3.9x more cross()
+    # calls per doubling here.  Through the grid the count grows about
+    # 2.2x, then 2.7x: an ear of these stars is a thin spike across two
+    # rings of vertices, and the cells it crosses in the rings hold about
+    # sqrt(n) vertices together, so the count tends to n**1.5 (2.83x).
+    calls = [0]
+
+    def counted(p, q, r):
+        calls[0] += 1
+        return cross(p, q, r)
+
+    monkeypatch.setattr(triangulation, "cross", counted)
+    counts = []
+    for n in (400, 800, 1600):
+        calls[0] = 0
+        for seed in range(3):
+            loop = geomgen.star_polygon(random.Random(10 * n + seed), n)
+            # simple and CCW by construction; Polygon()'s check would dominate
+            triangulate(Polygon._unchecked(Point(x, y) for x, y in loop))
+        counts.append(calls[0])
+    assert all(b < 3.0 * a for a, b in zip(counts, counts[1:])), counts
