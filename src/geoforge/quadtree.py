@@ -1,10 +1,12 @@
 """Point quadtrees and point-region (PR) quadtrees.
 
-Both trees use the same tie-break at a split value: x >= split goes East,
-y >= split goes North.  The point quadtree splits at the stored site, so
-its shape depends on insertion order.  The PR quadtree splits a region at
-its center once a leaf exceeds its capacity, so its shape depends only on
-the point set, the region, and the capacity.
+Both trees send a point to a child by one rule, `_quadrant`: x >= the
+split value goes East, y >= the split value goes North.  The point
+quadtree splits at the stored site, so its shape depends on insertion
+order.  It rejects two points within EPS_DIST of each other whatever
+their order, by the onion and beta-skeleton rule.  The PR quadtree splits
+a region at its center while it holds more than its capacity, so its
+shape depends only on the point set, the region, and the capacity.
 
 A point quadtree can be as deep as it has points (a diagonal input is one
 path), so its walks (equality, points(), the dump) use an explicit stack.
@@ -17,11 +19,30 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import jsontext
-from .core import BBox, GeometryError, Point, points_equal
+from .core import BBox, GeometryError, Point, _reject_duplicates
 
 MAX_DEPTH = 32
 
-_CHILD_KEYS = ("nw", "ne", "sw", "se")
+# child names in child order; _quadrant indexes them
+_QUADRANTS = ("nw", "ne", "sw", "se")
+
+
+def _quadrant(x: float, y: float, cx: float, cy: float) -> int:
+    """Index into _QUADRANTS of (x, y) about the split point (cx, cy)."""
+    return (x >= cx) + 2 * (y < cy)
+
+
+def bounding_square(xs, ys) -> tuple[float, float, float, float]:
+    """(xmin, ymin, xmax, ymax) of the points' bounding square, 10% wider.
+
+    The square is centered on the bounding box, and its side is 1.1 times
+    the box's larger side, or 1.1 when all points coincide.
+    """
+    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+    cx = (x0 + x1) / 2.0
+    cy = (y0 + y1) / 2.0
+    half = (max(x1 - x0, y1 - y0) or 1.0) * 1.10 / 2.0
+    return (cx - half, cy - half, cx + half, cy + half)
 
 
 class PointNode:
@@ -35,6 +56,16 @@ class PointNode:
         self.se = None
 
 
+def _preorder(root: PointNode | None):
+    """Point-tree nodes, each before its nw, ne, sw and se subtrees."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node is not None:
+            yield node
+            stack += (node.se, node.sw, node.ne, node.nw)
+
+
 @dataclass
 class PointQuadtree:
     root: PointNode | None
@@ -42,58 +73,29 @@ class PointQuadtree:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PointQuadtree):
             return NotImplemented
-        return _point_nodes_equal(self.root, other.root)
+        # the preorder with each node's empty quadrants fixes the tree
+        def shape(root):
+            return [
+                (n.site.x, n.site.y, n.nw is None, n.ne is None, n.sw is None, n.se is None)
+                for n in _preorder(root)
+            ]
+        return shape(self.root) == shape(other.root)
 
     def points(self) -> list[Point]:
-        out: list[Point] = []
-        _collect_point_nodes(self.root, out)
-        return out
-
-
-def _point_nodes_equal(a: PointNode | None, b: PointNode | None) -> bool:
-    stack = [(a, b)]
-    while stack:
-        a, b = stack.pop()
-        if a is None or b is None:
-            if a is not b:
-                return False
-            continue
-        if (a.site.x, a.site.y) != (b.site.x, b.site.y):
-            return False
-        stack.extend((getattr(a, k), getattr(b, k)) for k in _CHILD_KEYS)
-    return True
-
-
-def _collect_point_nodes(node: PointNode | None, out: list[Point]) -> None:
-    # preorder; children go on the stack in reverse so that nw comes off first
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        if node is not None:
-            out.append(node.site)
-            stack.extend((node.se, node.sw, node.ne, node.nw))
-
-
-def _quadrant_key(px: float, py: float, sx: float, sy: float) -> str:
-    east = px >= sx
-    north = py >= sy
-    if north:
-        return "ne" if east else "nw"
-    return "se" if east else "sw"
+        return [node.site for node in _preorder(self.root)]
 
 
 def build_point_quadtree(points) -> PointQuadtree:
-    """Insert points in the given order; equal points are rejected."""
-    root: PointNode | None = None
-    for p in points:
-        if root is None:
-            root = PointNode(p)
-            continue
+    """Insert points in the given order; duplicate points are rejected."""
+    pts = list(points)
+    _reject_duplicates(sorted((p.x, p.y, i) for i, p in enumerate(pts)), pts)
+    if not pts:
+        return PointQuadtree(None)
+    root = PointNode(pts[0])
+    for p in pts[1:]:
         node = root
         while True:
-            if points_equal(p, node.site):
-                raise GeometryError("duplicate site")
-            key = _quadrant_key(p.x, p.y, node.site.x, node.site.y)
+            key = _QUADRANTS[_quadrant(p.x, p.y, node.site.x, node.site.y)]
             child = getattr(node, key)
             if child is None:
                 setattr(node, key, PointNode(p))
@@ -116,6 +118,16 @@ class PRNode:
         return self.children is None
 
 
+def _pr_preorder(root: PRNode):
+    """PR-tree nodes, each before its children's subtrees in child order."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        if node.children is not None:
+            stack += reversed(node.children)
+
+
 @dataclass
 class PRQuadtree:
     region: BBox
@@ -126,75 +138,30 @@ class PRQuadtree:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PRQuadtree):
             return NotImplemented
-        return _pr_nodes_equal(self.root, other.root)
+        # every inner node has four children, so the preorder with each
+        # node's region and, for a leaf, its points fixes the tree
+        def shape(root):
+            return [
+                (n.region.xmin, n.region.ymin, n.region.xmax, n.region.ymax,
+                 None if n.children is not None else [(p.x, p.y) for p in n.points])
+                for n in _pr_preorder(root)
+            ]
+        return shape(self.root) == shape(other.root)
 
     def points(self) -> list[Point]:
-        out: list[Point] = []
-        _collect_pr_nodes(self.root, out)
-        return out
-
-
-def _pr_nodes_equal(a: PRNode, b: PRNode) -> bool:
-    ra, rb = a.region, b.region
-    if (ra.xmin, ra.ymin, ra.xmax, ra.ymax) != (rb.xmin, rb.ymin, rb.xmax, rb.ymax):
-        return False
-    if a.is_leaf != b.is_leaf:
-        return False
-    if a.is_leaf:
-        return [(p.x, p.y) for p in a.points] == [(p.x, p.y) for p in b.points]
-    return all(_pr_nodes_equal(ca, cb) for ca, cb in zip(a.children, b.children))
-
-
-def _collect_pr_nodes(node: PRNode, out: list[Point]) -> None:
-    if node.is_leaf:
-        out.extend(node.points)
-        return
-    for child in node.children:
-        _collect_pr_nodes(child, out)
-
-
-def _default_region(points) -> BBox:
-    xs = [p.x for p in points]
-    ys = [p.y for p in points]
-    cx = (min(xs) + max(xs)) / 2.0
-    cy = (min(ys) + max(ys)) / 2.0
-    side = max(max(xs) - min(xs), max(ys) - min(ys))
-    if side <= 0.0:
-        # all points coincide; any positive region around them works
-        side = 1.0
-    half = side * 1.10 / 2.0
-    return BBox(cx - half, cy - half, cx + half, cy + half)
-
-
-def _child_regions(region: BBox) -> list[BBox]:
-    cx = (region.xmin + region.xmax) / 2.0
-    cy = (region.ymin + region.ymax) / 2.0
-    return [
-        BBox(region.xmin, cy, cx, region.ymax),  # nw
-        BBox(cx, cy, region.xmax, region.ymax),  # ne
-        BBox(region.xmin, region.ymin, cx, cy),  # sw
-        BBox(cx, region.ymin, region.xmax, cy),  # se
-    ]
-
-
-def _child_index(p: Point, region: BBox) -> int:
-    cx = (region.xmin + region.xmax) / 2.0
-    cy = (region.ymin + region.ymax) / 2.0
-    east = p.x >= cx
-    north = p.y >= cy
-    if north:
-        return 1 if east else 0
-    return 3 if east else 2
+        return [p for n in _pr_preorder(self.root) if n.children is None for p in n.points]
 
 
 def build_pr_quadtree(points, region: BBox | None = None, capacity: int = 1) -> PRQuadtree:
-    """Bulk-build a PR quadtree.
+    """Build a PR quadtree top-down.
 
-    With no explicit region the tree covers the tight bounding square of
-    the points expanded by 5% per side.  A leaf that exceeds its capacity
-    splits at the region center; past MAX_DEPTH it stays over-full and the
-    tree carries a warning flag instead of splitting forever (coincident
-    point clusters cannot be separated by subdivision).
+    With no explicit region the tree covers the points' bounding square
+    (`bounding_square`).  A node that holds more than capacity points
+    splits at its region's center, and its points go to the children in
+    input order.  A node that cannot split stays an over-full leaf, and
+    the tree carries a warning flag: past MAX_DEPTH (coincident points
+    cannot be separated by subdivision), and where the center is not
+    strictly inside the region because the region is a few ulps wide.
     """
     pts = list(points)
     if not isinstance(capacity, int) or isinstance(capacity, bool) or capacity < 1:
@@ -202,38 +169,36 @@ def build_pr_quadtree(points, region: BBox | None = None, capacity: int = 1) -> 
     if region is None:
         if not pts:
             raise GeometryError("empty point set requires an explicit region")
-        region = _default_region(pts)
+        region = BBox(*bounding_square([p.x for p in pts], [p.y for p in pts]))
     else:
         for i, p in enumerate(pts):
             if not region.contains(p):
                 raise GeometryError("point %d outside region" % i)
     root = PRNode(region)
+    root.points = pts
     tree = PRQuadtree(region=region, capacity=capacity, root=root)
-    for p in pts:
-        _pr_insert(tree, p)
-    return tree
-
-
-def _pr_insert(tree: PRQuadtree, p: Point) -> None:
-    node = tree.root
-    depth = 0
-    while not node.is_leaf:
-        node = node.children[_child_index(p, node.region)]
-        depth += 1
-    node.points.append(p)
-    while len(node.points) > tree.capacity:
-        if depth >= MAX_DEPTH:
-            node.overfull = True
-            tree.overfull = True
-            return
-        moved = node.points
+    stack = [(root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if len(node.points) <= capacity:
+            continue
+        x0, y0, x1, y1 = node.region.xmin, node.region.ymin, node.region.xmax, node.region.ymax
+        cx = (x0 + x1) / 2.0
+        cy = (y0 + y1) / 2.0
+        if depth >= MAX_DEPTH or not (x0 < cx < x1 and y0 < cy < y1):
+            node.overfull = tree.overfull = True
+            continue
+        node.children = [
+            PRNode(BBox(x0, cy, cx, y1)),  # nw
+            PRNode(BBox(cx, cy, x1, y1)),  # ne
+            PRNode(BBox(x0, y0, cx, cy)),  # sw
+            PRNode(BBox(cx, y0, x1, cy)),  # se
+        ]
+        for p in node.points:
+            node.children[_quadrant(p.x, p.y, cx, cy)].points.append(p)
         node.points = None
-        node.children = [PRNode(r) for r in _child_regions(node.region)]
-        buckets = [node.children[_child_index(q, node.region)] for q in moved]
-        for q, child in zip(moved, buckets):
-            child.points.append(q)
-        node = max(node.children, key=lambda ch: len(ch.points))
-        depth += 1
+        stack += ((child, depth + 1) for child in node.children)
+    return tree
 
 
 def tree_to_dict(tree) -> dict:
@@ -253,20 +218,12 @@ def _point_node_dict(root: PointNode | None):
     while stack:
         node, parent, key = stack.pop()
         d = parent[key] = {
-            "site": [node.site.x, node.site.y],
-            "nw": None,
-            "ne": None,
-            "sw": None,
-            "se": None,
+            "site": [node.site.x, node.site.y], "nw": None, "ne": None, "sw": None, "se": None
         }
-        if node.nw is not None:
-            stack.append((node.nw, d, "nw"))
-        if node.ne is not None:
-            stack.append((node.ne, d, "ne"))
-        if node.sw is not None:
-            stack.append((node.sw, d, "sw"))
-        if node.se is not None:
-            stack.append((node.se, d, "se"))
+        for quadrant in _QUADRANTS:
+            child = getattr(node, quadrant)
+            if child is not None:
+                stack.append((child, d, quadrant))
     return holder["root"]
 
 
@@ -315,7 +272,7 @@ def _parse_point_node(data) -> PointNode | None:
     if not isinstance(data, dict) or set(data) != {"site", "nw", "ne", "sw", "se"}:
         raise GeometryError("malformed point quadtree node")
     node = PointNode(_parse_point(data["site"]))
-    for key in _CHILD_KEYS:
+    for key in _QUADRANTS:
         setattr(node, key, _parse_point_node(data[key]))
     return node
 

@@ -43,6 +43,7 @@ from typing import NamedTuple, Sequence
 from .core import GeometryError
 from .fractals import CellSequence
 from .jsontext import TextMemo
+from .quadtree import bounding_square
 from .scene import Scene
 
 CHUNK_LINES = 1024
@@ -159,7 +160,8 @@ def _quadtree_layers(data: dict) -> list[list]:
     root = data["root"]
     if data["kind"] == "point":
         if root is not None:
-            bounds = _point_tree_bounds(root)
+            sites = list(_point_tree_sites(root))
+            bounds = bounding_square([x for x, _ in sites], [y for _, y in sites])
             lines.append(_rect(*bounds))
             _point_tree_lines(root, bounds, lines, marks)
     elif data["kind"] == "pr":
@@ -177,17 +179,6 @@ def _point_tree_sites(root: dict):
         if node is not None:
             yield node["site"]
             stack.extend((node["se"], node["sw"], node["ne"], node["nw"]))
-
-
-def _point_tree_bounds(root: dict) -> tuple[float, float, float, float]:
-    sites = list(_point_tree_sites(root))
-    xs = [s[0] for s in sites]
-    ys = [s[1] for s in sites]
-    cx = (min(xs) + max(xs)) / 2.0
-    cy = (min(ys) + max(ys)) / 2.0
-    side = max(max(xs) - min(xs), max(ys) - min(ys)) or 1.0
-    half = side * 1.10 / 2.0
-    return (cx - half, cy - half, cx + half, cy + half)
 
 
 def _point_tree_lines(root: dict, bounds, lines: list, marks: list) -> None:

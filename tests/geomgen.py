@@ -568,3 +568,78 @@ def triangulate_reference(poly):
     if cross(verts[ia], verts[ib], verts[ic]) > EPS_AREA:
         triangles.append((ia, ib, ic))
     return tuple(triangles)
+
+
+def pr_quadtree_reference(points, region=None, capacity=1):
+    """PR quadtree built by inserting the points one at a time.
+
+    The library's build as it was before the top-down split: each point
+    descends to its leaf and is appended; while that leaf holds more than
+    capacity points and lies above MAX_DEPTH, it splits at its center,
+    moves its points to the children in order, and the fullest child is
+    checked next.  The default region is the tight bounding square, 10%
+    wider than the points' larger extent.  It returns a geoforge
+    PRQuadtree, so tree_to_dict compares the two builds.  It has no float
+    resolution rule: a split whose center rounds onto the region's edge
+    raises BBox's GeometryError.
+    """
+    from geoforge.core import BBox, GeometryError
+    from geoforge.quadtree import MAX_DEPTH, PRNode, PRQuadtree
+
+    def child_index(p, r):
+        cx = (r.xmin + r.xmax) / 2.0
+        cy = (r.ymin + r.ymax) / 2.0
+        if p.y >= cy:
+            return 1 if p.x >= cx else 0
+        return 3 if p.x >= cx else 2
+
+    def child_regions(r):
+        cx = (r.xmin + r.xmax) / 2.0
+        cy = (r.ymin + r.ymax) / 2.0
+        return [
+            BBox(r.xmin, cy, cx, r.ymax),  # nw
+            BBox(cx, cy, r.xmax, r.ymax),  # ne
+            BBox(r.xmin, r.ymin, cx, cy),  # sw
+            BBox(cx, r.ymin, r.xmax, cy),  # se
+        ]
+
+    pts = list(points)
+    if not isinstance(capacity, int) or isinstance(capacity, bool) or capacity < 1:
+        raise GeometryError("capacity must be an integer >= 1")
+    if region is None:
+        if not pts:
+            raise GeometryError("empty point set requires an explicit region")
+        xs = [p.x for p in pts]
+        ys = [p.y for p in pts]
+        cx = (min(xs) + max(xs)) / 2.0
+        cy = (min(ys) + max(ys)) / 2.0
+        side = max(max(xs) - min(xs), max(ys) - min(ys))
+        if side <= 0.0:
+            side = 1.0
+        half = side * 1.10 / 2.0
+        region = BBox(cx - half, cy - half, cx + half, cy + half)
+    else:
+        for i, p in enumerate(pts):
+            if not region.contains(p):
+                raise GeometryError("point %d outside region" % i)
+    tree = PRQuadtree(region=region, capacity=capacity, root=PRNode(region))
+    for p in pts:
+        node = tree.root
+        depth = 0
+        while node.children is not None:
+            node = node.children[child_index(p, node.region)]
+            depth += 1
+        node.points.append(p)
+        while len(node.points) > capacity:
+            if depth >= MAX_DEPTH:
+                node.overfull = True
+                tree.overfull = True
+                break
+            moved = node.points
+            node.points = None
+            node.children = [PRNode(r) for r in child_regions(node.region)]
+            for q in moved:
+                node.children[child_index(q, node.region)].points.append(q)
+            node = max(node.children, key=lambda ch: len(ch.points))
+            depth += 1
+    return tree

@@ -346,10 +346,13 @@ def test_h_fractal_counts_exact_and_areas_shrink_geometrically():
 # trapmap-chains exercises the trapezoidal map's tie rules: two polyline
 # chains (one turning back in x), a 4-segment fan from one point, two
 # endpoints 9e-10 apart in x that merge into one event, and segments whose
-# left x equals another's right x.
+# left x equals another's right x.  pr-quadtree-overfull has no bbox, so
+# it pins the default region, and its repeated point at capacity 1 makes a
+# chain MAX_DEPTH levels deep that ends in an over-full leaf.
 GOLDEN_RUNS = [
     ("quadtree", "quadtree", []),
     ("pr-quadtree", "pr-quadtree", ["--capacity", "2"]),
+    ("pr-quadtree-overfull", "pr-quadtree", ["--capacity", "1"]),
     ("trapmap", "trapmap", []),
     ("trapmap-chains", "trapmap", []),
     ("onion", "onion", []),

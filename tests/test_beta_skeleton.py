@@ -15,6 +15,7 @@ from geoforge import (
     GeometryError,
     Point,
     beta_skeleton,
+    build_point_quadtree,
     onion_decomposition,
     theta_of_beta,
 )
@@ -246,7 +247,7 @@ def test_far_witness_rounding_is_within_reach():
 
 
 def test_duplicate_rule_is_the_onion_rule():
-    # both builders reject a pair exactly when points_equal holds
+    # the three builders reject a pair exactly when points_equal holds
     offsets = (EPS_DIST, math.nextafter(EPS_DIST, 0.0), math.nextafter(EPS_DIST, math.inf))
     for base in ((0.0, 0.0), (-0.3, 0.7), (12.5, -3.0)):
         for d in offsets:
@@ -255,14 +256,22 @@ def test_duplicate_rule_is_the_onion_rule():
                 q = Point(base[0] + ux * d, base[1] + uy * d)
                 pts = [p, Point(base[0] + 5.0, base[1] + 1.0), q]
                 want = math.hypot(p.x - q.x, p.y - q.y) <= EPS_DIST
-                for build in (onion_decomposition, lambda s: beta_skeleton(s, 1.0)):
+                for build in (onion_decomposition, lambda s: beta_skeleton(s, 1.0),
+                              build_point_quadtree):
                     if want:
                         with pytest.raises(GeometryError, match="duplicate point"):
                             build(pts)
                     else:
                         build(pts)
     a, b = Point(0, 0), Point(EPS_DIST, 0)
-    for build in (onion_decomposition, lambda s: beta_skeleton(s, 2.0)):
+    for build in (onion_decomposition, lambda s: beta_skeleton(s, 2.0), build_point_quadtree):
         with pytest.raises(GeometryError, match="duplicate point"):
             build([a, b])
         build([a, Point(math.nextafter(EPS_DIST, math.inf), 0)])
+    # a first site whose x lies between the pair's sends them to different
+    # quadrants, so no insertion path meets both; the pair is rejected in
+    # either order
+    p, q, site = Point(1, 1), Point(1.0000000009, 1), Point(1.0000000005, 5)
+    for pts in ([site, p, q], [p, q, site], [site, q, p]):
+        with pytest.raises(GeometryError, match="duplicate point"):
+            build_point_quadtree(pts)

@@ -465,6 +465,17 @@ def test_deep_point_quadtree_writes_every_format(tmp_path):
     assert texts["ipe"].count("<use") == 3000
 
 
+def test_pr_quadtree_of_points_an_ulp_apart_exits_zero(tmp_path):
+    # the default region is a few ulps wide; the split stops where the
+    # center no longer falls strictly inside, with no bbox error
+    scene = tmp_path / "ulp.json"
+    scene.write_text('{"points": [[0.5, 0.5], [0.5000000000000001, 0.5]]}')
+    out = tmp_path / "ulp.json.out"
+    args = ["pr-quadtree", "--capacity", "1", "--input", str(scene), "--output", str(out)]
+    assert main(args) == 0
+    assert '"points":[[0.5,0.5],[0.5,0.5]]' in out.read_text()
+
+
 _COORD = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-10, 1e-9, 1e6, -1e6, 1e-300]),
     st.integers(-3, 3),

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import geomgen
 from geoforge import jsontext
@@ -83,7 +85,7 @@ def test_point_tree_path_replay_oracle():
 
 
 def test_point_tree_duplicate_site_rejected():
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match="duplicate point"):
         build_point_quadtree([Point(1, 1), Point(2, 2), Point(1, 1)])
 
 
@@ -203,6 +205,74 @@ def test_pr_tree_overfull_at_depth_cap():
 
     leaf = find_overfull(t.root)
     assert leaf is not None and len(leaf.points) == 2
+
+
+def test_pr_tree_stays_overfull_where_the_center_rounds_onto_an_edge():
+    # the default region of two points one ulp apart is a few ulps wide; a
+    # split whose center is not strictly inside would make an empty child
+    a, b = Point(0.5, 0.5), Point(math.nextafter(0.5, 1.0), 0.5)
+    for region in (None, BBox(0.5, 0.5, math.nextafter(0.5, 1.0), 1.0)):
+        t = build_pr_quadtree([a, b], region=region, capacity=1)
+        assert t.overfull
+        leaves = _leaves(t.root)
+        assert [len(leaf.points) for leaf, _ in leaves if leaf.overfull] == [2]
+        assert all(depth < MAX_DEPTH for _, depth in leaves)
+    with pytest.raises(GeometryError, match="bbox must satisfy"):
+        geomgen.pr_quadtree_reference([a, b], capacity=1)
+
+
+def _leaves(node, depth=0):
+    """(leaf, depth) pairs of a PR tree in child order."""
+    if node.children is None:
+        return [(node, depth)]
+    return [pair for child in node.children for pair in _leaves(child, depth + 1)]
+
+
+def _pr_outcome(build, pts, region, capacity):
+    """The dump and each leaf's over-full flag, or the error message."""
+    try:
+        tree = build(pts, region=region, capacity=capacity)
+    except GeometryError as err:
+        return str(err)
+    return tree_to_dict(tree), [leaf.overfull for leaf, _ in _leaves(tree.root)], tree.overfull
+
+
+def _pr_family(family, rng, n):
+    if family == "uniform":
+        return [(rng.random(), rng.random()) for _ in range(n)]
+    if family == "grid":
+        # dyadic coordinates fall on split lines at every level
+        return [(rng.randint(0, 8) / 8.0, rng.randint(0, 8) / 8.0) for _ in range(n)]
+    if family == "cluster":
+        # 2**-40 or 2**-51 wide: deeper than MAX_DEPTH under the unit
+        # square; the narrow ones are a few ulps wide, so under their own
+        # bounding square the split reaches float resolution
+        cx, cy = rng.random(), rng.random()
+        half = 2.0 ** -rng.choice((41, 52))
+        return [(cx + rng.uniform(-half, half), cy + rng.uniform(-half, half)) for _ in range(n)]
+    distinct = [(rng.random(), rng.random()) for _ in range(rng.randint(1, 4))]
+    return [rng.choice(distinct) for _ in range(n)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(["uniform", "grid", "cluster", "repeats"]),
+    st.integers(0, 2**32),
+    st.integers(0, 40),
+    st.integers(0, 4),
+    st.sampled_from([None, (0.0, 0.0, 1.0, 1.0), (0.0, 0.25, 0.75, 1.0)]),
+)
+def test_pr_build_matches_the_incremental_reference(family, seed, n, capacity, box):
+    pts = [Point(x, y) for x, y in _pr_family(family, random.Random(seed), n)]
+    region = None if box is None else BBox(*box)
+    want = _pr_outcome(geomgen.pr_quadtree_reference, pts, region, capacity)
+    got = _pr_outcome(build_pr_quadtree, pts, region, capacity)
+    if isinstance(want, str) and want.startswith("bbox must satisfy"):
+        # the reference splits past float resolution; the build keeps an
+        # over-full leaf instead
+        assert not isinstance(got, str) and got[2], got
+        return
+    assert got == want
 
 
 def test_round_trip_both_kinds():
