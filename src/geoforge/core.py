@@ -228,11 +228,23 @@ def _boxed_segments_contact(p1: Point, p2: Point, q1: Point, q2: Point, shared_o
     Only for a pair whose widened boxes (_contact_box) overlap.  With
     shared_ok, an endpoint of one segment that equals an endpoint of the
     other is not contact, but two segments with the same endpoints still are.
+
+    When both ends of one segment clear the _OFF_LINE margin of the other's
+    line on the same side, every point of each segment is farther than
+    EPS_DIST from every point of the other, so no test below can fire: the
+    distance and shared-endpoint tests fail, and both crossing tests need
+    opposite signs.  Such a pair returns False before them.
     """
     o1 = cross(q1, q2, p1)
     o2 = cross(q1, q2, p2)
+    m = _OFF_LINE * (abs(q2.x - q1.x) + abs(q2.y - q1.y))
+    if (o1 > m and o2 > m) or (o1 < -m and o2 < -m):
+        return False
     o3 = cross(p1, p2, q1)
     o4 = cross(p1, p2, q2)
+    m = _OFF_LINE * (abs(p2.x - p1.x) + abs(p2.y - p1.y))
+    if (o3 > m and o4 > m) or (o3 < -m and o4 < -m):
+        return False
     if (
         ((o1 > EPS_AREA and o2 < -EPS_AREA) or (o1 < -EPS_AREA and o2 > EPS_AREA))
         and ((o3 > EPS_AREA and o4 < -EPS_AREA) or (o3 < -EPS_AREA and o4 > EPS_AREA))
@@ -268,6 +280,50 @@ def _boxed_segments_contact(p1: Point, p2: Point, q1: Point, q2: Point, shared_o
 # Shewchuk's first orient2d error bound (1997): (3 + 16u)u, u = 2**-53
 _CROSS_ERR = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
 
+_OFF_LINE = EPS_DIST + 12.0 * 2.0**-53 * 2.0 * COORD_LIMIT
+"""A cross product margin, per unit of |dx| + |dy|, that certifies separation.
+
+Let a, b, p lie in the +/-COORD_LIMIT box, with a and b more than EPS_DIST
+apart, and let dx = b.x - a.x and dy = b.y - a.y as floats.  Then
+
+    |cross(a, b, p)| > _OFF_LINE * (abs(dx) + abs(dy))
+
+implies point_segment_distance(p, a, b) > EPS_DIST, and points_equal(p, a)
+and points_equal(p, b) are both False.  The test changes no EPS_DIST
+decision; it only proves the outcome of some of them from one product.
+
+Proof.  Write u = 2**-53, L = COORD_LIMIT, s = |dx| + |dy| and c for the
+float cross product; D is the exact b - a and C the exact cross product.
+
+1. A difference of two coordinates is at most 2L in size, so it rounds by
+   at most 2Lu.  The test's right side rounds twice, so |c| > M s (1-u)^2,
+   where M = _OFF_LINE.
+2. By Shewchuk's bound, |c - C| <= _CROSS_ERR * (|left| + |right|), where
+   left and right are cross's rounded products.  Each factor that is a
+   difference from a to p is at most 2L in size, so |left| + |right| <=
+   (1+u) 2L s, and |C| > s (M (1-u)^2 - (1+u) 2L _CROSS_ERR).
+3. |D| <= |D.x| + |D.y| <= s / (1-u), so p lies farther than
+   H = (1-u)^3 M - 2L _CROSS_ERR >= (1-3u) M - (3 + 16u) 2Lu
+   from the line through a and b.
+4. point_segment_distance clamps t into [0, 1], so the exact point
+   a + t D lies on the segment, farther than H from p.  Each component it
+   hands to hypot differs from that exact offset by at most (4 + 3u) 2Lu:
+   one rounding each for the offset from a, for dx or dy, for the product
+   with t and for the last difference.  The vector is then off by at most
+   sqrt(2) (4 + 3u) 2Lu < 5.66 * 2Lu, and hypot (under 1 ulp since
+   Python 3.10) loses at most 2u of its result, under 2.83 * 2Lu more.
+   So the distance comes out above H - 8.49 * 2Lu.  points_equal rounds
+   only one difference per axis before hypot, so it loses less.
+5. With M = EPS_DIST + K 2Lu, steps 3 and 4 give a distance above
+   EPS_DIST + 2Lu (K (1-3u) - 3 - 16u - 8.49) - 3u EPS_DIST, which is
+   above EPS_DIST when K (1-3u) > 11.5.  K = 12 leaves 0.5 * 2Lu, about
+   1e-10, for gradual underflow, which adds at most 2**-1074 to any one
+   operation.
+
+The margin is about 3.66e-9, so only points within about 5.2e-9 of the
+line reach the exact tests.
+"""
+
 
 def _sign_is_sure(p: Point, q: Point, r: Point) -> bool:
     """True when rounding cannot have flipped the sign of cross(p, q, r).
@@ -283,23 +339,28 @@ def _sign_is_sure(p: Point, q: Point, r: Point) -> bool:
 def _contact_candidates(segments) -> list[tuple[int, int]]:
     """Index pairs i < j, sorted, of the (a, b) segments whose widened boxes overlap.
 
-    A sweep over the boxes sorted by xmin.  Segments whose widened boxes
-    are disjoint never touch, which also keeps the EPS_AREA crossing test
-    away from the float noise of far-apart collinear segments.  The sweep
-    leaves out exactly those pairs, so _boxed_segments_contact on the pairs
-    it keeps, in this order, finds the same first contact as a box test
+    A sweep over the boxes sorted by xmin, or by ymin when their total
+    height is less than their total width: segments in horizontal bands
+    all overlap in x.  Segments whose widened boxes are disjoint never
+    touch, which also keeps the EPS_AREA crossing test away from the
+    float noise of far-apart collinear segments.  The sweep leaves out
+    exactly those pairs, so _boxed_segments_contact on the pairs it
+    keeps, in this order, finds the same first contact as a box test
     followed by _boxed_segments_contact on all pairs in order would.
     """
     boxes = [_contact_box(a, b) for a, b in segments]
+    if sum(b[3] - b[1] for b in boxes) < sum(b[2] - b[0] for b in boxes):
+        boxes = [(b[1], b[0], b[3], b[2]) for b in boxes]
+    # a box is now (sweep min, other min, sweep max, other max)
     order = sorted(range(len(boxes)), key=lambda i: boxes[i][0])
     pairs = []
     for k, i in enumerate(order):
-        _, ylo, xhi, yhi = boxes[i]
+        _, lo, end, hi = boxes[i]
         for j in order[k + 1 :]:
             b = boxes[j]
-            if b[0] > xhi:
+            if b[0] > end:
                 break
-            if b[1] <= yhi and ylo <= b[3]:
+            if b[1] <= hi and lo <= b[3]:
                 pairs.append((i, j) if i < j else (j, i))
     pairs.sort()
     return pairs
@@ -315,7 +376,8 @@ class Polygon:
     or self-intersecting.  Convex inputs are recognized in linear time;
     for the others, the simplicity check tests only the edge pairs whose
     bounding boxes overlap (_contact_candidates), which costs O(n log n)
-    plus the number of such pairs.
+    plus the number of such pairs, most of which the _OFF_LINE certificate
+    settles with four cross products.
     """
 
     vertices: tuple[Point, ...]

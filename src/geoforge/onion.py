@@ -7,7 +7,9 @@ the layer they sit on.  Peeling continues until nothing is left.
 The points are sorted once, lexicographically, and stay sorted as each
 layer is filtered out, so a layer of m remaining points costs O(m): one
 monotone chain (core._monotone_chain, whose pop rule convex_hull shares)
-and, per hull edge, a distance test of only the points in its x-slab.
+and, per hull edge, a scan of only the points in its x-slab.  A point
+whose cross product with the edge clears core._OFF_LINE is proven off the
+edge; only the others get the exact distance test.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .core import (
     EPS_DIST,
     GeometryError,
     Point,
+    _OFF_LINE,
     _monotone_chain,
     _reject_duplicates,
     distance,
@@ -67,17 +70,21 @@ def _boundary_layer(order: list, pts: list) -> list[int]:
     # a point within EPS_DIST of two edges goes to the first in walk order
     placed = {t[2] for t in hull}
     layer: list[int] = []
-    for k, (ax, _, ia) in enumerate(hull):
-        bx, _, ib = hull[k + 1 - len(hull)]
+    for k, (ax, ay, ia) in enumerate(hull):
+        bx, by, ib = hull[k + 1 - len(hull)]
         a, b = pts[ia], pts[ib]
         layer.append(ia)
         # a point within EPS_DIST of the edge has x within EPS_DIST of its
         # x-range; the doubled margin absorbs the rounding of that test
         lo = bisect_left(xs, min(ax, bx) - 2.0 * EPS_DIST)
         hi = bisect_right(xs, max(ax, bx) + 2.0 * EPS_DIST)
+        dx, dy = bx - ax, by - ay
+        m = _OFF_LINE * (abs(dx) + abs(dy))
+        # cross(a, b, p) outside [-m, m] proves p off the edge (core._OFF_LINE)
         on_edge = [
-            i for _, _, i in order[lo:hi]
-            if i not in placed and point_segment_distance(pts[i], a, b) <= EPS_DIST
+            i for x, y, i in order[lo:hi]
+            if -m <= dx * (y - ay) - dy * (x - ax) <= m
+            and i not in placed and point_segment_distance(pts[i], a, b) <= EPS_DIST
         ]
         on_edge.sort(key=lambda i: (distance(a, pts[i]), i))
         placed.update(on_edge)

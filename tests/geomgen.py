@@ -217,22 +217,71 @@ def segments_properly_cross(a, b, c, d):
 def segments_contact(p1, p2, q1, q2, shared_ok):
     """True when the closed segments p1p2 and q1q2 share a point (within EPS_DIST).
 
-    The library's widened-box test followed by its _boxed_segments_contact,
-    for any pair: run on all pairs in order, it must name the same first
-    pair as the library's _contact_candidates sweep.  Segments whose
+    The library's widened-box test followed by
+    boxed_segments_contact_reference, for any pair: run on all pairs in
+    order, it must name the same first pair as the library's
+    _contact_candidates sweep and _boxed_segments_contact.  Segments whose
     widened boxes (_contact_box) are disjoint never touch, which also keeps
     the EPS_AREA crossing test away from the float noise of far-apart
     collinear segments.  With shared_ok, an endpoint of one segment that
     equals an endpoint of the other is not contact, but two segments with
     the same endpoints still are.
     """
-    from geoforge.core import _boxed_segments_contact, _contact_box
+    from geoforge.core import _contact_box
 
     a = _contact_box(p1, p2)
     b = _contact_box(q1, q2)
     if a[0] > b[2] or b[0] > a[2] or a[1] > b[3] or b[1] > a[3]:
         return False
-    return _boxed_segments_contact(p1, p2, q1, q2, shared_ok)
+    return boxed_segments_contact_reference(p1, p2, q1, q2, shared_ok)
+
+
+def boxed_segments_contact_reference(p1, p2, q1, q2, shared_ok):
+    """The library's _boxed_segments_contact without its _OFF_LINE certificate.
+
+    Every pair goes through the EPS_AREA crossing test, the shared-endpoint
+    test, the four EPS_DIST distance tests and the sure-sign crossing
+    test, so the certificate's shortcut can be checked against the rules
+    it must not change.
+    """
+    from geoforge.core import (
+        EPS_AREA,
+        EPS_DIST,
+        _sign_is_sure,
+        cross,
+        point_segment_distance,
+        points_equal,
+    )
+
+    o1 = cross(q1, q2, p1)
+    o2 = cross(q1, q2, p2)
+    o3 = cross(p1, p2, q1)
+    o4 = cross(p1, p2, q2)
+    if (
+        ((o1 > EPS_AREA and o2 < -EPS_AREA) or (o1 < -EPS_AREA and o2 > EPS_AREA))
+        and ((o3 > EPS_AREA and o4 < -EPS_AREA) or (o3 < -EPS_AREA and o4 > EPS_AREA))
+    ):
+        return True
+    if shared_ok and (
+        (points_equal(p1, q1) and points_equal(p2, q2))
+        or (points_equal(p1, q2) and points_equal(p2, q1))
+    ):
+        return True
+    near = False
+    for p, s1, s2 in ((p1, q1, q2), (p2, q1, q2), (q1, p1, p2), (q2, p1, p2)):
+        if point_segment_distance(p, s1, s2) <= EPS_DIST:
+            if not (shared_ok and (points_equal(p, s1) or points_equal(p, s2))):
+                return True
+            near = True
+    return (
+        not near
+        and (o1 > 0.0 > o2 or o2 > 0.0 > o1)
+        and (o3 > 0.0 > o4 or o4 > 0.0 > o3)
+        and _sign_is_sure(q1, q2, p1)
+        and _sign_is_sure(q1, q2, p2)
+        and _sign_is_sure(p1, p2, q1)
+        and _sign_is_sure(p1, p2, q2)
+    )
 
 
 def random_noncrossing_segments(rng, count, lo=0.0, hi=1.0):
@@ -360,6 +409,64 @@ def peel_oracle(points):
         layers.append(boundary)
         remaining = [p for p in remaining if p not in boundary]
     return layers
+
+
+def onion_reference(points):
+    """The library's onion peel with a distance test of every slab point.
+
+    The same sort, duplicate rule, monotone chain and collinear layer as
+    onion_decomposition, but each hull edge runs point_segment_distance on
+    every remaining point of its x-slab, with no _OFF_LINE certificate.
+    It returns a geoforge OnionDecomposition, so == compares the two.
+    """
+    from bisect import bisect_left, bisect_right
+
+    from geoforge.core import (
+        EPS_DIST,
+        GeometryError,
+        _monotone_chain,
+        _reject_duplicates,
+        distance,
+        point_segment_distance,
+    )
+    from geoforge.onion import OnionDecomposition, _collinear_layer
+
+    def boundary_layer(order):
+        if len(order) == 1:
+            return [order[0][2]]
+        hull = _monotone_chain(order)
+        if len(hull) == 2:
+            return _collinear_layer(order, hull[0], hull[1])
+        xs = [t[0] for t in order]
+        placed = {t[2] for t in hull}
+        layer = []
+        for k, (ax, _, ia) in enumerate(hull):
+            bx, _, ib = hull[k + 1 - len(hull)]
+            a, b = pts[ia], pts[ib]
+            layer.append(ia)
+            lo = bisect_left(xs, min(ax, bx) - 2.0 * EPS_DIST)
+            hi = bisect_right(xs, max(ax, bx) + 2.0 * EPS_DIST)
+            on_edge = [
+                i for _, _, i in order[lo:hi]
+                if i not in placed and point_segment_distance(pts[i], a, b) <= EPS_DIST
+            ]
+            on_edge.sort(key=lambda i: (distance(a, pts[i]), i))
+            placed.update(on_edge)
+            layer.extend(on_edge)
+        return layer
+
+    pts = list(points)
+    if not pts:
+        raise GeometryError("empty point set")
+    order = sorted((p.x, p.y, i) for i, p in enumerate(pts))
+    _reject_duplicates(order, pts)
+    layers = []
+    while order:
+        layer = boundary_layer(order)
+        taken = set(layer)
+        order = [t for t in order if t[2] not in taken]
+        layers.append(tuple(pts[i] for i in layer))
+    return OnionDecomposition(tuple(layers))
 
 
 def hull_area(points):

@@ -7,9 +7,10 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import geomgen
+import geoforge.core as core
 from geoforge import (
     BBox,
     GeometryError,
@@ -30,8 +31,10 @@ from geoforge import (
 )
 from geoforge import build_trapezoidal_map
 from geoforge.core import (
+    COORD_LIMIT,
     EPS_AREA,
     EPS_DIST,
+    _OFF_LINE,
     _turning_is_convex_ccw,
     cross,
     distance,
@@ -393,3 +396,154 @@ def test_crossings_the_float_signs_do_not_prove_stay_apart():
     for p1, p2, q1, q2 in (fan, line):
         m = build_trapezoidal_map([Segment(p1, p2), Segment(q1, q2)], BBox(-20, -2, 10, 30))
         assert len(m.segments) == 2
+
+
+def test_off_line_margin_covers_the_proven_rounding_budget():
+    # the proof in core._OFF_LINE needs K (1 - 3u) > 11.5 in
+    # _OFF_LINE = EPS_DIST + K * 2 * COORD_LIMIT * u: the rounding of the
+    # cross product, of the distance and of the test itself
+    u = 2.0**-53
+    k = (_OFF_LINE - EPS_DIST) / (2.0 * COORD_LIMIT * u)
+    assert k * (1.0 - 3.0 * u) > 11.5
+
+
+def _off_line_point(q1, q2, t, off, ulps=0):
+    """q1 + t (q2 - q1), moved off along the left normal, x nudged by ulps."""
+    dx, dy = q2.x - q1.x, q2.y - q1.y
+    d = math.hypot(dx, dy)
+    x = q1.x + t * dx - off * dy / d
+    y = q1.y + t * dy + off * dx / d
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x, y
+
+
+def _margin(q1, q2):
+    """The offset from q1q2's line at which cross(q1, q2, p) is about the margin."""
+    dx, dy = q2.x - q1.x, q2.y - q1.y
+    return _OFF_LINE * (abs(dx) + abs(dy)) / math.hypot(dx, dy)
+
+
+def test_off_line_certificate_implies_the_distance_tests_fail():
+    # segments up to 2e6 long anywhere in the box, points around the margin
+    rng = random.Random(70113)
+    certified = 0
+    for _ in range(4000):
+        q1 = Point(rng.uniform(-1e6, 1e6), rng.uniform(-1e6, 1e6))
+        angle = rng.choice((0.0, 1e-4, 0.3, math.pi / 4, rng.uniform(0.0, 2.0 * math.pi)))
+        length = 10.0 ** rng.uniform(-8.0, 6.3)
+        q2 = Point(*[min(max(v, -1e6), 1e6) for v in
+                     (q1.x + length * math.cos(angle), q1.y + length * math.sin(angle))])
+        if distance(q1, q2) <= EPS_DIST:
+            continue
+        off = _margin(q1, q2) * rng.uniform(0.9, 1.1) * rng.choice((-1.0, 1.0))
+        x, y = _off_line_point(q1, q2, rng.uniform(-0.2, 1.2), off, rng.randint(-2, 2))
+        if max(abs(x), abs(y)) > COORD_LIMIT:
+            continue
+        p = Point(x, y)
+        m = _OFF_LINE * (abs(q2.x - q1.x) + abs(q2.y - q1.y))
+        if abs(cross(q1, q2, p)) > m:
+            certified += 1
+            assert point_segment_distance(p, q1, q2) > EPS_DIST
+            assert distance(p, q1) > EPS_DIST and distance(p, q2) > EPS_DIST
+    assert certified > 1000
+
+
+_SPOTS = (0.0, 999000.0, -999000.0)
+
+
+@st.composite
+def _near_line_segments(draw):
+    """A segment q and a segment p whose ends sit near q's line, or on q's ends."""
+    cx, cy = draw(st.sampled_from(_SPOTS)), draw(st.sampled_from(_SPOTS))
+    angle = draw(st.one_of(st.sampled_from((0.0, 0.5 * math.pi, 0.25 * math.pi, 1e-7)),
+                           st.floats(0.0, 0.5 * math.pi)))
+    length = 10.0 ** draw(st.floats(-8.0, 6.0))
+    # run from the spot toward the origin, so q stays inside the box
+    ux = -math.cos(angle) if cx > 0 else math.cos(angle)
+    uy = -math.sin(angle) if cy > 0 else math.sin(angle)
+    q1 = Point(cx, cy)
+    q2 = Point(cx + length * ux, cy + length * uy)
+    assume(distance(q1, q2) > EPS_DIST)
+    ends = []
+    for _ in range(2):
+        kind = draw(st.sampled_from(("margin", "offset", "far", "end")))
+        if kind == "end":
+            ends.append(draw(st.sampled_from((q1, q2))))
+            continue
+        t = draw(st.sampled_from((0.0, 0.5, 1.0)) | st.floats(-0.25, 1.25))
+        side = draw(st.sampled_from((-1.0, 1.0)))
+        if kind == "margin":
+            off, ulps = _margin(q1, q2), draw(st.integers(-1, 1))
+        elif kind == "offset":
+            off, ulps = draw(st.floats(0.0, 20.0)) * EPS_DIST, 0
+        else:
+            off, ulps = draw(st.floats(1e-3, 1.0)) * length, 0
+        x, y = _off_line_point(q1, q2, t, side * off, ulps)
+        assume(max(abs(x), abs(y)) <= COORD_LIMIT)
+        ends.append(Point(x, y))
+    assume(distance(ends[0], ends[1]) > EPS_DIST)
+    return q1, q2, ends[0], ends[1]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_near_line_segments())
+def test_contact_certificate_matches_the_uncertified_predicate(segments):
+    # ends 0-20 EPS_DIST off the line, around the margin by an ulp, far off
+    # (crossings), or on q's ends (shared endpoints, collinear overlaps)
+    q1, q2, p1, p2 = segments
+    for shared_ok in (True, False):
+        for args in ((p1, p2, q1, q2), (q1, q2, p1, p2), (p2, p1, q2, q1)):
+            want = geomgen.boxed_segments_contact_reference(*args, shared_ok)
+            assert core._boxed_segments_contact(*args, shared_ok) is want
+
+
+def test_star_polygon_checks_make_few_distance_calls(monkeypatch):
+    # without the certificate each candidate edge pair costs four
+    # point_segment_distance calls: 112,864 for these two stars
+    calls = [0]
+    point_segment_distance = core.point_segment_distance
+
+    def counted(p, a, b):
+        calls[0] += 1
+        return point_segment_distance(p, a, b)
+
+    monkeypatch.setattr(core, "point_segment_distance", counted)
+    for n in (400, 800):
+        Polygon([Point(*v) for v in geomgen.star_polygon(random.Random(n), n)])
+    assert calls[0] <= 100, calls[0]
+
+
+def test_band_segments_are_swept_along_y(monkeypatch):
+    # horizontal bands all overlap in x, so an x-sweep compares every pair
+    # (19,900 and 79,800 here); a y-sweep compares neighbouring bands
+    compared = [0]
+
+    class Coord(float):
+        def __gt__(self, other):
+            compared[0] += 1
+            return float.__gt__(self, other)
+
+    contact_box = core._contact_box
+    monkeypatch.setattr(core, "_contact_box", lambda p, q: tuple(map(Coord, contact_box(p, q))))
+    for n in (200, 400):
+        raw = geomgen.random_noncrossing_segments(random.Random(n), n)
+        compared[0] = 0
+        assert core._contact_candidates([(Point(*a), Point(*b)) for a, b in raw]) == []
+        assert compared[0] <= 2 * n, (n, compared[0])
+
+
+def test_contact_candidates_are_the_overlapping_boxes_on_either_axis():
+    rng = random.Random(5150)
+    for _ in range(20):
+        raw = geomgen.random_noncrossing_segments(rng, rng.randint(2, 40))
+        raw += [tuple(tuple(geomgen.random_points(rng, 1)[0]) for _ in "ab")
+                for _ in range(rng.randint(0, 10))]
+        for flip in (False, True):
+            segs = [(Point(*a[::-1]), Point(*b[::-1])) if flip else (Point(*a), Point(*b))
+                    for a, b in raw]
+            boxes = [core._contact_box(a, b) for a, b in segs]
+            want = [(i, j) for i in range(len(segs)) for j in range(i + 1, len(segs))
+                    if boxes[i][0] <= boxes[j][2] and boxes[j][0] <= boxes[i][2]
+                    and boxes[i][1] <= boxes[j][3] and boxes[j][1] <= boxes[i][3]]
+            assert core._contact_candidates(segs) == want

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import geomgen
+import geoforge.onion as onion
 from geoforge import GeometryError, Point, onion_decomposition
+from geoforge.core import EPS_DIST
 from geoforge.onion import layers_to_lists
 
 
@@ -167,3 +170,65 @@ def test_small_integer_sets_match_the_oracle_and_walk_ccw(raw):
             turn = _turn(a, b, c)
             forward = (b[0] - a[0]) * (c[0] - b[0]) + (b[1] - a[1]) * (c[1] - b[1])
             assert turn > 0 or (turn == 0 and forward > 0)
+
+
+def _peel(decompose, pts):
+    try:
+        return decompose(pts)
+    except GeometryError as e:
+        return str(e)
+
+
+@st.composite
+def _near_hull_sets(draw):
+    """Corners at +-1e6 and points 0.5-20 EPS_DIST off the edges between them.
+
+    An axis-aligned square gives exact distance ties: a point and its mirror
+    image across an edge are equally far from the edge's start.
+    """
+    if draw(st.booleans()):
+        r = draw(st.sampled_from((1e6, 999000.0)))
+        corners = [(-r, -r), (r, -r), (r, r), (-r, r)]
+    else:
+        turns = draw(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=6, unique=True))
+        corners = [(1e6 * math.cos(2 * math.pi * a), 1e6 * math.sin(2 * math.pi * a))
+                   for a in sorted(turns)]
+    raw = list(corners)
+    for _ in range(draw(st.integers(1, 12))):
+        k = draw(st.integers(0, len(corners) - 1))
+        (ax, ay), (bx, by) = corners[k], corners[(k + 1) % len(corners)]
+        t = draw(st.sampled_from((0.25, 0.5)) | st.floats(0.0, 1.0))
+        off = draw(st.floats(0.5, 20.0)) * EPS_DIST
+        d = math.hypot(bx - ax, by - ay)
+        x, y = ax + t * (bx - ax), ay + t * (by - ay)
+        nx, ny = -(by - ay) / d * off, (bx - ax) / d * off
+        sides = draw(st.sampled_from(((1,), (-1,), (1, -1))))
+        raw += [(x + side * nx, y + side * ny) for side in sides]
+    raw += draw(st.lists(st.tuples(st.floats(-5e5, 5e5), st.floats(-5e5, 5e5)), max_size=4))
+    pts = [Point(x, y) for x, y in raw if max(abs(x), abs(y)) <= 1e6]
+    return draw(st.permutations(pts))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_near_hull_sets())
+def test_certified_peel_matches_the_distance_scan(pts):
+    # every point the certificate drops must be one the distance test
+    # rejects, so layers, their order and the duplicate errors agree
+    assert _peel(onion_decomposition, pts) == _peel(geomgen.onion_reference, pts)
+
+
+def test_uniform_peels_make_few_distance_calls(monkeypatch):
+    # a distance test of every slab point makes 119,212 calls here
+    calls = [0]
+    point_segment_distance = onion.point_segment_distance
+
+    def counted(p, a, b):
+        calls[0] += 1
+        return point_segment_distance(p, a, b)
+
+    monkeypatch.setattr(onion, "point_segment_distance", counted)
+    rng = random.Random(5)
+    for _ in range(3):
+        pts = [Point(rng.random(), rng.random()) for _ in range(1000)]
+        assert onion_decomposition(pts) == geomgen.onion_reference(pts)
+    assert calls[0] <= 100, calls[0]
