@@ -336,24 +336,26 @@ def _sign_is_sure(p: Point, q: Point, r: Point) -> bool:
     return abs(left - right) > _CROSS_ERR * (abs(left) + abs(right)) + 2.0**-1060
 
 
-def _contact_candidates(segments) -> list[tuple[int, int]]:
-    """Index pairs i < j, sorted, of the (a, b) segments whose widened boxes overlap.
+def _contact_candidates(segments):
+    """Index pairs (i, j), i < j, of the (a, b) segments whose widened boxes overlap.
 
-    A sweep over the boxes sorted by xmin, or by ymin when their total
-    height is less than their total width: segments in horizontal bands
-    all overlap in x.  Segments whose widened boxes are disjoint never
-    touch, which also keeps the EPS_AREA crossing test away from the
-    float noise of far-apart collinear segments.  The sweep leaves out
-    exactly those pairs, so _boxed_segments_contact on the pairs it
-    keeps, in this order, finds the same first contact as a box test
-    followed by _boxed_segments_contact on all pairs in order would.
+    A generator: pairs come in the sweep's order, not sorted, and only the
+    boxes and their order are held, so memory does not grow with the
+    number of pairs.  The sweep runs over the boxes sorted by xmin, or by
+    ymin when their total height is less than their total width: segments
+    in horizontal bands all overlap in x.  Segments whose widened boxes
+    are disjoint never touch, which also keeps the EPS_AREA crossing test
+    away from the float noise of far-apart collinear segments.  The sweep
+    leaves out exactly those pairs, so the lexicographically smallest pair
+    that _boxed_segments_contact finds among the pairs it yields is the
+    first contact a box test followed by _boxed_segments_contact on all
+    pairs in order would find (_first_contact).
     """
     boxes = [_contact_box(a, b) for a, b in segments]
     if sum(b[3] - b[1] for b in boxes) < sum(b[2] - b[0] for b in boxes):
         boxes = [(b[1], b[0], b[3], b[2]) for b in boxes]
     # a box is now (sweep min, other min, sweep max, other max)
     order = sorted(range(len(boxes)), key=lambda i: boxes[i][0])
-    pairs = []
     for k, i in enumerate(order):
         _, lo, end, hi = boxes[i]
         for j in order[k + 1 :]:
@@ -361,9 +363,19 @@ def _contact_candidates(segments) -> list[tuple[int, int]]:
             if b[0] > end:
                 break
             if b[1] <= hi and lo <= b[3]:
-                pairs.append((i, j) if i < j else (j, i))
-    pairs.sort()
-    return pairs
+                yield (i, j) if i < j else (j, i)
+
+
+def _first_contact(pairs, touch):
+    """The lexicographically smallest pair in pairs for which touch(i, j) holds, or None.
+
+    Pairs above the smallest one found so far are skipped untested.
+    """
+    first = None
+    for pair in pairs:
+        if (first is None or pair < first) and touch(*pair):
+            first = pair
+    return first
 
 
 @dataclass(frozen=True, slots=True)
@@ -405,13 +417,14 @@ class Polygon:
                     raise GeometryError("self-intersecting polygon: spike vertex")
         if not _turning_is_convex_ccw(verts):
             edges = [(verts[i], verts[(i + 1) % n]) for i in range(n)]
-            for i, j in _contact_candidates(edges):
-                if j == i + 1 or (i == 0 and j == n - 1):
-                    continue
-                if _boxed_segments_contact(*edges[i], *edges[j], shared_ok=False):
-                    raise GeometryError(
-                        "self-intersecting polygon: edges %d and %d touch" % (i, j)
-                    )
+            first = _first_contact(
+                _contact_candidates(edges),
+                lambda i, j: j != i + 1
+                and not (i == 0 and j == n - 1)
+                and _boxed_segments_contact(*edges[i], *edges[j], shared_ok=False),
+            )
+            if first is not None:
+                raise GeometryError("self-intersecting polygon: edges %d and %d touch" % first)
         object.__setattr__(self, "vertices", verts)
 
     @classmethod

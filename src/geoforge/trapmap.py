@@ -43,6 +43,7 @@ from .core import (
     Segment,
     _boxed_segments_contact,
     _contact_candidates,
+    _first_contact,
     points_equal,
 )
 
@@ -119,9 +120,13 @@ def build_trapezoidal_map(segments, bbox: BBox | None = None) -> TrapezoidalMap:
             raise GeometryError("segment %d is not a Segment" % i)
         if abs(s.a.x - s.b.x) <= EPS_DIST:
             raise GeometryError("vertical segment unsupported: %d" % i)
-    for i, j in _contact_candidates([(s.a, s.b) for s in segs]):
-        if _boxed_segments_contact(segs[i].a, segs[i].b, segs[j].a, segs[j].b, shared_ok=True):
-            raise GeometryError("segments intersect: %d and %d" % (i, j))
+    first = _first_contact(
+        _contact_candidates([(s.a, s.b) for s in segs]),
+        lambda i, j: _boxed_segments_contact(segs[i].a, segs[i].b, segs[j].a, segs[j].b,
+                                             shared_ok=True),
+    )
+    if first is not None:
+        raise GeometryError("segments intersect: %d and %d" % first)
     if bbox is None:
         if not segs:
             raise GeometryError("empty segment set requires an explicit bbox")

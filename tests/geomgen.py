@@ -530,6 +530,58 @@ def cut_offset_reference(loop, ux, uy, target, area, diam):
     return c
 
 
+def dupin_floating_body_reference(poly, delta, n_directions=720):
+    """dupin_floating_body as it was built before the per-direction splices.
+
+    Every direction solves its offset with cut_offset_reference, scans
+    all n vertices for the chord midpoint (_chord_midpoint, which the
+    public chord_midpoint still uses) and clips the whole running body
+    with one exact-zero Sutherland-Hodgman pass.  poly is a convex
+    geoforge Polygon; the library's result must equal this one, or raise
+    the same error.
+    """
+    from geoforge.core import (
+        _is_convex_loop,
+        _polygon_from_loop,
+        _sutherland_hodgman,
+        polygon_area,
+        polygon_bbox,
+    )
+    from geoforge.floating_body import (
+        FloatingBodyResult,
+        _chord_midpoint,
+        _coerce_delta,
+        _require_convex,
+    )
+
+    d = _coerce_delta(delta)
+    _require_convex(poly)
+    loop = [(v.x, v.y) for v in poly.vertices]
+    area = polygon_area(poly)
+    bb = polygon_bbox(poly)
+    diam = math.hypot(bb.width, bb.height)
+    midpoints = []
+    body = list(loop)
+    step = 2.0 * math.pi / n_directions
+    for k in range(n_directions):
+        phi = k * step
+        ux = math.cos(phi)
+        uy = math.sin(phi)
+        c = cut_offset_reference(loop, ux, uy, d * area, area, diam)
+        midpoints.append(_chord_midpoint(poly.vertices, ux, uy, c))
+        if body:
+            body = _sutherland_hodgman(body, ux, uy, c, 0.0)
+            if len(body) < 3:
+                body = []
+    return FloatingBodyResult(
+        delta=d,
+        directions=n_directions,
+        dupin=tuple(midpoints),
+        convex_fb=_polygon_from_loop(body),
+        is_dupin_convex=_is_convex_loop(midpoints),
+    )
+
+
 def trapmap_reference(segs, bbox):
     """(extensions, trapezoids) of the trapezoidal map, rescanned from scratch.
 

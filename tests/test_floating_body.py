@@ -26,7 +26,7 @@ from geoforge import (
     polygon_is_convex,
 )
 from geoforge import floating_body
-from geoforge.core import EPS_AREA
+from geoforge.core import EPS_AREA, EPS_DIST, Halfplane, _sutherland_hodgman
 from geoforge.floating_body import result_to_dict
 from geoforge.jsontext import dumps
 from geoforge.scene import parse_scene
@@ -304,3 +304,289 @@ def test_dupin_uses_the_offsets_and_midpoints_of_single_cuts(monkeypatch):
         h = cut_halfplane(poly, k * step, 0.3)
         assert h.c == c
         assert chord_midpoint(poly, h) == mid
+
+
+def _result_or_error(build, poly, delta, n_directions):
+    try:
+        return dumps(result_to_dict(build(poly, delta, n_directions)))
+    except GeometryError as exc:
+        return "error: %s" % exc
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_cut_cases(), st.sampled_from([1, 2, 3, 12, 45]))
+def test_dupin_equals_the_clip_every_direction_reference(case, n_directions):
+    # offsets, midpoints and body vertices of the spliced sweep are those of
+    # bisecting with the clipped cap, scanning every vertex for the chord
+    # and clipping the whole body in every direction, bit for bit
+    poly, delta, _ = case
+    assert _result_or_error(dupin_floating_body, poly, delta, n_directions) == _result_or_error(
+        geomgen.dupin_floating_body_reference, poly, delta, n_directions
+    )
+
+
+def test_dupin_equals_the_reference_where_cuts_miss_the_body():
+    # on the square 19 of 720 cuts at delta 0.1 and 39 of 360 at delta 0.45
+    # miss the body the earlier cuts left; a bench-like 64-gon at 360
+    # directions
+    square = Polygon([Point(0, 0), Point(100, 0), Point(100, 100), Point(0, 100)])
+    bench = Polygon([Point(500 + 400 * math.cos(a), 500 + 400 * math.sin(a))
+                     for a in (2 * math.pi * (k + 0.3 * math.sin(7 * k)) / 64 for k in range(64))])
+    # and a dip reflex by less than EPS_AREA, whose direction 3 of 4 is not
+    # unimodal: its offset and chord come from the kernel and the full scan
+    dip = Polygon([Point(0, 0), Point(5e-4, 9e-7), Point(1e-3, 0), Point(5e-4, 4e-6)])
+    for poly, delta, n_directions in ((square, 0.1, 720), (square, 0.45, 360),
+                                      (square, 0.5, 36), (bench, 0.1, 360), (dip, 0.2, 4)):
+        assert _result_or_error(dupin_floating_body, poly, delta, n_directions) == (
+            _result_or_error(geomgen.dupin_floating_body_reference, poly, delta, n_directions)
+        )
+
+
+def test_convex_certificate_rejects_double_winding_and_flat_corners():
+    # every corner of the pentagram {5/2} turns surely left, but its edges
+    # pass twice from the lower half to the upper half
+    pentagon = [(math.cos(2 * math.pi * k / 5), math.sin(2 * math.pi * k / 5)) for k in range(5)]
+    star = [pentagon[2 * k % 5] for k in range(5)]
+    ring = star[-1:] + star + star[:1]
+    assert floating_body._turns_left(ring) and floating_body._wraps(ring) == 2
+    assert floating_body._Body(star).sure is False
+    assert floating_body._Body(pentagon).sure is True
+    collinear = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (2.0, 1.0)]
+    assert floating_body._Body(collinear).sure is False
+    # a cut nearly along an edge puts a crossing 3e-16 from the corner it
+    # keeps: the splice leaves a corner too flat to certify, so the next
+    # cut clips the whole body
+    heptagon = [
+        (0.9584191383148695, -0.32898039693253595), (0.7751125024326742, 0.537010428840251),
+        (-0.4828591794320095, 0.9778742336701975), (-0.9659129459462261, 0.7225766660329022),
+        (-0.9100504497545148, -0.6658923486510103), (-0.13817051747380396, -0.9622517357925829),
+        (0.6039736652221314, -0.9265027823022388),
+    ]
+    body = floating_body._Body(heptagon)
+    assert body.sure is True
+    ux, uy, c = math.cos(1.2337152716917004), math.sin(1.2337152716917004), 0.7631455958669525
+    body.cut(ux, uy, c)
+    assert body.loop == _sutherland_hodgman(heptagon, ux, uy, c, 0.0)
+    assert len(body.loop) == 8 and body.sure is False
+
+
+def test_no_cut_needs_a_strict_local_maximum():
+    # the bottom corner B of this pentagon is the minimum of u . p, but its
+    # edges are so nearly level that the float values of both neighbours are
+    # no larger: a climb that starts there stops there, far below the cut
+    # line, although the far side of the pentagon lies beyond it
+    pentagon = [(1000.396518352898, 1000.4378248382682), (999.4222499673511, 1000.6632158605468),
+                (998.4479815818042, 1000.8886068828251), (997.9971995372472, 998.9400701117312),
+                (999.945736308341, 998.4892880671742)]
+    ux, uy, c = math.cos(4.485044613173243), math.sin(4.485044613173243), -1199.1753384006938
+    levels = [ux * x + uy * y for x, y in pentagon]
+    assert levels[0] <= levels[1] >= levels[2] and levels[1] < c < max(levels)
+    body = floating_body._Body(pentagon)
+    assert body.sure is True
+    body.top = 1
+    body.cut(ux, uy, c)
+    assert body.loop == _sutherland_hodgman(pentagon, ux, uy, c, 0.0) != pentagon
+
+
+def _exact_cap_area(loop, ux, uy, c):
+    # the exact area of the part of the float polygon with ux*x + uy*y >= c
+    from fractions import Fraction
+
+    pts = [(Fraction(x), Fraction(y)) for x, y in loop]
+    fux, fuy, fc = Fraction(ux), Fraction(uy), Fraction(c)
+    vals = [fux * x + fuy * y - fc for x, y in pts]
+    cap = []
+    for s, e, vs, ve in zip(pts, pts[1:] + pts[:1], vals, vals[1:] + vals[:1]):
+        if vs >= 0:
+            cap.append(s)
+        if (vs > 0 > ve) or (vs < 0 < ve):
+            t = vs / (vs - ve)
+            cap.append((s[0] + t * (e[0] - s[0]), s[1] + t * (e[1] - s[1])))
+    total = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(cap, cap[1:] + cap[:1]))
+    return abs(total) / 2
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_cut_cases(), st.integers(0, 2**32 - 1))
+def test_kernel_area_stays_within_the_proven_budget(case, seed):
+    # _bracket's proof: |K - A| <= _KERNEL_ERR * err for the kernel's area K
+    # and the exact area A, and |F - K| < err / 2 for the fast area F; the
+    # offsets tried sit at vertex levels, a few ulps off them and at random
+    poly, _, phis = case
+    rng = random.Random(seed)
+    loop = [(v.x, v.y) for v in poly.vertices]
+    sums = floating_body._shoelace_sums(loop)
+    err = sums[1]
+    for phi in phis[:3]:
+        ux, uy = math.cos(phi), math.sin(phi)
+        view = floating_body._view(loop, ux, uy)
+        proj, lo, hi, chains = view
+        if chains is None:
+            continue
+        fast = floating_body._fast_cap(loop, sums, proj, chains)
+        levels = [rng.uniform(lo, hi)]
+        for p in rng.sample(proj, 2):
+            levels += [p, math.nextafter(p, math.inf), math.nextafter(p, -math.inf)]
+        for c in levels:
+            if not lo < c < hi:
+                continue
+            kernel = floating_body._cap_area(loop, ux, uy, c)
+            assert abs(fast(c)[0] - kernel) < err / 2
+            exact = _exact_cap_area(loop, ux, uy, c)
+            assert abs(kernel - exact) <= floating_body._KERNEL_ERR * err
+
+
+def _bench_polygon(n):
+    # the benchmark's convex jobs: jittered vertices on a radius-400 circle
+    rng = random.Random(n)
+    step = 2 * math.pi / n
+    return Polygon([Point(round(500 + 400 * math.cos(a), 6), round(500 + 400 * math.sin(a), 6))
+                    for a in ((k + rng.uniform(-0.3, 0.3)) * step for k in range(n))])
+
+
+def test_bench_cuts_evaluate_few_cap_areas(monkeypatch):
+    # the parent bisected every midpoint, about 28 areas a direction
+    calls = _count_kernel_calls(monkeypatch)
+    fast_cap = floating_body._fast_cap
+
+    def counted_fast_cap(*args):
+        cap = fast_cap(*args)
+        if cap is None:
+            return None
+
+        def counted(c):
+            calls.append(c)
+            return cap(c)
+
+        return counted
+
+    monkeypatch.setattr(floating_body, "_fast_cap", counted_fast_cap)
+    r = dupin_floating_body(_bench_polygon(256), 0.1, 360)
+    assert len(r.dupin) == 360
+    assert len(calls) <= 8 * 360, len(calls) / 360
+
+
+def test_body_work_grows_linearly_with_the_directions(monkeypatch):
+    # every product with the direction's cosine or sine: the polygon's
+    # projections and the body vertices each direction evaluates; the
+    # parent clipped the whole body, which grows with the directions too
+    count = [0]
+
+    class Counted(float):
+        def __mul__(self, other):
+            count[0] += 1
+            return float.__mul__(self, other)
+
+    cos, sin = math.cos, math.sin
+    monkeypatch.setattr(math, "cos", lambda phi: Counted(cos(phi)))
+    monkeypatch.setattr(math, "sin", lambda phi: Counted(sin(phi)))
+    square = Polygon([Point(0, 0), Point(100, 0), Point(100, 100), Point(0, 100)])
+    counts = []
+    for n_directions in (720, 2880):
+        count[0] = 0
+        dupin_floating_body(square, 0.1, n_directions)
+        counts.append(count[0])
+    assert counts[1] < 5 * counts[0], counts
+
+
+@st.composite
+def _body_cuts(draw):
+    # a convex loop and cuts through its vertices exactly, just below and
+    # above its top, through its middle and past it, from every direction
+    n = draw(st.integers(3, 40))
+    size = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    ox = draw(st.sampled_from([0.0, 5e5, -999000.0]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    step = 2 * math.pi / n
+    angles = [(k + rng.uniform(-0.4, 0.4)) * step for k in range(n)]
+    loop = [(ox + size * math.cos(a), ox + size * math.sin(a)) for a in angles]
+    cuts = draw(st.lists(st.tuples(st.floats(0.0, 2 * math.pi),
+                                   st.sampled_from(["vertex", "below", "above", "inside"]),
+                                   st.floats(0.0, 1.0)), min_size=1, max_size=30))
+    return loop, cuts
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_body_cuts())
+def test_body_cuts_equal_whole_loop_clips(case):
+    loop, cuts = case
+    body = floating_body._Body(loop)
+    plain = list(loop)
+    for phi, mode, f in cuts:
+        ux, uy = math.cos(phi), math.sin(phi)
+        levels = [ux * x + uy * y for x, y in plain]
+        top = max(levels)
+        if mode == "vertex":
+            c = levels[int(f * len(levels)) % len(levels)]
+        elif mode == "below":
+            c = top - f * 1e-12 * (abs(top) + 1.0)
+        elif mode == "above":
+            c = top + f * 1e-12 * (abs(top) + 1.0)
+        else:
+            c = min(levels) + f * (top - min(levels))
+        plain = _sutherland_hodgman(plain, ux, uy, c, 0.0)
+        if len(plain) < 3:
+            plain = []
+        body.cut(ux, uy, c)
+        assert body.loop == plain
+        if not plain:
+            break
+
+
+def _chords_agree(poly, ux, uy, c):
+    loop = [(v.x, v.y) for v in poly.vertices]
+    view = floating_body._view(loop, ux, uy)
+    try:
+        fast = floating_body._view_chord_midpoint(loop, view, ux, uy, c)
+    except GeometryError as exc:
+        fast = str(exc)
+    try:
+        plain = chord_midpoint(poly, Halfplane(ux, uy, c))
+    except GeometryError as exc:
+        plain = str(exc)
+    return fast == plain
+
+
+def test_chord_from_the_chains_equals_the_scan_at_its_edge_cases():
+    square = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+    hexagon = [(math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)) for k in range(6)]
+    thin = [(0.0, 0.0), (1.0, -0.05), (1.0, 0.05)]
+    triangle = [(0.0, 0.0), (4.0, 1.0), (1.0, 3.0)]
+    ux, uy = math.cos(0.3), math.sin(0.3)
+    cases = [
+        # through two vertices, one on each chain
+        (square, 1.0, 0.0, 1.0),
+        (square, 1.0, 0.0, 0.0 + 1e-12),
+        # a vertex within EPS_DIST of the line on each chain
+        (hexagon, 0.0, 1.0, hexagon[1][1] - 0.5 * EPS_DIST),
+        (hexagon, 0.0, 1.0, hexagon[1][1] + 0.9e-9),
+        (hexagon, 0.0, 1.0, hexagon[1][1] - 1.5 * EPS_DIST),
+        # two crossings that dedupe near the thin corner: no chord left
+        (thin, 1.0, 0.0, 2e-9),
+        (thin, 1.0, 0.0, 2e-8),
+        # a triangle cut through its middle, near its ends and through a corner
+        (triangle, ux, uy, 1.5),
+        (triangle, ux, uy, ux * 4.0 + uy * 1.0),
+        (triangle, ux, uy, 1e-10),
+        (triangle, ux, uy, ux * 1.0 + uy * 3.0 - 0.3e-9),
+    ]
+    for loop, cx, cy, c in cases:
+        poly = Polygon([Point(x, y) for x, y in loop])
+        assert _chords_agree(poly, cx, cy, c), (loop, c)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_cut_cases(), st.integers(0, 2**32 - 1))
+def test_chord_from_the_chains_equals_the_scan(case, seed):
+    # the _cut_cases families, collinear and reflex among them, cut at their
+    # offsets, through vertices and within a few EPS_DIST of vertices
+    poly, delta, phis = case
+    rng = random.Random(seed)
+    for phi in phis:
+        ux, uy = math.cos(phi), math.sin(phi)
+        levels = [cut_halfplane(poly, phi, delta).c]
+        for v in rng.sample(poly.vertices, min(3, len(poly))):
+            p = ux * v.x + uy * v.y
+            levels += [p] + [p + k * EPS_DIST for k in (-2.5, -1.0, -0.5, 0.5, 1.0, 2.5)]
+        for c in levels:
+            assert _chords_agree(poly, ux, uy, c), (phi, c)
