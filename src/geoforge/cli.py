@@ -7,6 +7,10 @@ the first chunk.  Output goes through a temp file and an atomic rename so a
 crash never leaves a half-written file; "-" streams to stdout instead, and
 an existing device or FIFO is written to in place.  Exit codes: 0 on
 success, 1 when the input fails to parse or validate, 2 for usage errors.
+
+Start-up imports argparse and the command table only.  A run loads the
+scene parser and the JSON writer after its arguments parse, its own
+structure module when it runs, and the renderer only for SVG or Ipe.
 """
 
 from __future__ import annotations
@@ -17,30 +21,11 @@ import math
 import os
 import sys
 import tempfile
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from . import jsontext
-from .beta_skeleton import beta_skeleton, graph_to_dict
-from .core import BBox, GeometryError, Polygon
-from .floating_body import dupin_floating_body, result_to_dict
-from .fractals import (
-    CARPET_MAX_DEPTH,
-    TRIANGLE_MAX_DEPTH,
-    output_to_dict,
-    sierpinski_carpet,
-    sierpinski_triangle,
-)
-from .onion import layers_to_lists, onion_decomposition
-from .quadtree import build_point_quadtree, build_pr_quadtree, tree_to_dict
-from .render import ipe_chunks, svg_chunks
-from .scene import Scene, SceneError, parse_scene
-from .trapmap import build_trapezoidal_map, map_to_dict
-from .triangulation import (
-    SampleRequest,
-    sample_points,
-    triangulate,
-    triangulation_to_dict,
-)
+if TYPE_CHECKING:
+    from .core import BBox, Polygon
+    from .scene import Scene
 
 
 def _number_arg(convert, accept, message: str):
@@ -61,6 +46,8 @@ def _number_arg(convert, accept, message: str):
 
 
 def _bbox_arg(text: str) -> BBox:
+    from .core import BBox, GeometryError
+
     parts = text.split(",")
     if len(parts) != 4:
         raise argparse.ArgumentTypeError("bbox must be xmin,ymin,xmax,ymax")
@@ -70,18 +57,28 @@ def _bbox_arg(text: str) -> BBox:
         raise argparse.ArgumentTypeError("bad bbox: %s" % err) from None
 
 
-def _depth_flag(cap: int):
-    depth = _number_arg(int, lambda v: 0 <= v <= cap, "depth must be an integer in [0, %d]" % cap)
+def _depth_flag(cap_name: str):
+    """--depth in [0, fractals.<cap_name>]; the cap is read when a value is checked."""
+    def depth(text: str) -> int:
+        from . import fractals
+
+        cap = getattr(fractals, cap_name)
+        message = "depth must be an integer in [0, %d]" % cap
+        return _number_arg(int, lambda v: 0 <= v <= cap, message)(text)
     return ("--depth", dict(type=depth, required=True, help="recursion depth"))
 
 
 def _first_polygon(scene: Scene) -> Polygon:
+    from .core import GeometryError
+
     if not scene.polygons:
         raise GeometryError("scene has no polygons")
     return scene.polygons[0]
 
 
 def _scene_bbox(scene: Scene) -> BBox:
+    from .core import GeometryError
+
     if scene.bbox is None:
         raise GeometryError("scene has no bbox")
     return scene.bbox
@@ -90,15 +87,17 @@ def _scene_bbox(scene: Scene) -> BBox:
 class _Command(NamedTuple):
     help: str
     flags: tuple  # (flag, add_argument keywords) pairs, in --help order
-    run: Callable  # run(scene, args) returns the dump
+    module: str  # the structure's geoforge module, loaded only to run
+    run: Callable  # run(module, scene, args) returns the dump
 
 
 # One record per subcommand, in --help order: the parser is built from it
-# and main dispatches through it.
+# and main dispatches through it.  Only the command that runs loads its
+# module, so a run compiles none of the other structures.
 _COMMANDS = {
     "quadtree": _Command(
-        "point quadtree of scene points", (),
-        lambda scene, args: tree_to_dict(build_point_quadtree(scene.points)),
+        "point quadtree of scene points", (), "quadtree",
+        lambda m, scene, args: m.tree_to_dict(m.build_point_quadtree(scene.points)),
     ),
     "pr-quadtree": _Command(
         "PR quadtree of scene points",
@@ -108,20 +107,22 @@ _COMMANDS = {
                 required=True, help="leaf capacity")),
             ("--bbox", dict(type=_bbox_arg, help="region override (xmin,ymin,xmax,ymax)")),
         ),
-        lambda scene, args: tree_to_dict(build_pr_quadtree(
+        "quadtree",
+        lambda m, scene, args: m.tree_to_dict(m.build_pr_quadtree(
             scene.points, args.bbox if args.bbox is not None else scene.bbox, args.capacity
         )),
     ),
     "trapmap": _Command(
         "trapezoidal map of scene segments",
         (("--bbox", dict(type=_bbox_arg, help="bbox override (xmin,ymin,xmax,ymax)")),),
-        lambda scene, args: map_to_dict(build_trapezoidal_map(
+        "trapmap",
+        lambda m, scene, args: m.map_to_dict(m.build_trapezoidal_map(
             scene.segments, args.bbox if args.bbox is not None else scene.bbox
         )),
     ),
     "onion": _Command(
-        "onion decomposition of scene points", (),
-        lambda scene, args: layers_to_lists(onion_decomposition(scene.points)),
+        "onion decomposition of scene points", (), "onion",
+        lambda m, scene, args: m.layers_to_lists(m.onion_decomposition(scene.points)),
     ),
     "beta-skeleton": _Command(
         "beta-skeleton of scene points",
@@ -131,7 +132,8 @@ _COMMANDS = {
                                  "beta must be a finite real > 0"),
                 required=True, help="beta parameter (> 0)")),
         ),
-        lambda scene, args: graph_to_dict(beta_skeleton(scene.points, args.beta)),
+        "beta_skeleton",
+        lambda m, scene, args: m.graph_to_dict(m.beta_skeleton(scene.points, args.beta)),
     ),
     "floating-body": _Command(
         "floating body of the first scene polygon",
@@ -144,13 +146,14 @@ _COMMANDS = {
                 type=_number_arg(int, lambda v: v >= 1, "directions must be an integer >= 1"),
                 default=720, help="direction grid size")),
         ),
-        lambda scene, args: result_to_dict(
-            dupin_floating_body(_first_polygon(scene), args.delta, args.directions)
+        "floating_body",
+        lambda m, scene, args: m.result_to_dict(
+            m.dupin_floating_body(_first_polygon(scene), args.delta, args.directions)
         ),
     ),
     "triangulate": _Command(
-        "triangulate the first scene polygon", (),
-        lambda scene, args: triangulation_to_dict(triangulate(_first_polygon(scene))),
+        "triangulate the first scene polygon", (), "triangulation",
+        lambda m, scene, args: m.triangulation_to_dict(m.triangulate(_first_polygon(scene))),
     ),
     "sample": _Command(
         "sample uniform points in the first scene polygon",
@@ -163,22 +166,27 @@ _COMMANDS = {
                                  "seed must be an unsigned 64-bit integer"),
                 required=True, help="64-bit RNG seed")),
         ),
-        lambda scene, args: triangulation_to_dict(
-            tri := triangulate(_first_polygon(scene)),
-            sample_points(tri, SampleRequest(count=args.count, seed=args.seed)),
+        "triangulation",
+        lambda m, scene, args: m.triangulation_to_dict(
+            tri := m.triangulate(_first_polygon(scene)),
+            m.sample_points(tri, m.SampleRequest(count=args.count, seed=args.seed)),
         ),
     ),
     "sierpinski-triangle": _Command(
         "Sierpinski triangle of the first polygon",
-        (_depth_flag(TRIANGLE_MAX_DEPTH),),
-        lambda scene, args: output_to_dict(
-            sierpinski_triangle(_first_polygon(scene), args.depth)
+        (_depth_flag("TRIANGLE_MAX_DEPTH"),),
+        "fractals",
+        lambda m, scene, args: m.output_to_dict(
+            m.sierpinski_triangle(_first_polygon(scene), args.depth)
         ),
     ),
     "sierpinski-carpet": _Command(
         "Sierpinski carpet of the scene bbox",
-        (_depth_flag(CARPET_MAX_DEPTH),),
-        lambda scene, args: output_to_dict(sierpinski_carpet(_scene_bbox(scene), args.depth)),
+        (_depth_flag("CARPET_MAX_DEPTH"),),
+        "fractals",
+        lambda m, scene, args: m.output_to_dict(
+            m.sierpinski_carpet(_scene_bbox(scene), args.depth)
+        ),
     ),
 }
 
@@ -245,15 +253,36 @@ def _write_output(path: str, chunks) -> None:
         raise
 
 
+def svg_chunks(scene: Scene, result):
+    """render.svg_chunks; render loads only for an SVG document."""
+    from . import render
+
+    return render.svg_chunks(scene, result)
+
+
+def ipe_chunks(scene: Scene, result):
+    """render.ipe_chunks; render loads only for an Ipe document."""
+    from . import render
+
+    return render.ipe_chunks(scene, result)
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     only = argv[0] if argv and argv[0] in _COMMANDS else None
     args = _build_parser(only).parse_args(argv)
+    from . import jsontext
+    from .core import GeometryError
+    from .scene import SceneError, parse_scene
+
+    command = _COMMANDS[args.command]
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             scene = parse_scene(fh.read())
-        result = _COMMANDS[args.command].run(scene, args)
+        module = "%s.%s" % (__package__, command.module)
+        __import__(module)  # as an import statement does, so -X importtime reports it
+        result = command.run(sys.modules[module], scene, args)
         if args.format == "json":
             chunks = itertools.chain(jsontext.iterdumps(result), ("\n",))
         elif args.format == "svg":

@@ -23,7 +23,9 @@ is one; otherwise the layers are measured, except a fractal dump's cells
 (a `CellSequence`), which carry their bounds.  The fractal layer is the
 one layer made while it is written, one stroke per cell, so a fractal's
 document streams in memory that does not grow with its depth; every
-other dump is bounded by its input and is gathered whole.
+other dump is bounded by its input and is gathered whole.  The fractal
+and quadtree modules load only when one of their dumps is drawn, so a
+figure of any other structure does not compile them.
 
 Figures repeat coordinates heavily (a depth-5 carpet has 262,144
 coordinate slots but about 244 distinct x and 244 distinct y values), so
@@ -38,13 +40,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .core import GeometryError
-from .fractals import CellSequence
 from .jsontext import TextMemo
-from .quadtree import bounding_square
-from .scene import Scene
+
+if TYPE_CHECKING:
+    from .scene import Scene
 
 CHUNK_LINES = 1024
 
@@ -118,6 +120,8 @@ def _result_layers(results, scene: Scene) -> list[list]:
     if keys == {"kind", "root"}:
         return _quadtree_layers(results)
     if keys == {"kind", "depth", "cells"}:
+        from .fractals import CellSequence
+
         cells = results["cells"]
         if isinstance(cells, CellSequence):
             # made while it is written; it carries the bounds of all its cells
@@ -160,6 +164,8 @@ def _quadtree_layers(data: dict) -> list[list]:
     root = data["root"]
     if data["kind"] == "point":
         if root is not None:
+            from .quadtree import bounding_square
+
             sites = list(_point_tree_sites(root))
             bounds = bounding_square([x for x, _ in sites], [y for _, y in sites])
             lines.append(_rect(*bounds))
@@ -267,7 +273,8 @@ def _bounds(scene: Scene, layers: list[list]) -> tuple[float, float, float, floa
     xs: list[float] = []
     ys: list[float] = []
     for layer in layers:
-        if type(layer) is CellSequence:
+        if type(layer) is not list:
+            # a fractal's CellSequence, which carries its bounds
             x0, y0, x1, y1 = layer.bounds
             xs += (x0, x1)
             ys += (y0, y1)
