@@ -484,14 +484,14 @@ def hull_area(points):
 def cut_offset_reference(loop, ux, uy, target, area, diam):
     """Cut offset from a bisection that clips the cap at every step.
 
-    The library's floating-body bisection with its clip-kernel cap area
-    written out in the same float operations: the kernel's pass keeps
-    the vertices whose value -ux * x + -uy * y - -c is <= 0 and inserts
-    a crossing point on each edge that runs strictly from one side to
-    the other.  It stops when the cap is within 1e-9 * area of target,
-    when the bracket is shorter than 1e-12 * diam, or when the midpoint
-    is no longer strictly inside the bracket, so a faster bisection must
-    return exactly this offset.  loop is a CCW list of (x, y) tuples.
+    The floating-body bisection that the closed-form solve replaced, with
+    its clip-kernel cap area written out in the same float operations: the
+    kernel's pass keeps the vertices whose value -ux * x + -uy * y - -c is
+    <= 0 and inserts a crossing point on each edge that runs strictly from
+    one side to the other.  It stops when the cap is within 1e-9 * area of
+    target, when the bracket is shorter than 1e-12 * diam, or when the
+    midpoint is no longer strictly inside the bracket.  loop is a CCW list
+    of (x, y) tuples.
     """
 
     def cap_area(c):
@@ -530,15 +530,35 @@ def cut_offset_reference(loop, ux, uy, target, area, diam):
     return c
 
 
+def cap_area_exact(loop, ux, uy, c):
+    """The exact area of the part of a convex loop of floats with
+    ux * x + uy * y >= c, in rational arithmetic on the floats given."""
+    from fractions import Fraction
+
+    pts = [(Fraction(x), Fraction(y)) for x, y in loop]
+    fux, fuy, fc = Fraction(ux), Fraction(uy), Fraction(c)
+    vals = [fux * x + fuy * y - fc for x, y in pts]
+    cap = []
+    for s, e, vs, ve in zip(pts, pts[1:] + pts[:1], vals, vals[1:] + vals[:1]):
+        if vs >= 0:
+            cap.append(s)
+        if (vs > 0 > ve) or (vs < 0 < ve):
+            t = vs / (vs - ve)
+            cap.append((s[0] + t * (e[0] - s[0]), s[1] + t * (e[1] - s[1])))
+    total = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(cap, cap[1:] + cap[:1]))
+    return abs(total) / 2
+
+
 def dupin_floating_body_reference(poly, delta, n_directions=720):
-    """dupin_floating_body as it was built before the per-direction splices.
+    """dupin_floating_body as it was built before the closed-form solve.
 
     Every direction solves its offset with cut_offset_reference, scans
     all n vertices for the chord midpoint (_chord_midpoint, which the
     public chord_midpoint still uses) and clips the whole running body
     with one exact-zero Sutherland-Hodgman pass.  poly is a convex
-    geoforge Polygon; the library's result must equal this one, or raise
-    the same error.
+    geoforge Polygon.  Its offsets are within 1e-9 * area of cap error, so
+    the library's midpoints lie close to these, and it raises where the
+    chord scan finds no chord.
     """
     from geoforge.core import (
         _is_convex_loop,
