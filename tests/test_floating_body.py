@@ -27,7 +27,7 @@ from geoforge import (
     polygon_is_convex,
 )
 from geoforge import floating_body
-from geoforge.core import EPS_AREA, EPS_DIST, _sutherland_hodgman
+from geoforge.core import EPS_AREA, EPS_DIST, _polygon_from_loop, _sutherland_hodgman
 from geoforge.floating_body import result_to_dict
 from geoforge.jsontext import dumps
 from geoforge.scene import parse_scene
@@ -316,6 +316,128 @@ def test_cut_offsets_cut_caps_within_the_round_off_bound(case, seed):
         assert error <= _cap_error_bound(loop, c) + notch, (k, float(error / area))
 
 
+def _reference_error_bound(loop, area, c):
+    # cut_offset_reference stops when its float cap is within 1e-9 * A of
+    # the target, and that cap rounds as _Caps' does on a loop not shifted
+    # (M the largest |x| or |y|); or when its bracket is under 1e-12 * diam,
+    # which a chord under diam turns into at most diam^2 * 1e-12 of cap
+    m = max(max(abs(x), abs(y)) for x, y in loop)
+    xs = [x for x, _ in loop]
+    ys = [y for _, y in loop]
+    diam = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
+    return (1e-9 * area + 50 * (len(loop) + 5) * _U * m * m + 3 * _U * m * abs(c)
+            + 1e-12 * diam * diam)
+
+
+def _caps_agree_with_the_reference(poly, delta, ux, uy, c, notch):
+    # the exact caps at c and at the bisection's offset differ by no more
+    # than the two offsets' own error bounds
+    loop = [(v.x, v.y) for v in poly.vertices]
+    area = polygon_area(poly)
+    bb = polygon_bbox(poly)
+    c_ref = geomgen.cut_offset_reference(loop, ux, uy, delta * area, area,
+                                         math.hypot(bb.width, bb.height))
+    exact = geomgen.cap_area_exact(loop, 1.0, 0.0, min(x for x, _ in loop))
+    gap = abs(geomgen.cap_area_exact(loop, ux, uy, c) - geomgen.cap_area_exact(loop, ux, uy, c_ref))
+    bound = _reference_error_bound(loop, exact, c_ref) + _cap_error_bound(loop, c) + notch
+    return gap <= bound, (c, c_ref, float(gap / exact))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_cut_cases())
+def test_cut_offsets_equal_the_clip_every_step_reference(case):
+    # the closed-form offsets against the bisection that clipped the cap at
+    # every step: not bit for bit, as when both bisected, but as caps, to
+    # within the bisection's 1e-9 * A and both round-off bounds
+    poly, delta, phis, _, notch = case
+    for phi in phis:
+        h = cut_halfplane(poly, phi, delta)
+        ok, info = _caps_agree_with_the_reference(poly, delta, h.nx, h.ny, h.c, notch)
+        assert ok, (phi, info)
+
+
+def _count_crossings(monkeypatch) -> list:
+    # every crossing point _Caps.cut forms: four a pass, where it evaluates
+    # the cap at both ends of the run's interval, and two for the root
+    calls = [0]
+    crossing = floating_body._crossing
+
+    def counted(*args):
+        calls[0] += 1
+        return crossing(*args)
+
+    monkeypatch.setattr(floating_body, "_crossing", counted)
+    return calls
+
+
+def test_fast_areas_settle_the_steps_and_the_kernel_the_rest(monkeypatch):
+    # the bisection settled most of its steps by a fast cap area and sent
+    # the rest to the clip kernel; the closed form settles every step, and
+    # the cases that went to the kernel take the same passes
+    calls = _count_crossings(monkeypatch)
+    n = 64
+    ngon = Polygon(
+        [Point(100 * math.cos(0.1 + 2 * math.pi * k / n), 100 * math.sin(0.1 + 2 * math.pi * k / n))
+         for k in range(n)]
+    )
+    loop = [(v.x, v.y) for v in ngon.vertices]
+    target = Fraction(0.1) * geomgen.cap_area_exact(loop, 1.0, 0.0, min(x for x, _ in loop))
+    for k in range(36):
+        h = cut_halfplane(ngon, 2 * math.pi * k / 36, 0.1)
+        assert abs(geomgen.cap_area_exact(loop, h.nx, h.ny, h.c) - target) <= _cap_error_bound(loop, h.c)
+    # from the top vertex one pass per vertex the cap holds, about 17
+    assert calls[0] // 4 <= 20 * 36, calls[0]
+
+    # a vertex reflex by 9e-10 < EPS_AREA: below the bottom edge the
+    # projections dip, and at delta 0.2 the cut passes through the dip,
+    # where the cap is two pieces; the solve finds the cap of the run's
+    # hull, off by less than the notch's area
+    dip = Polygon([Point(0, 0), Point(5e-4, 9e-7), Point(1e-3, 0), Point(5e-4, 4e-6)])
+    assert polygon_is_convex(dip)
+    loop = [(v.x, v.y) for v in dip.vertices]
+    target = Fraction(0.2) * geomgen.cap_area_exact(loop, 1.0, 0.0, 0.0)
+    calls[0] = 0
+    h = cut_halfplane(dip, 1.5 * math.pi, 0.2)
+    assert -9e-7 < h.c < 0.0
+    assert abs(geomgen.cap_area_exact(loop, h.nx, h.ny, h.c) - target) <= 0.5 * 1e-3 * 9e-7
+    assert calls[0] // 4 <= 4
+
+    # far from the origin the shift to vertex 0 keeps the bound tight
+    far = Polygon([Point(999000, -999000), Point(999001, -999000), Point(999001, -998999),
+                   Point(999000, -998999)])
+    loop = [(v.x, v.y) for v in far.vertices]
+    target = Fraction(0.1) * geomgen.cap_area_exact(loop, 1.0, 0.0, 999000.0)
+    calls[0] = 0
+    h = cut_halfplane(far, 0.3, 0.1)
+    assert abs(geomgen.cap_area_exact(loop, h.nx, h.ny, h.c) - target) <= _cap_error_bound(loop, h.c)
+    assert calls[0] // 4 <= 2
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_cut_cases(), st.sampled_from([1, 2, 3, 12, 45]))
+def test_dupin_equals_the_clip_every_direction_reference(case, n_directions):
+    # the sweep's offsets are those of the bisection that clipped the cap at
+    # every step, as caps (see above), and its body is the whole body
+    # clipped in every direction at those offsets, bit for bit
+    poly, delta, _, _, notch = case
+    r, offsets = _dupin_offsets(poly, delta, n_directions)
+    assert len(offsets) == n_directions
+    step = 2.0 * math.pi / n_directions
+    loop = [(v.x, v.y) for v in poly.vertices]
+    body = floating_body._Body(loop)
+    plain = list(loop)
+    for k, c in enumerate(offsets):
+        ux, uy = math.cos(k * step), math.sin(k * step)
+        ok, info = _caps_agree_with_the_reference(poly, delta, ux, uy, c, notch)
+        assert ok, (k, info)
+        if plain:
+            plain = _sutherland_hodgman(plain, ux, uy, c, _band(body, c))
+            if len(plain) < 3:
+                plain = []
+            body.cut(ux, uy, c)
+    assert r.convex_fb == _polygon_from_loop(plain)
+
+
 def test_dupin_uses_the_offsets_and_midpoints_of_single_cuts():
     rng = random.Random(4242)
     hull = geomgen.random_convex_polygon(rng, 40)
@@ -389,6 +511,16 @@ def test_edge_steps_grow_linearly_with_n_plus_directions(monkeypatch):
             count[0] = 0
             dupin_floating_body(poly, 0.1, n_directions)
             assert count[0] <= 40 * (n + n_directions), (n, n_directions, count[0])
+
+
+def test_bench_cuts_evaluate_few_cap_areas(monkeypatch):
+    # the bisection evaluated about 28 cap areas a direction; a pass of the
+    # closed form evaluates the cap at both ends of its interval, and the
+    # sweep takes about three passes a direction
+    calls = _count_crossings(monkeypatch)
+    r = dupin_floating_body(_bench_polygon(256), 0.1, 360)
+    assert len(r.dupin) == 360
+    assert calls[0] // 4 <= 8 * 360, calls[0] / 4 / 360
 
 
 def test_body_work_grows_linearly_with_the_directions(monkeypatch):
