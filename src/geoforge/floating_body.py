@@ -141,9 +141,12 @@ class _Caps:
        early stops where these bounds straddle the target;
     5. mapping back rounds c by u (|c| + 2.01 (|x_0| + |y_0|)), times a
        chord under 2 sqrt(2) M.
-    Where a corner turns right (Polygon admits EPS_AREA, and the shift can
-    round a straight corner either way) a cap can be two pieces; the cut
-    then finds the cap of the run's hull, off by the notches it crosses.
+    Where a corner v turns right (Polygon admits EPS_AREA, and the shift
+    can round a straight corner either way) and is a local minimum of the
+    levels below the cut, the cap can be two pieces.  The cut then solves
+    for one piece, or for the run across the notch, and can take twice the
+    target off a polygon near EPS_AREA in area.  That its error stays
+    within the hull's area above v's level is tested, not proven.
     """
 
     __slots__ = ("loop", "sums", "x0", "y0", "target")
@@ -237,8 +240,7 @@ def cut_halfplane(poly: Polygon, phi: float, delta) -> Halfplane:
         raise GeometryError("phi must be finite")
     caps = _Caps(poly, d)
     loop = caps.loop
-    ux = math.cos(phi)
-    uy = math.sin(phi)
+    ux, uy = math.cos(phi), math.sin(phi)
     t = max(range(len(poly)), key=lambda i: ux * loop[i][0] + uy * loop[i][1])
     return Halfplane(ux, uy, caps.cut(ux, uy, t, t)[2])
 
@@ -485,9 +487,7 @@ def dupin_floating_body(poly: Polygon, delta, n_directions: int = 720) -> Floati
     t = a = b = 0
     step = 2.0 * math.pi / n_directions
     for k in range(n_directions):
-        phi = k * step
-        ux = math.cos(phi)
-        uy = math.sin(phi)
+        ux, uy = math.cos(k * step), math.sin(k * step)
         ht = ux * loop[t][0] + uy * loop[t][1]
         way = 1 if ux * loop[t + 1][0] + uy * loop[t + 1][1] > ht else -1
         while ux * loop[t + way][0] + uy * loop[t + way][1] > ht:

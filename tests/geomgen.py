@@ -530,23 +530,71 @@ def cut_offset_reference(loop, ux, uy, target, area, diam):
     return c
 
 
+def _scaled_levels(loop, ux, uy, offsets):
+    """The loop's coordinates and its levels ux * x + uy * y less each
+    offset, exact, as integers over common denominators."""
+    from fractions import Fraction
+
+    coords = [Fraction(v) for point in loop for v in point]
+    den = math.lcm(*(f.denominator for f in coords))
+    xy = [f.numerator * (den // f.denominator) for f in coords]
+    pts = list(zip(xy[::2], xy[1::2]))
+    fux, fuy = Fraction(ux), Fraction(uy)
+    cs = [Fraction(c) for c in offsets]
+    scale = math.lcm(fux.denominator, fuy.denominator, *(c.denominator for c in cs))
+    iux = fux.numerator * (scale // fux.denominator)
+    iuy = fuy.numerator * (scale // fuy.denominator)
+    levels = [iux * x + iuy * y for x, y in pts]
+    vals = []
+    for c in cs:
+        level = c.numerator * (scale // c.denominator) * den
+        vals.append([h - level for h in levels])
+    return pts, den, vals
+
+
+def _crossing_exact(s, e, vs, ve):
+    from fractions import Fraction
+
+    t = Fraction(vs, vs - ve)
+    return (s[0] + t * (e[0] - s[0]), s[1] + t * (e[1] - s[1]))
+
+
 def cap_area_exact(loop, ux, uy, c):
     """The exact area of the part of a convex loop of floats with
     ux * x + uy * y >= c, in rational arithmetic on the floats given."""
     from fractions import Fraction
 
-    pts = [(Fraction(x), Fraction(y)) for x, y in loop]
-    fux, fuy, fc = Fraction(ux), Fraction(uy), Fraction(c)
-    vals = [fux * x + fuy * y - fc for x, y in pts]
+    pts, den, (vals,) = _scaled_levels(loop, ux, uy, [c])
     cap = []
     for s, e, vs, ve in zip(pts, pts[1:] + pts[:1], vals, vals[1:] + vals[:1]):
         if vs >= 0:
             cap.append(s)
         if (vs > 0 > ve) or (vs < 0 < ve):
-            t = vs / (vs - ve)
-            cap.append((s[0] + t * (e[0] - s[0]), s[1] + t * (e[1] - s[1])))
+            cap.append(_crossing_exact(s, e, vs, ve))
     total = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(cap, cap[1:] + cap[:1]))
-    return abs(total) / 2
+    return Fraction(abs(total)) / (2 * den * den)
+
+
+def chords_exact(loop, ux, uy, offsets):
+    """For each offset c, the first and last points of a loop of floats on
+    the line ux * x + uy * y = c along the line's direction (-uy, ux), as
+    pairs of Fractions, or None where the line misses the loop."""
+    from fractions import Fraction
+
+    pts, den, per_offset = _scaled_levels(loop, ux, uy, offsets)
+    fux, fuy = Fraction(ux), Fraction(uy)
+    chords = []
+    for vals in per_offset:
+        hits = []
+        for s, e, vs, ve in zip(pts, pts[1:] + pts[:1], vals, vals[1:] + vals[:1]):
+            if vs == 0:
+                hits.append(s)
+            elif (vs > 0 > ve) or (vs < 0 < ve):
+                hits.append(_crossing_exact(s, e, vs, ve))
+        hits.sort(key=lambda p: fux * p[1] - fuy * p[0])
+        ends = tuple((Fraction(x) / den, Fraction(y) / den) for x, y in hits[:1] + hits[-1:])
+        chords.append(ends or None)
+    return chords
 
 
 def dupin_floating_body_reference(poly, delta, n_directions=720):
