@@ -11,8 +11,9 @@ SVG or Ipe, either from Python or through the geoforge CLI.
 import sys
 import types
 
-# Each public name's home module.  Importing the package loads none of
-# them: the PEP 562 __getattr__ below loads a name's module on first use.
+# Each public name's home module, and so __all__.  Importing the package
+# loads none of them: the PEP 562 __getattr__ below loads a name's module
+# on first use.
 _HOMES = {
     "beta_skeleton": ("BetaParameter", "ProximityGraph", "beta_skeleton", "theta_of_beta"),
     "core": (
@@ -40,6 +41,7 @@ _HOMES = {
     "triangulation": ("SampleRequest", "Triangulation", "sample_points", "triangulate"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):
@@ -72,65 +74,3 @@ class _Package(types.ModuleType):
 sys.modules[__name__].__class__ = _Package
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AreaFraction",
-    "BBox",
-    "BetaParameter",
-    "COORD_LIMIT",
-    "EPS_AREA",
-    "EPS_DIST",
-    "FloatingBodyResult",
-    "FractalKind",
-    "FractalOutput",
-    "GeometryError",
-    "Halfplane",
-    "MAX_DEPTH",
-    "OnionDecomposition",
-    "Orientation",
-    "Point",
-    "PointLocation",
-    "PointQuadtree",
-    "PRQuadtree",
-    "Polygon",
-    "ProximityGraph",
-    "RenderStyle",
-    "SampleRequest",
-    "Scene",
-    "SceneError",
-    "Segment",
-    "Trapezoid",
-    "TrapezoidalMap",
-    "Triangulation",
-    "VerticalExtension",
-    "Wall",
-    "angle_at",
-    "beta_skeleton",
-    "build_point_quadtree",
-    "build_pr_quadtree",
-    "build_trapezoidal_map",
-    "chord_midpoint",
-    "clip_halfplane",
-    "convex_hull",
-    "cut_halfplane",
-    "dupin_floating_body",
-    "emit_ipe",
-    "emit_svg",
-    "locate",
-    "onion_decomposition",
-    "orientation",
-    "parse_quadtree_array",
-    "parse_scene",
-    "point_in_polygon",
-    "polygon_area",
-    "polygon_bbox",
-    "polygon_is_convex",
-    "quadtree_to_array",
-    "sample_points",
-    "serialize_scene",
-    "sierpinski_carpet",
-    "sierpinski_triangle",
-    "theta_of_beta",
-    "trapezoid_area",
-    "triangulate",
-]

@@ -4,7 +4,9 @@ The numeric policy is deliberately simple: coordinates live in a bounded
 domain (|x|, |y| <= COORD_LIMIT) and all comparisons use fixed absolute
 epsilons.  EPS_AREA guards orientation determinants, EPS_DIST guards
 point and distance comparisons.  Exact arithmetic is out of scope; the
-bounded domain is what keeps the fixed epsilons meaningful.
+bounded domain is what keeps the fixed epsilons meaningful.  A polygon's
+orientation and zero-area test use a shoelace shifted to its first vertex
+(_signed_area2), which rounds with the polygon's size, not its position.
 
 The module also holds the package's one half-plane clip kernel, a
 Sutherland-Hodgman pass over (x, y) tuples with a caller-chosen on-line
@@ -185,13 +187,17 @@ class Halfplane:
 
 
 def _signed_area2(vertices) -> float:
-    """Twice the signed area of a closed vertex loop."""
+    """Twice the signed area of a loop of three or more vertices: the shoelace
+    on coordinates shifted to vertex 0, without the two terms that touch it
+    (exact zeros), so within 2 n^2 u M^2 of exact wherever the loop lies
+    (u = 2^-53, M the largest shifted |x| or |y|)."""
+    x0, y0 = vertices[0].x, vertices[0].y
+    xa, ya = vertices[1].x - x0, vertices[1].y - y0
     total = 0.0
-    n = len(vertices)
-    for i in range(n):
-        p = vertices[i]
-        q = vertices[(i + 1) % n]
-        total += p.x * q.y - q.x * p.y
+    for q in vertices[2:]:
+        xb, yb = q.x - x0, q.y - y0
+        total += xa * yb - xb * ya
+        xa, ya = xb, yb
     return total
 
 

@@ -78,12 +78,11 @@ def _crossing(low, h_low: float, high, h_high: float, c: float):
 class _Caps:
     """The cuts of one convex polygon that cut off caps of one area.
 
-    loop is the polygon shifted to put vertex 0 at the origin, turned
-    counterclockwise by its shifted area and stored twice, so that a run of
-    vertices is a slice; sums[k] adds its terms C_i = x_i y_(i+1) - x_(i+1)
-    y_i for i < k, and target is delta times sums[n], twice the cap area.
-    Vertex i has level h_i = ux x_i + uy y_i; offsets map back by adding
-    the level of vertex 0.
+    loop is the polygon shifted to put vertex 0 at the origin and stored
+    twice, so that a run of vertices is a slice; sums[k] adds its terms C_i
+    = x_i y_(i+1) - x_(i+1) y_i for i < k, and target is delta times
+    sums[n], twice the cap area.  Vertex i has level h_i = ux x_i + uy y_i;
+    offsets map back by adding the level of vertex 0.
 
     Solver.  cut(ux, uy, a, b) starts from a run a..b that holds a top
     vertex.  Let hi = min(h_a, h_b), lo = max(h_(a-1), h_(b+1)), and F(c)
@@ -147,6 +146,14 @@ class _Caps:
     for one piece, or for the run across the notch, and can take twice the
     target off a polygon near EPS_AREA in area.  That its error stays
     within the hull's area above v's level is tested, not proven.
+
+    Orientation.  sums[n] is core._signed_area2 of the loop, so it is > 0
+    unless Polygon reversed the loop it was given, which moves vertex 0; the
+    two sums then differ in sign only where one rounds by more than twice
+    the area A.  In the exact case a sum about a vertex rounds by at most
+    14 n u M'^2 (shifts within u M', products within 3 u M'^2, terms >= 0
+    adding up to at most 8 M'^2), M' < 2M; so there A < 28 n u M^2, under
+    the cap-error bound, which then holds at every offset: caps lie in [0, A].
     """
 
     __slots__ = ("loop", "sums", "x0", "y0", "target")
@@ -154,10 +161,7 @@ class _Caps:
     def __init__(self, poly: Polygon, delta: float) -> None:
         x0 = self.x0 = poly.vertices[0].x
         y0 = self.y0 = poly.vertices[0].y
-        loop = [(v.x - x0, v.y - y0) for v in poly.vertices]
-        if sum(xa * yb - xb * ya for (xa, ya), (xb, yb) in zip(loop, loop[1:] + loop[:1])) < 0.0:
-            loop = loop[:1] + loop[:0:-1]
-        self.loop = loop = loop + loop
+        self.loop = loop = [(v.x - x0, v.y - y0) for v in poly.vertices] * 2
         sums = [0.0]
         for (xa, ya), (xb, yb) in zip(loop, loop[1:]):
             sums.append(sums[-1] + (xa * yb - xb * ya))

@@ -94,6 +94,12 @@ def _closed_stroke(points) -> Stroke:
     return Stroke(points, True)
 
 
+def _loop_strokes(pts: tuple) -> list:
+    """A vertex loop's stroke: closed through three or more points, open
+    through two, none for fewer."""
+    return [Stroke(pts, len(pts) >= 3)] if len(pts) >= 2 else []
+
+
 def _rect(x0, y0, x1, y1) -> Stroke:
     return Stroke(((x0, y0), (x1, y0), (x1, y1), (x0, y1)), True)
 
@@ -147,14 +153,8 @@ def _result_layers(results, scene: Scene) -> list[list]:
 def _onion_layers(layers_data: list) -> list[list]:
     out: list[list] = []
     for layer_pts in layers_data:
-        layer: list = []
-        pts = [(x, y) for x, y in layer_pts]
-        if len(pts) >= 3:
-            layer.append(Stroke(tuple(pts), True))
-        elif len(pts) == 2:
-            layer.append(Stroke(tuple(pts), False))
-        layer.extend(Mark(x, y) for x, y in pts)
-        out.append(layer)
+        pts = tuple((x, y) for x, y in layer_pts)
+        out.append(_loop_strokes(pts) + [Mark(x, y) for x, y in pts])
     return out
 
 
@@ -228,19 +228,9 @@ def _trapmap_layers(data: dict) -> list[list]:
 
 
 def _floating_layers(data: dict) -> list[list]:
-    out: list[list] = []
-    dupin = [(x, y) for x, y in data["dupin"]]
-    layer: list = []
-    if len(dupin) >= 3:
-        layer.append(Stroke(tuple(dupin), True))
-    elif len(dupin) == 2:
-        layer.append(Stroke(tuple(dupin), False))
-    elif dupin:
-        layer.append(Mark(*dupin[0]))
-    out.append(layer)
-    fb = data["convex_fb"]
-    out.append([] if fb is None else [Stroke(tuple((x, y) for x, y in fb), True)])
-    return out
+    dupin = tuple((x, y) for x, y in data["dupin"])
+    body = tuple((x, y) for x, y in data["convex_fb"] or ())
+    return [_loop_strokes(dupin) or [Mark(x, y) for x, y in dupin], _loop_strokes(body)]
 
 
 def _triangulation_layers(data: dict, scene: Scene) -> list[list]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -23,11 +24,13 @@ from geoforge import (
     angle_at,
     clip_halfplane,
     convex_hull,
+    dupin_floating_body,
     orientation,
     point_in_polygon,
     polygon_area,
     polygon_bbox,
     polygon_is_convex,
+    triangulate,
 )
 from geoforge import build_trapezoidal_map
 from geoforge.core import (
@@ -122,6 +125,44 @@ def test_polygon_rejects_degenerate_inputs():
     # a vertex within EPS_DIST of a non-adjacent edge, outside that edge's box
     with pytest.raises(GeometryError, match="edges 0 and 2 touch"):
         Polygon([Point(0, 0), Point(4, 0), Point(4, 4), Point(2, 5e-10), Point(0, 4)])
+
+
+def _far_small_polygon(rng):
+    # a convex 3- to 30-gon 1e-3 to 1e-1 across, its centre 5e5 to 1e6 from
+    # both axes, given in either winding
+    n = rng.randint(3, 30)
+    r = 0.5 * 10.0 ** rng.uniform(-3.0, -1.0)
+    cx = rng.choice((-1.0, 1.0)) * rng.uniform(5e5, 1e6 - 0.1)
+    cy = rng.choice((-1.0, 1.0)) * rng.uniform(5e5, 1e6 - 0.1)
+    step = 2.0 * math.pi / n
+    angles = [(k + rng.uniform(-0.4, 0.4)) * step for k in range(n)]
+    loop = [(cx + r * math.cos(a), cy + r * math.sin(a)) for a in angles]
+    return loop[::-1] if rng.random() < 0.5 else loop
+
+
+def test_small_polygons_far_from_the_origin_keep_their_orientation():
+    # the shoelace on raw coordinates rounds by about n u (1e6)^2, more than
+    # these polygons' areas; relative to vertex 0, twice the area rounds by
+    # at most 2 n^2 u M^2, M the largest shifted coordinate (core._signed_area2)
+    rng = random.Random(18)
+    failures = []
+    for case in range(400):
+        loop = _far_small_polygon(rng)
+        n = len(loop)
+        try:
+            poly = Polygon([Point(x, y) for x, y in loop])
+            verts = [(Fraction(v.x), Fraction(v.y)) for v in poly.vertices]
+            exact = sum(xa * yb - xb * ya
+                        for (xa, ya), (xb, yb) in zip(verts, verts[1:] + verts[:1])) / 2
+            x0, y0 = poly.vertices[0].x, poly.vertices[0].y
+            m = max(max(abs(v.x - x0), abs(v.y - y0)) for v in poly.vertices)
+            assert exact > 0, "stored clockwise"
+            assert abs(Fraction(polygon_area(poly)) - exact) <= n * n * 2.0**-53 * m * m
+            assert len(triangulate(poly).triangles) == n - 2
+            dupin_floating_body(poly, 0.25, 36)
+        except (AssertionError, GeometryError) as e:
+            failures.append((case, n, str(e)[:40]))
+    assert not failures, (len(failures), failures[:5])
 
 
 def test_far_apart_near_collinear_edges_do_not_touch():

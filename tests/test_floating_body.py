@@ -215,12 +215,14 @@ def _cap_error_bound(loop, c):
 
 
 @st.composite
-def _cut_cases(draw, deltas=(1e-6, 0.1, 0.25, 0.45, 0.5)):
+def _cut_cases(draw, deltas=(1e-6, 0.1, 0.25, 0.45, 0.5), far_clockwise=False):
     # convex polygons of every shape the solve must get right: jittered
     # n-gons, rectangles and squares (ties between vertex levels), collinear
     # runs (flat edges, zero-width intervals), thin triangles, the unit square
     # near (1e6, -1e6), the +/-1e6 box, and n-gons with a corner that turns
-    # right by less than EPS_AREA; directions include the axis ties
+    # right by less than EPS_AREA; directions include the axis ties.  With
+    # far_clockwise, the square near (1e6, -1e6) and the collinear runs 999000
+    # from an axis may be given clockwise
     kinds = ["ngon", "rectangle", "collinear", "thin", "far", "box", "reflex"]
     kind = draw(st.sampled_from(kinds))
     valley = None
@@ -265,6 +267,9 @@ def _cut_cases(draw, deltas=(1e-6, 0.1, 0.25, 0.45, 0.5)):
             valley = ((x0 + x1) / 2 + push * nx, (y0 + y1) / 2 + push * ny)
             loop.insert(i + 1, valley)
             phis.append(math.atan2(-ny, -nx))
+    far = kind == "far" or (kind == "collinear" and max(abs(ox), abs(oy)) == 999000.0)
+    if far_clockwise and far and draw(st.booleans()):
+        loop = loop[::-1]
     try:
         poly = Polygon([Point(x, y) for x, y in loop])
     except GeometryError:
@@ -311,11 +316,12 @@ def _dupin_offsets(poly, delta, n_directions):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(_cut_cases(deltas=(1e-6, 0.1, 0.45, 0.5)), st.integers(0, 2**32 - 1))
+@given(_cut_cases(deltas=(1e-6, 0.1, 0.45, 0.5), far_clockwise=True), st.integers(0, 2**32 - 1))
 def test_cut_offsets_cut_caps_within_the_round_off_bound(case, seed):
     # the exact cap area at the offsets of cut_halfplane and of the sweep's
     # cuts, against delta times the exact area; the bisection stopped within
-    # 1e-9 * A, far above this bound
+    # 1e-9 * A, far above this bound.  Far polygons given clockwise check
+    # that _Caps may take Polygon's stored orientation as it is
     poly, delta, phis, n_directions, valley = case
     loop = [(v.x, v.y) for v in poly.vertices]
     area = geomgen.cap_area_exact(loop, 1.0, 0.0, min(x for x, _ in loop))

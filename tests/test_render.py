@@ -142,6 +142,52 @@ def test_triangulation_render_needs_its_polygon():
         emit_svg(scene_of_points((0, 0)), {"triangles": [[0, 1, 2]], "samples": []})
 
 
+_SQUARE_SVG = (
+    '<?xml version="1.0" encoding="UTF-8"?>\n'
+    '<svg xmlns="http://www.w3.org/2000/svg" version="1.1"'
+    ' viewBox="-0.400000 -0.400000 8.800000 8.800000">\n'
+    '<g transform="matrix(1 0 0 -1 0 8.000000)">\n'
+    '<path d="M 0.000000 0.000000 L 8.000000 0.000000 L 8.000000 8.000000'
+    ' L 0.000000 8.000000 Z" fill="none" stroke="black" stroke-width="1.000000"/>\n'
+)
+_SQUARE_IPE = (
+    '<?xml version="1.0"?>\n<!DOCTYPE ipe SYSTEM "ipe.dtd">\n'
+    '<ipe version="70218" creator="geoforge">\n<page>\n'
+    '<path stroke="black">\n0 0 m\n8 0 l\n8 8 l\n0 8 l\nh\n</path>\n'
+)
+
+
+def test_dupin_loci_of_one_and_two_directions_are_golden():
+    # one direction draws its midpoint as a mark, two an open stroke
+    sq = Polygon([Point(0, 0), Point(8, 0), Point(8, 8), Point(0, 8)])
+    scene = Scene(points=(), segments=(), polygons=(sq,), bbox=None)
+    one = result_to_dict(dupin_floating_body(sq, 0.25, 1))
+    two = result_to_dict(dupin_floating_body(sq, 0.25, 2))
+    assert emit_svg(scene, one) == _SQUARE_SVG + (
+        '<circle cx="6.000000" cy="4.000000" r="2.000000" fill="red"/>\n'
+        '<path d="M 0.000000 0.000000 L 6.000000 0.000000 L 6.000000 8.000000'
+        ' L 0.000000 8.000000 Z" fill="none" stroke="blue" stroke-width="1.000000"/>\n'
+        '</g>\n</svg>\n'
+    )
+    assert emit_ipe(scene, one) == _SQUARE_IPE + (
+        '<use name="mark/disk(sx)" pos="6 4" size="normal" stroke="1 0 0"/>\n'
+        '<path stroke="0 0 1">\n0 0 m\n6 0 l\n6 8 l\n0 8 l\nh\n</path>\n'
+        '</page>\n</ipe>\n'
+    )
+    assert emit_svg(scene, two) == _SQUARE_SVG + (
+        '<path d="M 6.000000 4.000000 L 2.000000 4.000000" fill="none" stroke="red"'
+        ' stroke-width="1.000000"/>\n'
+        '<path d="M 2.000000 0.000000 L 6.000000 0.000000 L 6.000000 8.000000'
+        ' L 2.000000 8.000000 Z" fill="none" stroke="blue" stroke-width="1.000000"/>\n'
+        '</g>\n</svg>\n'
+    )
+    assert emit_ipe(scene, two) == _SQUARE_IPE + (
+        '<path stroke="1 0 0">\n6 4 m\n2 4 l\n</path>\n'
+        '<path stroke="0 0 1">\n2 0 m\n6 0 l\n6 8 l\n2 8 l\nh\n</path>\n'
+        '</page>\n</ipe>\n'
+    )
+
+
 def test_scene_bbox_drives_the_viewbox():
     sc = Scene(points=(Point(5, 5),), segments=(), polygons=(), bbox=BBox(0, 0, 10, 10))
     svg = emit_svg(sc, None)
