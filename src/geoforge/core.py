@@ -514,18 +514,28 @@ def _monotone_chain(seq: list) -> list:
     seq holds two or more distinct tuples, sorted, each starting with x and
     y.  A turn with cross <= EPS_AREA pops its middle point, so only strict
     corners stay; convex_hull and the onion peel share this rule.
+
+    Each pass keeps the top two points of its stack in o and q and the
+    rest in a list, so a point that pops nothing costs one cross product
+    and no list indexing.  The cross product is the same expression in the
+    same float order as over an indexed stack, so the pops are the same.
     """
     hull: list = []
     for run in (seq, seq[::-1]):
-        chain: list = []
-        for p in run:
-            while len(chain) >= 2:
-                o, q = chain[-2], chain[-1]
-                if (q[0] - o[0]) * (p[1] - o[1]) - (q[1] - o[1]) * (p[0] - o[0]) > EPS_AREA:
-                    break
-                chain.pop()
-            chain.append(p)
-        hull += chain[:-1]
+        o, q = run[0], run[1]
+        below: list = []  # the stack under o
+        for p in run[2:]:
+            while (q[0] - o[0]) * (p[1] - o[1]) - (q[1] - o[1]) * (p[0] - o[0]) <= EPS_AREA:
+                if not below:
+                    break  # pop q; o alone stays
+                q = o
+                o = below.pop()
+            else:
+                below.append(o)
+                o = q
+            q = p
+        below.append(o)
+        hull += below
     return hull
 
 

@@ -13,8 +13,10 @@ bytes is an array and is iterated once, so a lazy sequence, such as a
 fractal dump's cells, streams without ever being a list.
 
 The walk dispatches on the exact types the package's dumps use (float,
-list, tuple, dict, and an [x, y] pair of floats as one step) and falls
-back to isinstance checks for everything else.  Each distinct float is
+list, tuple, dict, an [x, y] pair of floats as one step, and a list or
+tuple whose items are all exactly int, such as an edge or a triangle, as
+one step through str) and falls back to isinstance checks for everything
+else, bools and int subclasses included.  Each distinct float is
 formatted once per call, through a memo that only floats reach and that
 starts over at a chunk's end once it holds MEMO_LIMIT entries.  Dict keys
 must be strings; any other key raises TypeError, since JSON has no other
@@ -117,6 +119,15 @@ def iterdumps(value):
                 if len(v) == 2 and type(v[0]) is float and type(v[1]) is float:
                     out("[%s,%s]" % (floats[v[0]], floats[v[1]]))
                     continue
+                for x in v:
+                    if type(x) is not int:
+                        break
+                else:
+                    if v:
+                        # str of a list of ints is "[1, 2]", and no int's
+                        # text holds a space
+                        out(str(v if t is list else list(v)).replace(" ", ""))
+                        continue
                 nested, inner = v, False
             elif t is dict:
                 nested, inner = v.items(), True

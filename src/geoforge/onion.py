@@ -9,7 +9,9 @@ layer is filtered out, so a layer of m remaining points costs O(m): one
 monotone chain (core._monotone_chain, whose pop rule convex_hull shares)
 and, per hull edge, a scan of only the points in its x-slab.  A point
 whose cross product with the edge clears core._OFF_LINE is proven off the
-edge; only the others get the exact distance test.
+edge; only the others get the exact distance test.  The chain is most of
+a peel's time, so it keeps the top of its stack in locals and spends one
+cross product on each point that pops nothing.
 """
 
 from __future__ import annotations

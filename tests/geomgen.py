@@ -411,12 +411,34 @@ def peel_oracle(points):
     return layers
 
 
+def monotone_chain_reference(seq, eps_area=1e-9):
+    """The library's former monotone chain, over an indexed stack.
+
+    seq holds two or more distinct tuples, sorted, each starting with x and
+    y.  A turn with cross <= eps_area pops its middle point.  The faster
+    core._monotone_chain must return exactly this list.
+    """
+    hull = []
+    for run in (seq, seq[::-1]):
+        chain = []
+        for p in run:
+            while len(chain) >= 2:
+                o, q = chain[-2], chain[-1]
+                if (q[0] - o[0]) * (p[1] - o[1]) - (q[1] - o[1]) * (p[0] - o[0]) > eps_area:
+                    break
+                chain.pop()
+            chain.append(p)
+        hull += chain[:-1]
+    return hull
+
+
 def onion_reference(points):
     """The library's onion peel with a distance test of every slab point.
 
-    The same sort, duplicate rule, monotone chain and collinear layer as
-    onion_decomposition, but each hull edge runs point_segment_distance on
-    every remaining point of its x-slab, with no _OFF_LINE certificate.
+    The same sort, duplicate rule and collinear layer as
+    onion_decomposition, and the chain of monotone_chain_reference, but
+    each hull edge runs point_segment_distance on every remaining point of
+    its x-slab, with no _OFF_LINE certificate.
     It returns a geoforge OnionDecomposition, so == compares the two.
     """
     from bisect import bisect_left, bisect_right
@@ -424,7 +446,6 @@ def onion_reference(points):
     from geoforge.core import (
         EPS_DIST,
         GeometryError,
-        _monotone_chain,
         _reject_duplicates,
         distance,
         point_segment_distance,
@@ -434,7 +455,7 @@ def onion_reference(points):
     def boundary_layer(order):
         if len(order) == 1:
             return [order[0][2]]
-        hull = _monotone_chain(order)
+        hull = monotone_chain_reference(order)
         if len(hull) == 2:
             return _collinear_layer(order, hull[0], hull[1])
         xs = [t[0] for t in order]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import math
 import random
 
@@ -19,7 +20,10 @@ from geoforge import (
     onion_decomposition,
     theta_of_beta,
 )
-from geoforge.beta_skeleton import graph_to_dict
+from geoforge.beta_skeleton import GRID_MIN_POINTS, graph_to_dict
+
+# the module; the package's name beta_skeleton is the function
+skeleton = importlib.import_module("geoforge.beta_skeleton")
 
 # both branches of the predicate, both sides of beta = 1, and betas whose
 # critical angle is at or below the float noise of the predicate
@@ -212,6 +216,101 @@ def test_walk_matches_every_pair_reference(pts):
     for beta in BETAS:
         want = geomgen.beta_skeleton_reference(raw, theta_of_beta(beta))
         assert set(beta_skeleton(pts, beta).edges) == want, beta
+        # and on a grid of n // 3 cells, which the walk uses from 2 points on
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(skeleton, "GRID_MIN_POINTS", 2)
+            assert set(beta_skeleton(pts, beta).edges) == want, (beta, "grid")
+
+
+# the betas the grid walk is checked at: the no-prune branch, both sides of
+# beta = 1, the relative neighbourhood graph, and the scan-every-point case
+GRID_BETAS = (0.5, 1.0, 1.000000001, 2.0, 1e7)
+
+
+@st.composite
+def _grid_sized_sets(draw, kind):
+    """Sets of GRID_MIN_POINTS to GRID_MIN_POINTS + 48 distinct points."""
+    n = draw(st.integers(GRID_MIN_POINTS, GRID_MIN_POINTS + 48))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if kind == "lattice":
+        # exact d2 ties, and points on the box edges at octant far2 bounds
+        g = math.isqrt(n) + rng.randint(1, 3)
+        s = rng.choice([1.0, 0.5, 3.0, 1e-3])
+        raw = rng.sample([(i * s, j * s) for i in range(g) for j in range(g)], n)
+    elif kind == "cluster":
+        k = rng.randint(1, 3)
+        centres = [(rng.uniform(-1e6, 1e6), rng.uniform(-1e6, 1e6)) for _ in range(k)]
+        raw = [(min(1e6, max(-1e6, cx + rng.uniform(-1e-3, 1e-3))),
+                min(1e6, max(-1e6, cy + rng.uniform(-1e-3, 1e-3))))
+               for cx, cy in (centres[t % k] for t in range(n))]
+    elif kind == "line":
+        dx, dy = rng.choice([(1, 0), (0, 1), (1, 1), (0.3, -0.7)])
+        raw = [(t * dx, t * dy) for t in rng.sample(range(-2 * n, 2 * n), n)]
+        raw += [(rng.uniform(-n, n), rng.uniform(-n, n)) for _ in range(rng.randint(0, 3))]
+    elif kind == "far":
+        # the box's corners, points on its edges, and points inside
+        raw = [(x, y) for x in (-1e6, 1e6) for y in (-1e6, 1e6)]
+        for _ in range(n - 4):
+            u, v = rng.uniform(-1e6, 1e6), rng.choice((-1e6, 1e6, rng.uniform(-1e6, 1e6)))
+            raw.append((u, v) if rng.random() < 0.5 else (v, u))
+    else:
+        raw = [(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) for _ in range(n)]
+    return _distinct(raw)
+
+
+@pytest.mark.parametrize("kind", ["lattice", "cluster", "line", "far", "uniform"])
+def test_grid_walk_matches_every_pair_reference(kind):
+    @settings(max_examples=3, deadline=None, derandomize=True, database=None)
+    @given(_grid_sized_sets(kind))
+    def check(pts):
+        assert len(pts) >= GRID_MIN_POINTS
+        raw = [(p.x, p.y) for p in pts]
+        for beta in GRID_BETAS:
+            want = geomgen.beta_skeleton_reference(raw, theta_of_beta(beta))
+            assert set(beta_skeleton(pts, beta).edges) == want, beta
+
+    check()
+
+
+def test_walk_reaches_points_at_the_octant_bound():
+    # seen from (1, 3) the box is [0, 2] x [0, 3], and (0, 0) and (2, 0) sit
+    # in its steep lower octants at exactly far2 = 3**2 + min(1, 3)**2 = 10;
+    # a walk that stopped at d2 >= far2 would give (1, 3) no candidates
+    cases = [[(2, 0), (1, 3), (0, 0)]]
+    # the same on the edges of lattice boxes of 4 to 160 points, the last
+    # at GRID_MIN_POINTS
+    for k in (1, 2, 5, 40):
+        cases.append([(x, y) for x in range(k + 1) for y in range(k + 1)
+                      if x in (0, k) or y in (0, k)])
+        cases.append([(x, y) for x in range(k + 1) for y in (0, 3 * k)] + [(k // 2, 2 * k)])
+    assert len(cases[-2]) >= GRID_MIN_POINTS
+    for raw in cases:
+        pts = [Point(x, y) for x, y in raw]
+        for beta in GRID_BETAS[1:]:  # the stop needs the prune, beta >= 1
+            want = geomgen.beta_skeleton_reference(raw, theta_of_beta(beta))
+            assert set(beta_skeleton(pts, beta).edges) == want, (len(raw), beta)
+    assert beta_skeleton([Point(*p) for p in cases[0]], 1.0).edge_list() == [(0, 1), (0, 2), (1, 2)]
+
+
+def test_squared_distances_grow_near_linearly(monkeypatch):
+    # every point's full sort made n - 1 evaluations per point, a 4x growth
+    # per doubling; the grid walk meets a few cells around each point
+    made = [0]
+    squared_distances = skeleton._squared_distances
+
+    def counted(d2, block, *rest):
+        made[0] += len(block)
+        return squared_distances(d2, block, *rest)
+
+    monkeypatch.setattr(skeleton, "_squared_distances", counted)
+    rng = random.Random(619)
+    counts = []
+    for n in (1200, 2400, 4800):
+        pts = [Point(x, y) for x, y in geomgen.random_points(rng, n)]
+        made[0] = 0
+        beta_skeleton(pts, 1.0)
+        counts.append(made[0])
+    assert counts[1] < 2.5 * counts[0] and counts[2] < 2.5 * counts[1], counts
 
 
 def test_cone_prune_at_the_45_degree_boundary():

@@ -266,6 +266,62 @@ def test_hull_excludes_collinear_boundary_points():
     assert [(p.x, p.y) for p in hull] == [(0, 0), (2, 0), (2, 2), (0, 2)]
 
 
+@st.composite
+def _chain_sets(draw):
+    """Point sets where the chain's EPS_AREA pop rule decides the hull."""
+    kind = draw(st.sampled_from(["lattice", "runs", "near-turns", "uniform", "far-cluster"]))
+    n = draw(st.integers(1, 60))
+    if kind == "lattice":
+        g = draw(st.integers(1, 6))
+        coord = st.integers(-g, g).map(float)
+        raw = draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n))
+    elif kind == "runs":
+        # vertical runs share x, so the sort breaks their ties on y
+        xs = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3))
+        raw = [(float(draw(st.sampled_from(xs))), float(draw(st.integers(-20, 20))))
+               for _ in range(n)]
+        dx, dy = draw(st.sampled_from([(1, 0), (1, 1), (2, -1)]))
+        raw += [(float(t * dx), float(t * dy)) for t in draw(st.lists(st.integers(-9, 9), max_size=12))]
+    elif kind == "near-turns":
+        # unit steps along a line, each point off it by a few EPS_AREA
+        dy = draw(st.sampled_from([0.0, 0.5, -3.0]))
+        offsets = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.0000001, 2.0])
+        raw = [(float(t), t * dy + draw(offsets) * EPS_AREA) for t in range(n)]
+    elif kind == "uniform":
+        raw = draw(st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                            min_size=n, max_size=n))
+    else:
+        # 1e-3 wide near (1e6, -1e6): products of about 1e-6 against EPS_AREA
+        off = st.floats(0.0, 1e-3)
+        raw = [(1e6 - u, -1e6 + v) for u, v in draw(st.lists(st.tuples(off, off),
+                                                            min_size=n, max_size=n))]
+    return raw
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_chain_sets())
+def test_monotone_chain_equals_the_indexed_stack_reference(raw):
+    unique = sorted(set(raw))
+    if len(unique) >= 2:
+        # the onion's (x, y, index) tuples as well as convex_hull's pairs
+        order = sorted((x, y, i) for i, (x, y) in enumerate(unique))
+        assert core._monotone_chain(order) == geomgen.monotone_chain_reference(order)
+        want = [Point(x, y) for x, y in geomgen.monotone_chain_reference(unique)]
+    else:
+        want = [Point(*unique[0])]
+    assert convex_hull([Point(x, y) for x, y in raw]) == want
+
+
+def test_monotone_chain_pops_a_turn_of_exactly_eps_area():
+    # cross((0, 0), (1, 0), (2, y)) is y exactly: EPS_AREA pops (1, 0), the
+    # next float up keeps it, on the lower chain and, mirrored, the upper
+    for y in (EPS_AREA, math.nextafter(EPS_AREA, 1.0)):
+        for pts in ([(0.0, 0.0), (1.0, 0.0), (2.0, y)], [(0.0, 0.0), (1.0, 0.0), (2.0, -y)]):
+            assert core._monotone_chain(pts) == geomgen.monotone_chain_reference(pts)
+    assert core._monotone_chain([(0.0, 0.0), (1.0, 0.0), (2.0, EPS_AREA)]) == [(0.0, 0.0), (2.0, EPS_AREA)]
+    assert len(core._monotone_chain([(0.0, 0.0), (1.0, 0.0), (2.0, -EPS_AREA)])) == 2
+
+
 def test_angle_at_basic_cases_and_rigid_invariance():
     apex = Point(0, 0)
     assert angle_at(Point(1, 0), apex, Point(0, 1)) == pytest.approx(math.pi / 2, abs=1e-12)

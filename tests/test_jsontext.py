@@ -138,9 +138,19 @@ _scalars = (
     | st.text(max_size=6)
 )
 _pairs = st.tuples(_floats, _floats)
+
+
+class _Count(int):
+    """An int subclass: written item by item, not as an all-int list."""
+
+
+# edges, triangles and cells are all-int lists, written in one step; a
+# bool or an int subclass among them sends the list item by item
+_int_lists = st.lists(st.integers() | st.sampled_from(_SPECIAL_INTS), max_size=4) | st.lists(
+    st.integers() | st.booleans() | st.integers().map(_Count), min_size=1, max_size=3)
 _keys = st.sampled_from(_SPECIAL_TEXT) | st.text(max_size=4)
 _values = st.recursive(
-    _scalars | _pairs.map(list) | _pairs,
+    _scalars | _pairs.map(list) | _pairs | _int_lists | _int_lists.map(tuple),
     lambda inner: st.lists(inner, max_size=5)
     | st.lists(inner, max_size=5).map(tuple)
     | st.dictionaries(_keys, inner, max_size=4),
@@ -161,6 +171,8 @@ def test_ints_and_equal_floats_keep_their_own_spelling():
         assert dumps(doc) == _reference_dumps(doc)
     assert dumps([10**20, 1e20]) == "[100000000000000000000,1e+20]"
     assert dumps([[1e20, -0.0], [0.0, 10**20]]) == "[[1e+20,0],[0,100000000000000000000]]"
+    assert dumps([[0, 1], (2, 3, 4), [True, 1], [1, False], [_Count(5), 6], []]) == (
+        "[[0,1],[2,3,4],[true,1],[1,false],[5,6],[]]")
 
 
 @pytest.mark.parametrize(
