@@ -18,7 +18,8 @@ tuple whose items are all exactly int, such as an edge or a triangle, as
 one step through str) and falls back to isinstance checks for everything
 else, bools and int subclasses included.  Each distinct float is
 formatted once per call, through a memo that only floats reach and that
-starts over at a chunk's end once it holds MEMO_LIMIT entries.  Dict keys
+starts over at a chunk's end once it holds MEMO_LIMIT entries; a miss
+formats in the memo's own `__missing__`, one Python call.  Dict keys
 must be strings; any other key raises TypeError, since JSON has no other
 kind.  An error raises where the walk meets it, so chunks before it may
 already have been yielded.
@@ -41,39 +42,42 @@ def format_number(value) -> str:
         raise TypeError("bool is not a number here")
     if isinstance(value, int):
         return str(value)
-    return _float_text(float(value))
-
-
-def _float_text(v: float) -> str:
-    # "%.12g" spells inf and nan as text ending in "f" or "n"; no finite
-    # number does
-    s = "%.12g" % v
-    if s[-1] in "fn":
-        raise ValueError("cannot serialize non-finite number")
-    return "0" if s == "-0" else s
+    return _FloatText()[float(value)]
 
 
 class TextMemo(dict):
-    """Number -> text, formatted by `fmt` on first lookup of each key.
+    """Number -> text, formatted by the subclass's `__missing__` on first
+    lookup of each key, which stores the text and returns it.
 
-    Keys that compare equal share one entry, so a memo may only see values
-    whose equal keys format alike (for floats: only 0.0 and -0.0 collide).
+    The formatting is written in `__missing__` itself, so a miss costs one
+    Python call.  Keys that compare equal share one entry, so a memo may
+    only see values whose equal keys format alike (for floats: only 0.0
+    and -0.0 collide).
     """
 
-    __slots__ = ("fmt",)
-
-    def __init__(self, fmt) -> None:
-        super().__init__()
-        self.fmt = fmt
-
-    def __missing__(self, v) -> str:
-        s = self[v] = self.fmt(v)
-        return s
+    __slots__ = ()
 
     def trim(self) -> None:
         """Start over once MEMO_LIMIT entries are held; writers call it per chunk."""
         if len(self) >= MEMO_LIMIT:
             self.clear()
+
+
+class _FloatText(TextMemo):
+    """A float's JSON text: "%.12g", with -0 written as 0."""
+
+    __slots__ = ()
+
+    def __missing__(self, v: float) -> str:
+        # "%.12g" spells inf and nan as text ending in "f" or "n"; no finite
+        # number does
+        s = "%.12g" % v
+        if s[-1] in "fn":
+            raise ValueError("cannot serialize non-finite number")
+        if s == "-0":
+            s = "0"
+        self[v] = s
+        return s
 
 
 def dumps(value) -> str:
@@ -84,7 +88,7 @@ def dumps(value) -> str:
 def iterdumps(value):
     """The text of dumps(value), in chunks of CHUNK_PARTS parts."""
     # keyed by floats only: 10**20 == 1e20 but they print differently
-    floats = TextMemo(_float_text)
+    floats = _FloatText()
     parts: list[str] = []
     out = parts.append
     # `items` iterates over what is left of the innermost open container

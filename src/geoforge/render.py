@@ -1,13 +1,16 @@
 """SVG and Ipe figure output.
 
-Both emitters consume the same drawables: the scene's own geometry first,
+Both emitters consume the same layers: the scene's own geometry first,
 then layers extracted from a structure dump (the plain-data form each
-module produces).  The drawables are plain named tuples: a Mark is one
-point, a Stroke a sequence of (x, y) pairs, open or closed; a fractal
-cell's own vertex list serves as its stroke's points.  The
-point-tree walks use an explicit stack, so tree depth is not bounded by
-the recursion limit.  Layers cycle through the style's palette.  Output
-is deterministic: fixed element order and fixed coordinate formatting.
+module produces).  A layer is a pair (strokes, marks), drawn in that
+order in one colour.  A Stroke is a named tuple of a sequence of (x, y)
+pairs, open or closed; a fractal cell's own vertex list serves as its
+stroke's points.  A mark is any (x, y) pair, so the points of a dump (its
+[x, y] lists, or a triangulation's sample pairs) are the marks as they
+are, with nothing made per point.  The point-tree walks use an explicit
+stack, so tree depth is not bounded by the recursion limit.  Layers cycle
+through the style's palette.  Output is deterministic: fixed element
+order and fixed coordinate formatting.
 
 SVG uses fixed 6-decimal coordinates and flips the y axis so figures read
 in math orientation.  Ipe files carry no stylesheet and use only the
@@ -15,13 +18,14 @@ elements ipe, page, path, use and group, which Ipe 7.2.x opens with its
 defaults; coordinates are trimmed to at most 6 decimals.
 
 `svg_chunks` and `ipe_chunks` give a document as chunks: the head, then
-up to CHUNK_LINES drawables of one layer at a time, then the tail; and
-`emit_svg` and `emit_ipe` join them.  Every check runs when a chunk
+up to CHUNK_LINES strokes or marks of one layer at a time, then the tail;
+and `emit_svg` and `emit_ipe` join them.  Every check runs when a chunk
 generator is made, before its first chunk.  The SVG viewBox comes before
 the first path, so the bounds are found first: the scene bbox when there
-is one; otherwise the layers are measured, except a fractal dump's cells
-(a `CellSequence`), which carry their bounds.  The fractal layer is the
-one layer made while it is written, one stroke per cell, so a fractal's
+is one; otherwise the layers are measured: strokes point by point, marks
+by min and max over each coordinate, and a fractal dump's cells (a
+`CellSequence`) by the bounds they carry.  The fractal layer is the one
+layer made while it is written, one stroke per cell, so a fractal's
 document streams in memory that does not grow with its depth; every
 other dump is bounded by its input and is gathered whole.  The fractal
 and quadtree modules load only when one of their dumps is drawn, so a
@@ -29,17 +33,23 @@ figure of any other structure does not compile them.
 
 Figures repeat coordinates heavily (a depth-5 carpet has 262,144
 coordinate slots but about 244 distinct x and 244 distinct y values), so
-each document formats every distinct value once, through a memo keyed by
-the number that starts over after a chunk once it holds MEMO_LIMIT
-entries.  Keys that compare equal print alike in both formats: 0.0 and
--0.0 both print as zero, and an int prints as the float it equals.  Each
-path is built as one string.
+strokes, Ipe marks and the SVG head format every distinct value once per
+document, through a memo keyed by the number that starts over after a
+chunk once it holds MEMO_LIMIT entries; a miss is one Python call, the
+memo's `__missing__`.  Keys that compare equal print alike in both
+formats: 0.0 and -0.0 both print as zero, and an int prints as the float
+it equals.  An SVG mark skips the memo: its line is one "%" over both
+coordinates, with -0.000000 then written as 0.000000, since the points
+that marks draw (samples above all) seldom repeat.  Ipe marks keep it,
+because the scene layer and a structure's layers draw the same input
+points twice.  Each path is built as one string.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, islice
+from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .core import GeometryError
@@ -49,6 +59,9 @@ if TYPE_CHECKING:
     from .scene import Scene
 
 CHUNK_LINES = 1024
+
+_X = itemgetter(0)
+_Y = itemgetter(1)
 
 IPE_VERSION = "70218"
 IPE_CREATOR = "geoforge"
@@ -79,11 +92,6 @@ class RenderStyle:
         return self.layer_colors[layer % len(self.layer_colors)]
 
 
-class Mark(NamedTuple):
-    x: float
-    y: float
-
-
 class Stroke(NamedTuple):
     # any sequence of (x, y) pairs, a dump's own lists included
     points: Sequence[Sequence[float]]
@@ -94,7 +102,7 @@ def _closed_stroke(points) -> Stroke:
     return Stroke(points, True)
 
 
-def _loop_strokes(pts: tuple) -> list:
+def _loop_strokes(pts) -> list:
     """A vertex loop's stroke: closed through three or more points, open
     through two, none for fewer."""
     return [Stroke(pts, len(pts) >= 3)] if len(pts) >= 2 else []
@@ -104,18 +112,16 @@ def _rect(x0, y0, x1, y1) -> Stroke:
     return Stroke(((x0, y0), (x1, y0), (x1, y1), (x0, y1)), True)
 
 
-def _scene_layer(scene: Scene) -> list:
-    layer: list = []
+def _scene_layer(scene: Scene) -> tuple:
+    strokes: list = []
     for s in scene.segments:
-        layer.append(Stroke(((s.a.x, s.a.y), (s.b.x, s.b.y)), False))
+        strokes.append(Stroke(((s.a.x, s.a.y), (s.b.x, s.b.y)), False))
     for poly in scene.polygons:
-        layer.append(Stroke(tuple((v.x, v.y) for v in poly.vertices), True))
-    for p in scene.points:
-        layer.append(Mark(p.x, p.y))
-    return layer
+        strokes.append(Stroke(tuple((v.x, v.y) for v in poly.vertices), True))
+    return strokes, [(p.x, p.y) for p in scene.points]
 
 
-def _result_layers(results, scene: Scene) -> list[list]:
+def _result_layers(results, scene: Scene) -> list[tuple]:
     if results is None:
         return []
     if isinstance(results, list):
@@ -131,8 +137,8 @@ def _result_layers(results, scene: Scene) -> list[list]:
         cells = results["cells"]
         if isinstance(cells, CellSequence):
             # made while it is written; it carries the bounds of all its cells
-            return [cells.remade(_closed_stroke)]
-        return [[Stroke(cell, True) for cell in cells]]
+            return [(cells.remade(_closed_stroke), [])]
+        return [([Stroke(cell, True) for cell in cells], [])]
     if keys == {"bbox", "segments", "extensions", "trapezoids"}:
         return _trapmap_layers(results)
     if keys == {"points", "edges"}:
@@ -141,8 +147,7 @@ def _result_layers(results, scene: Scene) -> list[list]:
             Stroke(((pts[i][0], pts[i][1]), (pts[j][0], pts[j][1])), False)
             for i, j in results["edges"]
         ]
-        marks = [Mark(x, y) for x, y in pts]
-        return [edges, marks]
+        return [(edges, []), ([], pts)]
     if keys == {"delta", "dupin", "convex_fb", "is_dupin_convex"}:
         return _floating_layers(results)
     if keys == {"triangles", "samples"}:
@@ -150,15 +155,11 @@ def _result_layers(results, scene: Scene) -> list[list]:
     raise GeometryError("cannot render this dump")
 
 
-def _onion_layers(layers_data: list) -> list[list]:
-    out: list[list] = []
-    for layer_pts in layers_data:
-        pts = tuple((x, y) for x, y in layer_pts)
-        out.append(_loop_strokes(pts) + [Mark(x, y) for x, y in pts])
-    return out
+def _onion_layers(layers_data: list) -> list[tuple]:
+    return [(_loop_strokes(pts), pts) for pts in layers_data]
 
 
-def _quadtree_layers(data: dict) -> list[list]:
+def _quadtree_layers(data: dict) -> list[tuple]:
     lines: list = []
     marks: list = []
     root = data["root"]
@@ -174,7 +175,7 @@ def _quadtree_layers(data: dict) -> list[list]:
         _pr_tree_lines(root, lines, marks)
     else:
         raise GeometryError("cannot render this dump")
-    return [lines, marks]
+    return [(lines, []), ([], marks)]
 
 
 def _point_tree_sites(root: dict):
@@ -195,10 +196,11 @@ def _point_tree_lines(root: dict, bounds, lines: list, marks: list) -> None:
         node, (x0, y0, x1, y1) = stack.pop()
         if node is None:
             continue
-        sx, sy = node["site"]
+        site = node["site"]
+        sx, sy = site
         lines.append(Stroke(((sx, y0), (sx, y1)), False))
         lines.append(Stroke(((x0, sy), (x1, sy)), False))
-        marks.append(Mark(sx, sy))
+        marks.append(site)
         stack.append((node["se"], (sx, y0, x1, sy)))
         stack.append((node["sw"], (x0, y0, sx, sy)))
         stack.append((node["ne"], (sx, sy, x1, y1)))
@@ -208,13 +210,13 @@ def _point_tree_lines(root: dict, bounds, lines: list, marks: list) -> None:
 def _pr_tree_lines(node, lines: list, marks: list) -> None:
     lines.append(_rect(*node["region"]))
     if "points" in node:
-        marks.extend(Mark(x, y) for x, y in node["points"])
+        marks.extend(node["points"])
         return
     for child in node["children"]:
         _pr_tree_lines(child, lines, marks)
 
 
-def _trapmap_layers(data: dict) -> list[list]:
+def _trapmap_layers(data: dict) -> list[tuple]:
     base: list = [_rect(*data["bbox"])]
     for (ax, ay), (bx, by) in data["segments"]:
         base.append(Stroke(((ax, ay), (bx, by)), False))
@@ -224,16 +226,16 @@ def _trapmap_layers(data: dict) -> list[list]:
         ux, uy = e["up_hit"]
         dx, dy = e["down_hit"]
         ext.append(Stroke(((dx, dy), (ox, oy), (ux, uy)), False))
-    return [base, ext]
+    return [(base, []), (ext, [])]
 
 
-def _floating_layers(data: dict) -> list[list]:
-    dupin = tuple((x, y) for x, y in data["dupin"])
-    body = tuple((x, y) for x, y in data["convex_fb"] or ())
-    return [_loop_strokes(dupin) or [Mark(x, y) for x, y in dupin], _loop_strokes(body)]
+def _floating_layers(data: dict) -> list[tuple]:
+    dupin = data["dupin"]
+    outline = _loop_strokes(dupin)
+    return [(outline, [] if outline else dupin), (_loop_strokes(data["convex_fb"] or ()), [])]
 
 
-def _triangulation_layers(data: dict, scene: Scene) -> list[list]:
+def _triangulation_layers(data: dict, scene: Scene) -> list[tuple]:
     if not scene.polygons:
         raise GeometryError("cannot render a triangulation without its polygon")
     verts = scene.polygons[0].vertices
@@ -245,37 +247,35 @@ def _triangulation_layers(data: dict, scene: Scene) -> list[list]:
                 True,
             )
         )
-    marks = [Mark(x, y) for x, y in data["samples"]]
-    return [tris, marks]
+    return [(tris, []), ([], data["samples"])]
 
 
-def _gather_layers(scene: Scene, results) -> list[list]:
+def _gather_layers(scene: Scene, results) -> list[tuple]:
     layers = [_scene_layer(scene)] + _result_layers(results, scene)
-    if not any(layers):
+    if not any(strokes or marks for strokes, marks in layers):
         raise GeometryError("nothing to render")
     return layers
 
 
-def _bounds(scene: Scene, layers: list[list]) -> tuple[float, float, float, float]:
+def _bounds(scene: Scene, layers: list[tuple]) -> tuple[float, float, float, float]:
     if scene.bbox is not None:
         b = scene.bbox
         return b.xmin, b.ymin, b.xmax, b.ymax
     xs: list[float] = []
     ys: list[float] = []
-    for layer in layers:
-        if type(layer) is not list:
+    for strokes, marks in layers:
+        if type(strokes) is list:
+            for stroke in strokes:
+                xs.extend(p[0] for p in stroke.points)
+                ys.extend(p[1] for p in stroke.points)
+        else:
             # a fractal's CellSequence, which carries its bounds
-            x0, y0, x1, y1 = layer.bounds
+            x0, y0, x1, y1 = strokes.bounds
             xs += (x0, x1)
             ys += (y0, y1)
-            continue
-        for item in layer:
-            if type(item) is Mark:
-                xs.append(item.x)
-                ys.append(item.y)
-            else:
-                xs.extend(p[0] for p in item.points)
-                ys.extend(p[1] for p in item.points)
+        if marks:
+            xs += (min(map(_X, marks)), max(map(_X, marks)))
+            ys += (min(map(_Y, marks)), max(map(_Y, marks)))
     return min(xs), min(ys), max(xs), max(ys)
 
 
@@ -286,14 +286,30 @@ def _padded(bounds, frac: float = 0.05) -> tuple[float, float, float, float]:
     return x0 - pad_x, y0 - pad_y, x1 + pad_x, y1 + pad_y
 
 
-def _fmt_svg(v: float) -> str:
-    s = "%.6f" % v
-    return "0.000000" if s == "-0.000000" else s
+class _SvgText(TextMemo):
+    """A number's SVG text: fixed 6 decimals, with -0.000000 written as 0.000000."""
+
+    __slots__ = ()
+
+    def __missing__(self, v: float) -> str:
+        s = "%.6f" % v
+        if s == "-0.000000":
+            s = "0.000000"
+        self[v] = s
+        return s
 
 
-def _fmt_ipe(v: float) -> str:
-    s = ("%.6f" % v).rstrip("0").rstrip(".")
-    return "0" if s == "-0" else s
+class _IpeText(TextMemo):
+    """A number's Ipe text: at most 6 decimals, trailing zeros cut, -0 written as 0."""
+
+    __slots__ = ()
+
+    def __missing__(self, v: float) -> str:
+        s = ("%.6f" % v).rstrip("0").rstrip(".")
+        if s == "-0":
+            s = "0"
+        self[v] = s
+        return s
 
 
 def _batches(layer):
@@ -313,40 +329,43 @@ def svg_chunks(scene: Scene, results=None, style: RenderStyle | None = None):
     style = style or RenderStyle()
     layers = _gather_layers(scene, results)
     x0, y0, x1, y1 = _padded(_bounds(scene, layers))
+    c = _SvgText()
     head = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="%s %s %s %s">'
-        % (_fmt_svg(x0), _fmt_svg(y0), _fmt_svg(x1 - x0), _fmt_svg(y1 - y0)),
-        '<g transform="matrix(1 0 0 -1 0 %s)">' % _fmt_svg(y0 + y1),
+        % (c[x0], c[y0], c[x1 - x0], c[y1 - y0]),
+        '<g transform="matrix(1 0 0 -1 0 %s)">' % c[y0 + y1],
         "",
     ]
-    return chain(("\n".join(head),), _svg_body(layers, style), ("</g>\n</svg>\n",))
+    return chain(("\n".join(head),), _svg_body(layers, style, c), ("</g>\n</svg>\n",))
 
 
-def _svg_body(layers, style: RenderStyle):
-    c = TextMemo(_fmt_svg)
-    radius = _fmt_svg(style.mark_radius)
-    width = _fmt_svg(style.stroke_width)
-    for index, layer in enumerate(layers):
+def _svg_body(layers, style: RenderStyle, c: _SvgText):
+    radius = c[style.mark_radius]
+    width = c[style.stroke_width]
+    for index, (strokes, marks) in enumerate(layers):
         color = style.color(index)
-        for batch in _batches(layer):
+        for batch in _batches(strokes):
             lines = []
-            for item in batch:
-                if type(item) is Mark:
-                    x, y = item
-                    lines.append(f'<circle cx="{c[x]}" cy="{c[y]}" r="{radius}" fill="{color}"/>')
-                else:
-                    ops = [f"L {c[x]} {c[y]}" for x, y in item.points]
-                    if ops:
-                        ops[0] = "M" + ops[0][1:]
-                    if item.closed:
-                        ops.append("Z")
-                    lines.append(
-                        f'<path d="{" ".join(ops)}" fill="none" stroke="{color}" stroke-width="{width}"/>'
-                    )
+            for points, closed in batch:
+                ops = [f"L {c[x]} {c[y]}" for x, y in points]
+                if ops:
+                    ops[0] = "M" + ops[0][1:]
+                if closed:
+                    ops.append("Z")
+                lines.append(
+                    f'<path d="{" ".join(ops)}" fill="none" stroke="{color}" stroke-width="{width}"/>'
+                )
             lines.append("")
             yield "\n".join(lines)
             c.trim()
+        # one "%" per mark; of the attribute values only cx, cy and r are
+        # followed by a space, and r is the memo's text, never -0.000000
+        circle = '<circle cx="%%.6f" cy="%%.6f" r="%s" fill="%s"/>\n' % (
+            radius, color.replace("%", "%%"))
+        for batch in _batches(marks):
+            text = "".join([circle % (x, y) for x, y in batch])
+            yield text.replace('="-0.000000" ', '="0.000000" ')
 
 
 def emit_ipe(scene: Scene, results=None, style: RenderStyle | None = None) -> str:
@@ -369,25 +388,25 @@ def ipe_chunks(scene: Scene, results=None, style: RenderStyle | None = None):
 
 
 def _ipe_body(layers, style: RenderStyle):
-    c = TextMemo(_fmt_ipe)
-    for index, layer in enumerate(layers):
+    c = _IpeText()
+    for index, (strokes, marks) in enumerate(layers):
         color = _IPE_COLORS.get(style.color(index), "black")
         path_open = f'<path stroke="{color}">'
-        for batch in _batches(layer):
+        for batch in _batches(strokes):
             lines = []
-            for item in batch:
-                if type(item) is Mark:
-                    x, y = item
-                    lines.append(
-                        f'<use name="mark/disk(sx)" pos="{c[x]} {c[y]}" size="normal" stroke="{color}"/>'
-                    )
-                else:
-                    ops = [f"{c[x]} {c[y]} l" for x, y in item.points]
-                    if ops:
-                        ops[0] = ops[0][:-1] + "m"
-                    if item.closed:
-                        ops.append("h")
-                    lines.append("\n".join([path_open, *ops, "</path>"]))
+            for points, closed in batch:
+                ops = [f"{c[x]} {c[y]} l" for x, y in points]
+                if ops:
+                    ops[0] = ops[0][:-1] + "m"
+                if closed:
+                    ops.append("h")
+                lines.append("\n".join([path_open, *ops, "</path>"]))
             lines.append("")
             yield "\n".join(lines)
+            c.trim()
+        for batch in _batches(marks):
+            yield "".join([
+                f'<use name="mark/disk(sx)" pos="{c[x]} {c[y]}" size="normal" stroke="{color}"/>\n'
+                for x, y in batch
+            ])
             c.trim()

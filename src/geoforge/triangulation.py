@@ -89,11 +89,21 @@ read must hold every such p:
    for rows), so every blocker sits in a cell that is read.
 
 Sampling picks a triangle by inverse transform over the cumulative areas,
-then folds two unit uniforms into barycentric coordinates.  The generator
-is Python's Mersenne Twister (random.Random) seeded with the request's
-64-bit seed; per sample the draw order is fixed: triangle pick, then u,
-then v.  CPython guarantees the stability of random() across releases,
-which makes sampled output reproducible byte for byte.
+then folds two unit uniforms into barycentric coordinates (Turk, "Generating
+random points in triangles", Graphics Gems, 1990).  The generator is
+Python's Mersenne Twister (random.Random) seeded with the request's 64-bit
+seed; per sample the draw order is fixed: triangle pick, then u, then v.
+CPython guarantees the stability of random() across releases, which makes
+sampled output reproducible byte for byte.
+
+Each sample is drawn once, as an (x, y) float pair, from per-triangle data
+computed once: a corner and the offsets of the other two.  A sum that
+rounds past COORD_LIMIT raises Point's range error at the draw, so a
+document never starts.  `sample_points` returns the pairs as a `Samples`,
+which reads as a list of Points; `triangulation_to_dict` puts the same
+list of pairs in the dump, and the JSON writer and the renderer write
+each pair straight to text.  No Point, dump list or mark is made per
+sample.
 """
 
 from __future__ import annotations
@@ -102,9 +112,11 @@ import bisect
 import heapq
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate, starmap
 
-from .core import EPS_AREA, GeometryError, Point, Polygon, cross
+from .core import COORD_LIMIT, EPS_AREA, GeometryError, Point, Polygon, cross
 
 _ROUNDING = 2.0**-50  # g in the module docstring
 
@@ -331,7 +343,45 @@ def triangle_areas(tri: Triangulation) -> list[float]:
     ]
 
 
-def sample_points(tri: Triangulation, request: SampleRequest) -> list[Point]:
+class Samples(Sequence):
+    """Sampled points, stored once as (x, y) float pairs in `pairs`.
+
+    It reads as the list of Points it stands for: indexing and iteration
+    make each Point when it is read, a slice is a list of Points, and it
+    equals a list of equal Points.  The dump and the writers take `pairs`
+    as they are.
+    """
+
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs: list) -> None:
+        self.pairs = pairs
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    def __iter__(self):
+        return starmap(Point, self.pairs)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(starmap(Point, self.pairs[index]))
+        return Point(*self.pairs[index])
+
+    def __eq__(self, other):
+        if isinstance(other, Samples):
+            return self.pairs == other.pairs
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return "Samples(%r)" % self.pairs
+
+
+def sample_points(tri: Triangulation, request: SampleRequest) -> Samples:
     """Uniform points in the polygon, reproducible from the request seed."""
     if not isinstance(request, SampleRequest):
         raise GeometryError("request must be a SampleRequest")
@@ -339,37 +389,48 @@ def sample_points(tri: Triangulation, request: SampleRequest) -> list[Point]:
     return _sample_with_rng(tri, request.count, rng)
 
 
-def _sample_with_rng(tri: Triangulation, count: int, rng) -> list[Point]:
+def _sample_with_rng(tri: Triangulation, count: int, rng) -> Samples:
     areas = triangle_areas(tri)
     if not areas:
         raise GeometryError("triangulation has no triangles")
-    cumulative: list[float] = []
-    total = 0.0
-    for a in areas:
-        total += a
-        cumulative.append(total)
+    cumulative = list(accumulate(areas))
+    total = cumulative[-1]
     verts = tri.polygon.vertices
-    out: list[Point] = []
-    last = len(areas) - 1
-    for _ in range(count):
-        r = rng.random() * total
-        idx = min(bisect.bisect_right(cumulative, r), last)
-        i, j, k = tri.triangles[idx]
+    # per triangle: its first corner and the offsets of the other two
+    corners = []
+    for i, j, k in tri.triangles:
         a, b, c = verts[i], verts[j], verts[k]
-        u = rng.random()
-        v = rng.random()
+        corners.append((a.x, a.y, b.x - a.x, b.y - a.y, c.x - a.x, c.y - a.y))
+    # the pick can round up to total, where bisect gives len(cumulative):
+    # the last triangle again
+    corners.append(corners[-1])
+    draw = rng.random
+    pick = bisect.bisect_right
+    limit = COORD_LIMIT
+    pairs: list[tuple[float, float]] = []
+    keep = pairs.append
+    for _ in range(count):
+        ax, ay, bx, by, cx, cy = corners[pick(cumulative, draw() * total)]
+        u = draw()
+        v = draw()
         if u + v > 1.0:
             u = 1.0 - u
             v = 1.0 - v
-        out.append(
-            Point(a.x + u * (b.x - a.x) + v * (c.x - a.x),
-                  a.y + u * (b.y - a.y) + v * (c.y - a.y))
-        )
-    return out
+        x = ax + u * bx + v * cx
+        y = ay + u * by + v * cy
+        if not (-limit <= x <= limit and -limit <= y <= limit):
+            Point(x, y)  # rounding took it out of range: raises Point's own error
+        keep((x, y))
+    return Samples(pairs)
 
 
 def triangulation_to_dict(tri: Triangulation, samples=()) -> dict:
+    """The plain-data form; `samples` is a Samples or any iterable of Points."""
+    if type(samples) is Samples:
+        pairs = samples.pairs
+    else:
+        pairs = [(p.x, p.y) for p in samples]
     return {
         "triangles": [[i, j, k] for i, j, k in tri.triangles],
-        "samples": [[p.x, p.y] for p in samples],
+        "samples": pairs,
     }

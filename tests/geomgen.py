@@ -818,6 +818,56 @@ def triangulate_reference(poly):
     return tuple(triangles)
 
 
+def sample_points_reference(tri, count, rng):
+    """Samples as the library drew them before it stored (x, y) pairs.
+
+    The draw loop verbatim: per sample a triangle pick by inverse
+    transform over the cumulative areas, then u, then v, folded back
+    into the triangle, and a Point made from the same float expressions.
+    tri is a geoforge Triangulation and rng has random(); the library's
+    samples must equal this list, or raise the same GeometryError.
+    """
+    import bisect
+
+    from geoforge.core import GeometryError, Point
+    from geoforge.triangulation import triangle_areas
+
+    areas = triangle_areas(tri)
+    if not areas:
+        raise GeometryError("triangulation has no triangles")
+    cumulative: list[float] = []
+    total = 0.0
+    for a in areas:
+        total += a
+        cumulative.append(total)
+    verts = tri.polygon.vertices
+    out: list[Point] = []
+    last = len(areas) - 1
+    for _ in range(count):
+        r = rng.random() * total
+        idx = min(bisect.bisect_right(cumulative, r), last)
+        i, j, k = tri.triangles[idx]
+        a, b, c = verts[i], verts[j], verts[k]
+        u = rng.random()
+        v = rng.random()
+        if u + v > 1.0:
+            u = 1.0 - u
+            v = 1.0 - v
+        out.append(
+            Point(a.x + u * (b.x - a.x) + v * (c.x - a.x),
+                  a.y + u * (b.y - a.y) + v * (c.y - a.y))
+        )
+    return out
+
+
+def triangulation_to_dict_reference(triangles, points):
+    """A triangulation dump as it was made from a list of Points."""
+    return {
+        "triangles": [[i, j, k] for i, j, k in triangles],
+        "samples": [[p.x, p.y] for p in points],
+    }
+
+
 def pr_quadtree_reference(points, region=None, capacity=1):
     """PR quadtree built by inserting the points one at a time.
 

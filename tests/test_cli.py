@@ -447,6 +447,29 @@ def test_carpet_memory_does_not_grow_with_depth(scenes, tmp_path):
             assert growth[depth, fmt] - growth[3, fmt] < 8 * 1024, (depth, fmt, growth)
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_sample_memory_per_sample(scenes, tmp_path):
+    # each sample is held once, as an (x, y) pair, and an SVG mark is made
+    # from it as it is written: from 20,000 to 80,000 samples the peak grew
+    # by about 133 B a sample; a Point, a dump list and a mark per sample
+    # took about 308 B
+    runs = {}
+    for count in (20000, 80000):
+        argv = ["sample", "--input", scenes["polygon"], "--count", str(count), "--seed", "7",
+                "--format", "svg", "--output", str(tmp_path / ("s%d.svg" % count))]
+        runs[count] = subprocess.Popen(
+            [sys.executable, "-c", _RSS_CHILD] + argv,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_child_env())
+    growth = {}
+    for count, child in runs.items():
+        out, err = child.communicate(timeout=60)
+        code, before, after = map(int, out.split())
+        assert child.returncode == 0 and code == 0, err
+        growth[count] = after - before
+    per_sample = (growth[80000] - growth[20000]) * 1024 / 60000
+    assert per_sample < 200, (per_sample, growth)
+
+
 def test_deep_point_quadtree_writes_every_format(tmp_path):
     # 1500 diagonal points make a point quadtree that is one path 1500 levels
     # deep; every walk over it must do without the interpreter's recursion

@@ -73,6 +73,9 @@ def test_each_run_loads_only_its_own_modules(tmp_path):
     # a figure loads render, but not the fractal or quadtree code it can draw
     cases.append((_argv("onion", out) + ["--format", "svg"],
                   PIPELINE | {"geoforge.onion", "geoforge.render"}))
+    for fmt in ("svg", "ipe"):
+        cases.append((_argv("sample", out) + ["--format", fmt],
+                      PIPELINE | {"geoforge.triangulation", "geoforge.render"}))
     lines = _python(ISOLATED_RUNS, json.dumps([argv for argv, _ in cases])).splitlines()
     assert len(lines) == len(cases)
     for (argv, want), line in zip(cases, lines):

@@ -220,24 +220,24 @@ def _reference_svg(scene, results) -> str:
         % (f(x0), f(y0), f(x1 - x0), f(y1 - y0)),
         '<g transform="matrix(1 0 0 -1 0 %s)">' % f(y0 + y1),
     ]
-    for index, layer in enumerate(layers):
+    # each layer is its strokes, then its marks: (x, y) pairs
+    for index, (strokes, marks) in enumerate(layers):
         color = style.color(index)
-        for item in layer:
-            if isinstance(item, render.Mark):
-                lines.append(
-                    '<circle cx="%s" cy="%s" r="%s" fill="%s"/>'
-                    % (f(item.x), f(item.y), f(style.mark_radius), color)
-                )
-            else:
-                parts = []
-                for i, (px, py) in enumerate(item.points):
-                    parts.append("%s %s %s" % ("M" if i == 0 else "L", f(px), f(py)))
-                if item.closed:
-                    parts.append("Z")
-                lines.append(
-                    '<path d="%s" fill="none" stroke="%s" stroke-width="%s"/>'
-                    % (" ".join(parts), color, f(style.stroke_width))
-                )
+        for item in strokes:
+            parts = []
+            for i, (px, py) in enumerate(item.points):
+                parts.append("%s %s %s" % ("M" if i == 0 else "L", f(px), f(py)))
+            if item.closed:
+                parts.append("Z")
+            lines.append(
+                '<path d="%s" fill="none" stroke="%s" stroke-width="%s"/>'
+                % (" ".join(parts), color, f(style.stroke_width))
+            )
+        for x, y in marks:
+            lines.append(
+                '<circle cx="%s" cy="%s" r="%s" fill="%s"/>'
+                % (f(x), f(y), f(style.mark_radius), color)
+            )
     lines += ["</g>", "</svg>"]
     return "\n".join(lines) + "\n"
 
@@ -252,21 +252,20 @@ def _reference_ipe(scene, results) -> str:
         '<ipe version="70218" creator="geoforge">',
         "<page>",
     ]
-    for index, layer in enumerate(layers):
+    for index, (strokes, marks) in enumerate(layers):
         color = render._IPE_COLORS.get(style.color(index), "black")
-        for item in layer:
-            if isinstance(item, render.Mark):
-                lines.append(
-                    '<use name="mark/disk(sx)" pos="%s %s" size="normal" stroke="%s"/>'
-                    % (f(item.x), f(item.y), color)
-                )
-            else:
-                lines.append('<path stroke="%s">' % color)
-                for i, (px, py) in enumerate(item.points):
-                    lines.append("%s %s %s" % (f(px), f(py), "m" if i == 0 else "l"))
-                if item.closed:
-                    lines.append("h")
-                lines.append("</path>")
+        for item in strokes:
+            lines.append('<path stroke="%s">' % color)
+            for i, (px, py) in enumerate(item.points):
+                lines.append("%s %s %s" % (f(px), f(py), "m" if i == 0 else "l"))
+            if item.closed:
+                lines.append("h")
+            lines.append("</path>")
+        for x, y in marks:
+            lines.append(
+                '<use name="mark/disk(sx)" pos="%s %s" size="normal" stroke="%s"/>'
+                % (f(x), f(y), color)
+            )
     lines += ["</page>", "</ipe>"]
     return "\n".join(lines) + "\n"
 
@@ -323,14 +322,13 @@ def _all_layers_bounds(scene, layers):
         return b.xmin, b.ymin, b.xmax, b.ymax
     xs: list = []
     ys: list = []
-    for layer in layers:
-        for item in layer:
-            if isinstance(item, render.Mark):
-                xs.append(item.x)
-                ys.append(item.y)
-            else:
-                xs.extend(p[0] for p in item.points)
-                ys.extend(p[1] for p in item.points)
+    for strokes, marks in layers:
+        for item in strokes:
+            xs.extend(p[0] for p in item.points)
+            ys.extend(p[1] for p in item.points)
+        for x, y in marks:
+            xs.append(x)
+            ys.append(y)
     return min(xs), min(ys), max(xs), max(ys)
 
 
@@ -358,7 +356,7 @@ def test_streamed_viewbox_equals_the_bounds_of_every_layer():
         layers = render._gather_layers(scene, dump)
         expect = render._padded(_all_layers_bounds(scene, layers))
         assert render._bounds(scene, layers) == _all_layers_bounds(scene, layers)
-        f = render._fmt_svg
+        f = _reference_fmt_svg
         x0, y0, x1, y1 = expect
         assert _viewbox(emit_svg(scene, dump)) == "%s %s %s %s" % (
             f(x0), f(y0), f(x1 - x0), f(y1 - y0))

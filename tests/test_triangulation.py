@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import geomgen
 from geoforge import (
+    BBox,
     GeometryError,
     Point,
     PointLocation,
@@ -20,8 +22,11 @@ from geoforge import (
     sample_points,
     triangulate,
 )
-from geoforge import triangulation
+from geoforge import jsontext, triangulation
+from geoforge.cli import main
 from geoforge.core import EPS_AREA, cross
+from geoforge.render import emit_ipe, emit_svg
+from geoforge.scene import Scene
 from geoforge.triangulation import (
     _sample_with_rng,
     triangle_areas,
@@ -151,6 +156,116 @@ def test_scripted_generator_hits_triangle_corner():
     probe = ScriptedRng([0.5])
     _sample_with_rng(t, 4, probe)
     assert probe.used == 12
+
+
+# the draws of one sample on the triangle below: u + v rounds to 1 and x to
+# 1000000.0000000001, past COORD_LIMIT
+_OUT_OF_RANGE_DRAWS = [0.0, 0.8521744831896624, 0.14782551681033762]
+_OUT_OF_RANGE = r"point coordinates must satisfy \|x\|, \|y\| <= 1e\+06"
+
+
+def test_a_draw_rounded_out_of_range_raises_the_point_error():
+    t = triangulate(Polygon([Point(604276.067325653, 0), Point(1e6, 0), Point(1e6, 1)]))
+    with pytest.raises(GeometryError, match=_OUT_OF_RANGE):
+        geomgen.sample_points_reference(t, 1, ScriptedRng(_OUT_OF_RANGE_DRAWS))
+    with pytest.raises(GeometryError, match=_OUT_OF_RANGE):
+        _sample_with_rng(t, 1, ScriptedRng(_OUT_OF_RANGE_DRAWS))
+
+
+@pytest.mark.parametrize("fmt", ["json", "svg", "ipe"])
+def test_an_out_of_range_sample_fails_before_the_first_chunk(tmp_path, capsys, monkeypatch, fmt):
+    scene = tmp_path / "edge.json"
+    scene.write_text('{"polygons": [[[604276.067325653, 0], [1e6, 0], [1e6, 1]]]}')
+    fake = SimpleNamespace(Random=lambda seed: ScriptedRng(_OUT_OF_RANGE_DRAWS))
+    monkeypatch.setattr(triangulation, "random", fake)
+    code = main(["sample", "--input", str(scene), "--count", "3", "--seed", "1",
+                 "--format", fmt, "--output", "-"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: point coordinates must satisfy")
+
+
+def test_samples_read_as_the_reference_list_of_points():
+    t = triangulate(Polygon([Point(0, 0), Point(3, 0), Point(3, 2), Point(1, 3)]))
+    samples = sample_points(t, SampleRequest(count=50, seed=11))
+    ref = geomgen.sample_points_reference(t, 50, random.Random(11))
+    assert samples == ref and ref == samples and not samples != ref
+    assert len(samples) == 50
+    assert list(samples) == ref
+    assert [samples[i] for i in (0, 17, 49, -1, -50)] == [ref[i] for i in (0, 17, 49, -1, -50)]
+    assert samples[5:9] == ref[5:9] and samples[::-7] == ref[::-7]
+    assert ref[3] in samples and samples.index(ref[3]) == 3
+    assert samples != ref[:-1] and samples != tuple(ref)
+    with pytest.raises(IndexError):
+        samples[50]
+
+
+def _placed_polygon(kind: str, place: str, rng) -> Polygon:
+    """A star or convex polygon in [0, 1000]^2, then moved by `place`:
+    "plain" leaves it, "corner" puts it next to (1e6, -1e6), and "thin"
+    squeezes x into [-1e-6, 1e-6], where many samples print as -0.000000."""
+    if kind == "star":
+        loop = geomgen.star_polygon(rng, rng.randint(5, 40))
+    else:
+        loop = [(500.0 * x + 500.0, 500.0 * y + 500.0)
+                for x, y in geomgen.random_convex_polygon(rng, rng.randint(3, 30))]
+    move = {
+        "plain": lambda x, y: (x, y),
+        "corner": lambda x, y: (x + 999000.0, y - 1e6),
+        "thin": lambda x, y: (x * 2e-9 - 1e-6, y - 500.0),
+    }[place]
+    return Polygon([Point(*move(x, y)) for x, y in loop])
+
+
+def _documents(scene: Scene, make_dump):
+    """The JSON, SVG and Ipe text of the dump make_dump() returns, or its error."""
+    try:
+        dump = make_dump()
+    except GeometryError as err:
+        return str(err)
+    return jsontext.dumps(dump), emit_svg(scene, dump), emit_ipe(scene, dump)
+
+
+def _assert_same_bytes_as_the_reference(poly: Polygon, boxed: bool, count: int, rng_for):
+    t = triangulate(poly)
+    bbox = None
+    if boxed:
+        xs = [v.x for v in poly.vertices]
+        ys = [v.y for v in poly.vertices]
+        bbox = BBox(min(xs), min(ys), max(xs), max(ys))
+    scene = Scene(points=(), segments=(), polygons=(poly,), bbox=bbox)
+    got = _documents(scene, lambda: triangulation.triangulation_to_dict(
+        t, _sample_with_rng(t, count, rng_for())))
+    want = _documents(scene, lambda: geomgen.triangulation_to_dict_reference(
+        t.triangles, geomgen.sample_points_reference(t, count, rng_for())))
+    assert got == want
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(["star", "convex"]),
+    st.sampled_from(["plain", "corner", "thin"]),
+    st.booleans(),
+    st.integers(0, 2**64 - 1),
+    st.integers(1, 300),
+)
+def test_documents_are_the_bytes_of_the_point_based_path(kind, place, boxed, seed, count):
+    try:
+        poly = _placed_polygon(kind, place, random.Random(seed))
+        triangulate(poly)
+    except GeometryError:
+        assume(False)
+    _assert_same_bytes_as_the_reference(poly, boxed, count, lambda: random.Random(seed))
+
+
+def test_documents_of_a_negative_zero_sample_are_the_reference_bytes():
+    # corner a is (-0.0, -0.0) and both offsets are negative, so u = v = 0
+    # gives the sample (-0.0, -0.0): JSON "0", SVG "0.000000", Ipe "0"
+    poly = Polygon([Point(-0.0, -0.0), Point(-2, -1), Point(-1, -2)])
+    (x, y), = _sample_with_rng(triangulate(poly), 1, ScriptedRng([0.0])).pairs
+    assert (math.copysign(1.0, x), math.copysign(1.0, y)) == (-1.0, -1.0)
+    for boxed in (False, True):
+        _assert_same_bytes_as_the_reference(poly, boxed, 3, lambda: ScriptedRng([0.0]))
 
 
 def test_sampling_respects_area_weights():
