@@ -15,24 +15,20 @@ import types
 # loads none of them: the PEP 562 __getattr__ below loads a name's module
 # on first use.
 _HOMES = {
-    "beta_skeleton": ("BetaParameter", "ProximityGraph", "beta_skeleton", "theta_of_beta"),
+    "beta_skeleton": ("ProximityGraph", "beta_skeleton", "theta_of_beta"),
     "core": (
-        "COORD_LIMIT", "EPS_AREA", "EPS_DIST", "BBox", "GeometryError", "Halfplane",
-        "Orientation", "Point", "PointLocation", "Polygon", "Segment", "angle_at",
-        "clip_halfplane", "convex_hull", "orientation", "point_in_polygon", "polygon_area",
-        "polygon_bbox", "polygon_is_convex",
+        "COORD_LIMIT", "EPS_AREA", "EPS_DIST", "BBox", "GeometryError", "Halfplane", "Point",
+        "PointLocation", "Polygon", "Segment", "clip_halfplane", "convex_hull",
+        "point_in_polygon", "polygon_area", "polygon_bbox", "polygon_is_convex",
     ),
-    "floating_body": (
-        "AreaFraction", "FloatingBodyResult", "chord_midpoint", "cut_halfplane",
-        "dupin_floating_body",
-    ),
+    "floating_body": ("FloatingBodyResult", "cut_halfplane", "dupin_floating_body"),
     "fractals": ("FractalKind", "FractalOutput", "sierpinski_carpet", "sierpinski_triangle"),
     "onion": ("OnionDecomposition", "onion_decomposition"),
     "quadtree": (
         "MAX_DEPTH", "PointQuadtree", "PRQuadtree", "build_point_quadtree", "build_pr_quadtree",
         "parse_quadtree_array", "quadtree_to_array",
     ),
-    "render": ("RenderStyle", "emit_ipe", "emit_svg"),
+    "render": ("emit_ipe", "emit_svg"),
     "scene": ("Scene", "SceneError", "parse_scene", "serialize_scene"),
     "trapmap": (
         "Trapezoid", "TrapezoidalMap", "VerticalExtension", "Wall", "build_trapezoidal_map",

@@ -32,17 +32,6 @@ GRID_MIN_POINTS = 160
 
 
 @dataclass(frozen=True)
-class BetaParameter:
-    beta: float
-
-    def __post_init__(self) -> None:
-        b = float(self.beta)
-        if not (math.isfinite(b) and b > 0.0):
-            raise GeometryError("beta must be a finite real > 0")
-        object.__setattr__(self, "beta", b)
-
-
-@dataclass(frozen=True)
 class ProximityGraph:
     vertices: tuple[Point, ...]
     edges: frozenset  # of (i, j) pairs with i < j
@@ -51,19 +40,15 @@ class ProximityGraph:
         return sorted(self.edges)
 
 
-def _beta_value(beta) -> float:
-    if isinstance(beta, BetaParameter):
-        return beta.beta
-    return BetaParameter(beta).beta
-
-
 def theta_of_beta(beta: float) -> float:
     """Critical angle of the beta-neighbourhood.
 
     arcsin(1/beta) for beta >= 1 and pi - arcsin(beta) for beta <= 1;
     the two branches agree (pi/2) at beta = 1.
     """
-    b = _beta_value(beta)
+    b = float(beta)
+    if not (math.isfinite(b) and b > 0.0):
+        raise GeometryError("beta must be a finite real > 0")
     if b >= 1.0:
         return math.asin(1.0 / b)
     return math.pi - math.asin(b)

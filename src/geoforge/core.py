@@ -28,12 +28,6 @@ class GeometryError(ValueError):
     """An input violated a documented geometric precondition."""
 
 
-class Orientation(enum.Enum):
-    CCW = 1
-    CW = -1
-    COLLINEAR = 0
-
-
 class PointLocation(enum.Enum):
     INSIDE = "inside"
     BOUNDARY = "boundary"
@@ -99,13 +93,6 @@ def cross(p: Point, q: Point, r: Point) -> float:
     return (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
 
 
-def orientation(p: Point, q: Point, r: Point) -> Orientation:
-    d = cross(p, q, r)
-    if abs(d) <= EPS_AREA:
-        return Orientation.COLLINEAR
-    return Orientation.CCW if d > 0.0 else Orientation.CW
-
-
 @dataclass(frozen=True, slots=True)
 class Segment:
     """A closed segment between two distinct endpoints."""
@@ -116,9 +103,6 @@ class Segment:
     def __post_init__(self) -> None:
         if points_equal(self.a, self.b):
             raise GeometryError("degenerate segment: endpoints coincide")
-
-    def reversed(self) -> Segment:
-        return Segment(self.b, self.a)
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,10 +132,6 @@ class BBox:
     @property
     def height(self) -> float:
         return self.ymax - self.ymin
-
-    @property
-    def center(self) -> Point:
-        return Point((self.xmin + self.xmax) / 2.0, (self.ymin + self.ymax) / 2.0)
 
     def area(self) -> float:
         return self.width * self.height
@@ -331,15 +311,24 @@ line reach the exact tests.
 """
 
 
-def _sign_is_sure(p: Point, q: Point, r: Point) -> bool:
-    """True when rounding cannot have flipped the sign of cross(p, q, r).
+def _sure_sign(ax: float, ay: float, bx: float, by: float, cx: float, cy: float) -> int:
+    """The sign of the cross product of a, b, c where rounding cannot have
+    flipped it: 1 or -1, and 0 where it can.
 
-    The products are cross's own, so left - right is cross(p, q, r) bit
-    for bit.  2**-1060 covers products that underflow.
+    The products are cross's own, so left - right is cross(a, b, c) bit
+    for bit, and it is sure beyond Shewchuk's bound, _CROSS_ERR times the
+    sizes of the two products.  2**-1060 covers products that underflow.
     """
-    left = (q.x - p.x) * (r.y - p.y)
-    right = (q.y - p.y) * (r.x - p.x)
-    return abs(left - right) > _CROSS_ERR * (abs(left) + abs(right)) + 2.0**-1060
+    left = (bx - ax) * (cy - ay)
+    right = (by - ay) * (cx - ax)
+    det = left - right
+    bound = _CROSS_ERR * (abs(left) + abs(right)) + 2.0**-1060
+    return 1 if det > bound else -1 if det < -bound else 0
+
+
+def _sign_is_sure(p: Point, q: Point, r: Point) -> bool:
+    """True when rounding cannot have flipped the sign of cross(p, q, r)."""
+    return _sure_sign(p.x, p.y, q.x, q.y, r.x, r.y) != 0
 
 
 def _contact_candidates(segments):
@@ -443,11 +432,6 @@ class Polygon:
     def __len__(self) -> int:
         return len(self.vertices)
 
-    def edges(self):
-        n = len(self.vertices)
-        for i in range(n):
-            yield self.vertices[i], self.vertices[(i + 1) % n]
-
 
 def polygon_area(poly: Polygon) -> float:
     """Area of the polygon (positive; vertices are counterclockwise)."""
@@ -537,17 +521,6 @@ def _monotone_chain(seq: list) -> list:
         below.append(o)
         hull += below
     return hull
-
-
-def angle_at(v1: Point, v3: Point, v2: Point) -> float:
-    """Angle subtended at v3 by v1 and v2, in [0, pi]."""
-    ax = v1.x - v3.x
-    ay = v1.y - v3.y
-    bx = v2.x - v3.x
-    by = v2.y - v3.y
-    if math.hypot(ax, ay) <= EPS_DIST or math.hypot(bx, by) <= EPS_DIST:
-        raise GeometryError("degenerate angle: apex coincides with an endpoint")
-    return math.atan2(abs(ax * by - ay * bx), ax * bx + ay * by)
 
 
 def clip_halfplane(poly: Polygon, half: Halfplane) -> Polygon | None:

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 from .core import (
-    _CROSS_ERR,
     EPS_DIST,
     GeometryError,
     Halfplane,
@@ -28,20 +27,10 @@ from .core import (
     Polygon,
     _is_convex_loop,
     _polygon_from_loop,
+    _sure_sign,
     _sutherland_hodgman,
     polygon_is_convex,
 )
-
-
-@dataclass(frozen=True)
-class AreaFraction:
-    delta: float
-
-    def __post_init__(self) -> None:
-        d = float(self.delta)
-        if not (math.isfinite(d) and 0.0 < d <= 0.5):
-            raise GeometryError("delta must be in (0, 0.5]")
-        object.__setattr__(self, "delta", d)
 
 
 @dataclass(frozen=True)
@@ -53,10 +42,11 @@ class FloatingBodyResult:
     is_dupin_convex: bool
 
 
-def _coerce_delta(delta) -> float:
-    if isinstance(delta, AreaFraction):
-        return delta.delta
-    return AreaFraction(delta).delta
+def _delta_value(delta) -> float:
+    d = float(delta)
+    if not (math.isfinite(d) and 0.0 < d <= 0.5):
+        raise GeometryError("delta must be in (0, 0.5]")
+    return d
 
 
 def _require_convex(poly: Polygon) -> None:
@@ -238,7 +228,7 @@ def cut_halfplane(poly: Polygon, phi: float, delta) -> Halfplane:
     (cos phi, sin phi); the cap on the outward side is what floats off.
     The cut is solved from the first top vertex (_Caps).
     """
-    d = _coerce_delta(delta)
+    d = _delta_value(delta)
     _require_convex(poly)
     if not math.isfinite(phi):
         raise GeometryError("phi must be finite")
@@ -249,14 +239,9 @@ def cut_halfplane(poly: Polygon, phi: float, delta) -> Halfplane:
     return Halfplane(ux, uy, caps.cut(ux, uy, t, t)[2])
 
 
-def chord_midpoint(poly: Polygon, half: Halfplane) -> Point:
-    """Midpoint of the chord the halfplane's boundary line cuts in poly."""
-    _require_convex(poly)
-    return _chord_midpoint(poly.vertices, half.nx, half.ny, half.c)
-
-
 def _chord_midpoint(verts, ux: float, uy: float, c: float) -> Point:
-    """chord_midpoint for the line ux * x + uy * y = c, unchecked.
+    """Midpoint of the chord the line ux * x + uy * y = c cuts in a convex
+    loop of Points; the loop is not checked.
 
     A vertex within EPS_DIST of the line is a hit, and so is the crossing
     of an edge whose ends lie strictly on opposite sides, farther than
@@ -295,17 +280,12 @@ def _chord_midpoint(verts, ux: float, uy: float, c: float) -> Point:
 
 
 def _turns_left(chain) -> bool:
-    """True when every inner corner of a list of (x, y) tuples surely turns left.
-
-    Left beyond Shewchuk's bound, _CROSS_ERR times the sizes of cross's
-    two products, so the exact cross product is positive.
-    """
-    for (ax, ay), (bx, by), (cx, cy) in zip(chain, chain[1:], chain[2:]):
-        left = (bx - ax) * (cy - ay)
-        right = (by - ay) * (cx - ax)
-        if not left - right > _CROSS_ERR * (abs(left) + abs(right)) + 2.0**-1060:
-            return False
-    return True
+    """True when every inner corner of a list of (x, y) tuples surely turns
+    left: its exact cross product is positive (core._sure_sign)."""
+    return all(
+        _sure_sign(ax, ay, bx, by, cx, cy) == 1
+        for (ax, ay), (bx, by), (cx, cy) in zip(chain, chain[1:], chain[2:])
+    )
 
 
 def _wraps(chain) -> int:
@@ -479,7 +459,7 @@ def dupin_floating_body(poly: Polygon, delta, n_directions: int = 720) -> Floati
     EPS_AREA slack.  Each cut starts from the last direction's run, or from
     the top vertex alone once the climbing top has left that run (_Caps).
     """
-    d = _coerce_delta(delta)
+    d = _delta_value(delta)
     _require_convex(poly)
     if not isinstance(n_directions, int) or isinstance(n_directions, bool) or n_directions < 1:
         raise GeometryError("n_directions must be an integer >= 1")

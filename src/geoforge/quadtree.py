@@ -245,6 +245,10 @@ def parse_quadtree_array(text: str):
     A parsed PR tree has capacity None: the dump does not carry it and
     structural equality does not depend on it.  A dump nested deeper than
     the decoder or the node parsers can recurse raises GeometryError.
+
+    Numbers are dumped with %.12g, so a PR dump whose regions are narrower
+    than %.12g can print cannot be parsed back: such a region prints with
+    xmin == xmax or ymin == ymax, which is a bbox GeometryError.
     """
     try:
         return _parse_tree(jsontext.loads(text))

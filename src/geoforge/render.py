@@ -9,7 +9,7 @@ stroke's points.  A mark is any (x, y) pair, so the points of a dump (its
 [x, y] lists, or a triangulation's sample pairs) are the marks as they
 are, with nothing made per point.  The point-tree walks use an explicit
 stack, so tree depth is not bounded by the recursion limit.  Layers cycle
-through the style's palette.  Output is deterministic: fixed element
+through one fixed palette.  Output is deterministic: fixed element
 order and fixed coordinate formatting.
 
 SVG uses fixed 6-decimal coordinates and flips the y axis so figures read
@@ -47,7 +47,6 @@ points twice.  Each path is built as one string.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, islice
 from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple, Sequence
@@ -66,30 +65,15 @@ _Y = itemgetter(1)
 IPE_VERSION = "70218"
 IPE_CREATOR = "geoforge"
 
-_IPE_COLORS = {
-    "black": "black",
-    "red": "1 0 0",
-    "blue": "0 0 1",
-    "green": "0 1 0",
-    "orange": "1 0.647 0",
-    "purple": "0.627 0.125 0.941",
-}
-
-
-@dataclass(frozen=True)
-class RenderStyle:
-    stroke_width: float = 1.0
-    mark_radius: float = 2.0
-    layer_colors: tuple[str, ...] = ("black", "red", "blue", "green", "orange", "purple")
-
-    def __post_init__(self) -> None:
-        if not (self.stroke_width > 0 and self.mark_radius > 0):
-            raise GeometryError("stroke width and mark radius must be positive")
-        if not self.layer_colors:
-            raise GeometryError("palette must not be empty")
-
-    def color(self, layer: int) -> str:
-        return self.layer_colors[layer % len(self.layer_colors)]
+# layer i's colour is _PALETTE[i % len(_PALETTE)], as (SVG colour, Ipe colour)
+_PALETTE = (
+    ("black", "black"),
+    ("red", "1 0 0"),
+    ("blue", "0 0 1"),
+    ("green", "0 1 0"),
+    ("orange", "1 0.647 0"),
+    ("purple", "0.627 0.125 0.941"),
+)
 
 
 class Stroke(NamedTuple):
@@ -319,14 +303,13 @@ def _batches(layer):
         yield batch
 
 
-def emit_svg(scene: Scene, results=None, style: RenderStyle | None = None) -> str:
+def emit_svg(scene: Scene, results=None) -> str:
     """Render a scene plus an optional structure dump as an SVG document."""
-    return "".join(svg_chunks(scene, results, style))
+    return "".join(svg_chunks(scene, results))
 
 
-def svg_chunks(scene: Scene, results=None, style: RenderStyle | None = None):
+def svg_chunks(scene: Scene, results=None):
     """The emit_svg document as chunks; every check runs in this call."""
-    style = style or RenderStyle()
     layers = _gather_layers(scene, results)
     x0, y0, x1, y1 = _padded(_bounds(scene, layers))
     c = _SvgText()
@@ -337,14 +320,12 @@ def svg_chunks(scene: Scene, results=None, style: RenderStyle | None = None):
         '<g transform="matrix(1 0 0 -1 0 %s)">' % c[y0 + y1],
         "",
     ]
-    return chain(("\n".join(head),), _svg_body(layers, style, c), ("</g>\n</svg>\n",))
+    return chain(("\n".join(head),), _svg_body(layers, c), ("</g>\n</svg>\n",))
 
 
-def _svg_body(layers, style: RenderStyle, c: _SvgText):
-    radius = c[style.mark_radius]
-    width = c[style.stroke_width]
+def _svg_body(layers, c: _SvgText):
     for index, (strokes, marks) in enumerate(layers):
-        color = style.color(index)
+        color = _PALETTE[index % len(_PALETTE)][0]
         for batch in _batches(strokes):
             lines = []
             for points, closed in batch:
@@ -354,28 +335,26 @@ def _svg_body(layers, style: RenderStyle, c: _SvgText):
                 if closed:
                     ops.append("Z")
                 lines.append(
-                    f'<path d="{" ".join(ops)}" fill="none" stroke="{color}" stroke-width="{width}"/>'
+                    f'<path d="{" ".join(ops)}" fill="none" stroke="{color}" stroke-width="1.000000"/>'
                 )
             lines.append("")
             yield "\n".join(lines)
             c.trim()
         # one "%" per mark; of the attribute values only cx, cy and r are
-        # followed by a space, and r is the memo's text, never -0.000000
-        circle = '<circle cx="%%.6f" cy="%%.6f" r="%s" fill="%s"/>\n' % (
-            radius, color.replace("%", "%%"))
+        # followed by a space, and r is the fixed 2.000000
+        circle = '<circle cx="%%.6f" cy="%%.6f" r="2.000000" fill="%s"/>\n' % color
         for batch in _batches(marks):
             text = "".join([circle % (x, y) for x, y in batch])
             yield text.replace('="-0.000000" ', '="0.000000" ')
 
 
-def emit_ipe(scene: Scene, results=None, style: RenderStyle | None = None) -> str:
+def emit_ipe(scene: Scene, results=None) -> str:
     """Render a scene plus an optional structure dump as an Ipe document."""
-    return "".join(ipe_chunks(scene, results, style))
+    return "".join(ipe_chunks(scene, results))
 
 
-def ipe_chunks(scene: Scene, results=None, style: RenderStyle | None = None):
+def ipe_chunks(scene: Scene, results=None):
     """The emit_ipe document as chunks; every check runs in this call."""
-    style = style or RenderStyle()
     layers = _gather_layers(scene, results)
     head = [
         '<?xml version="1.0"?>',
@@ -384,13 +363,13 @@ def ipe_chunks(scene: Scene, results=None, style: RenderStyle | None = None):
         "<page>",
         "",
     ]
-    return chain(("\n".join(head),), _ipe_body(layers, style), ("</page>\n</ipe>\n",))
+    return chain(("\n".join(head),), _ipe_body(layers), ("</page>\n</ipe>\n",))
 
 
-def _ipe_body(layers, style: RenderStyle):
+def _ipe_body(layers):
     c = _IpeText()
     for index, (strokes, marks) in enumerate(layers):
-        color = _IPE_COLORS.get(style.color(index), "black")
+        color = _PALETTE[index % len(_PALETTE)][1]
         path_open = f'<path stroke="{color}">'
         for batch in _batches(strokes):
             lines = []

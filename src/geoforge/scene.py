@@ -29,9 +29,6 @@ class Scene:
     polygons: tuple[Polygon, ...] = ()
     bbox: BBox | None = None
 
-    def is_empty(self) -> bool:
-        return not (self.points or self.segments or self.polygons)
-
 
 def parse_scene(text: str) -> Scene:
     try:

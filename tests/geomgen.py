@@ -622,8 +622,8 @@ def dupin_floating_body_reference(poly, delta, n_directions=720):
     """dupin_floating_body as it was built before the closed-form solve.
 
     Every direction solves its offset with cut_offset_reference, scans
-    all n vertices for the chord midpoint (_chord_midpoint, which the
-    public chord_midpoint still uses) and clips the whole running body
+    all n vertices for the chord midpoint (floating_body._chord_midpoint)
+    and clips the whole running body
     with one exact-zero Sutherland-Hodgman pass.  poly is a convex
     geoforge Polygon.  Its offsets are within 1e-9 * area of cap error, so
     the library's midpoints lie close to these, and it raises where the
@@ -639,11 +639,11 @@ def dupin_floating_body_reference(poly, delta, n_directions=720):
     from geoforge.floating_body import (
         FloatingBodyResult,
         _chord_midpoint,
-        _coerce_delta,
+        _delta_value,
         _require_convex,
     )
 
-    d = _coerce_delta(delta)
+    d = _delta_value(delta)
     _require_convex(poly)
     loop = [(v.x, v.y) for v in poly.vertices]
     area = polygon_area(poly)

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 import geomgen
 from geoforge import (
     EPS_DIST,
-    BetaParameter,
     GeometryError,
     Point,
     beta_skeleton,
@@ -54,10 +53,12 @@ def test_theta_branch_gap_scales_like_sqrt():
 
 
 def test_beta_parameter_validation():
-    assert BetaParameter(2).beta == 2.0
+    assert theta_of_beta(2) == theta_of_beta(2.0)
     for bad in (0.0, -3.0, math.inf, math.nan):
-        with pytest.raises(GeometryError):
-            BetaParameter(bad)
+        with pytest.raises(GeometryError, match=r"^beta must be a finite real > 0$"):
+            theta_of_beta(bad)
+        with pytest.raises(GeometryError, match=r"^beta must be a finite real > 0$"):
+            beta_skeleton([Point(0, 0), Point(1, 0)], bad)
 
 
 def test_two_points_always_connected():

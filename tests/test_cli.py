@@ -7,6 +7,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -233,6 +234,19 @@ def test_readme_subcommand_table_matches_the_command_table():
     want = [(name, [flag for flag, _ in command.flags])
             for name, command in cli._COMMANDS.items()]
     assert rows == want
+
+
+def test_readme_library_names_match_all():
+    # rows look like: | `geoforge.onion` | `OnionDecomposition`, `onion_decomposition` |
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    homes = {}
+    for line in readme.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if line.startswith("| `geoforge.") and len(cells) == 2:
+            homes[cells[0].strip("`")] = re.findall(r"`(\w+)`", cells[1])
+    assert homes == {"geoforge." + module: list(names)
+                     for module, names in geoforge._HOMES.items()}
+    assert sorted(name for names in homes.values() for name in names) == geoforge.__all__
 
 
 def test_beta_error_message_names_the_range(scenes, tmp_path, capsys):

@@ -16,16 +16,13 @@ from geoforge import (
     BBox,
     GeometryError,
     Halfplane,
-    Orientation,
     Point,
     PointLocation,
     Polygon,
     Segment,
-    angle_at,
     clip_halfplane,
     convex_hull,
     dupin_floating_body,
-    orientation,
     point_in_polygon,
     polygon_area,
     polygon_bbox,
@@ -77,7 +74,6 @@ def test_segment_validation():
 def test_bbox_validation():
     b = BBox(0, 0, 2, 1)
     assert b.width == 2 and b.height == 1 and b.area() == 2
-    assert (b.center.x, b.center.y) == (1.0, 0.5)
     assert b.contains(Point(1, 0.5)) and not b.contains(Point(3, 0.5))
     for args in [(1, 0, 0, 1), (0, 1, 1, 0), (0, 0, 0, 1)]:
         with pytest.raises(GeometryError):
@@ -86,9 +82,6 @@ def test_bbox_validation():
 
 def test_orientation_basic_cases():
     a, b = Point(0, 0), Point(1, 0)
-    assert orientation(a, b, Point(0, 1)) is Orientation.CCW
-    assert orientation(a, b, Point(0, -1)) is Orientation.CW
-    assert orientation(a, b, Point(2, 0)) is Orientation.COLLINEAR
     assert cross(a, b, Point(0, 1)) == 1.0
     assert distance(a, b) == 1.0
 
@@ -320,30 +313,6 @@ def test_monotone_chain_pops_a_turn_of_exactly_eps_area():
             assert core._monotone_chain(pts) == geomgen.monotone_chain_reference(pts)
     assert core._monotone_chain([(0.0, 0.0), (1.0, 0.0), (2.0, EPS_AREA)]) == [(0.0, 0.0), (2.0, EPS_AREA)]
     assert len(core._monotone_chain([(0.0, 0.0), (1.0, 0.0), (2.0, -EPS_AREA)])) == 2
-
-
-def test_angle_at_basic_cases_and_rigid_invariance():
-    apex = Point(0, 0)
-    assert angle_at(Point(1, 0), apex, Point(0, 1)) == pytest.approx(math.pi / 2, abs=1e-12)
-    assert angle_at(Point(1, 0), apex, Point(-1, 0)) == pytest.approx(math.pi, abs=1e-12)
-    assert angle_at(Point(1, 0), apex, Point(2, 0)) == 0.0
-    rng = random.Random(4242)
-    for _ in range(50):
-        a, b, c = (Point(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(3))
-        try:
-            base = angle_at(a, b, c)
-        except GeometryError:
-            continue
-        t = rng.uniform(0, 2 * math.pi)
-        dx, dy = rng.uniform(-3, 3), rng.uniform(-3, 3)
-        ct, st = math.cos(t), math.sin(t)
-
-        def move(p):
-            return Point(ct * p.x - st * p.y + dx, st * p.x + ct * p.y + dy)
-
-        assert angle_at(move(a), move(b), move(c)) == pytest.approx(base, abs=1e-9)
-    with pytest.raises(GeometryError):
-        angle_at(Point(0, 0), Point(0, 0), Point(1, 1))
 
 
 def test_point_segment_distance():

@@ -12,13 +12,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 import geomgen
 from geoforge import (
-    AreaFraction,
     GeometryError,
-    Halfplane,
     Point,
     PointLocation,
     Polygon,
-    chord_midpoint,
     clip_halfplane,
     cut_halfplane,
     dupin_floating_body,
@@ -29,7 +26,7 @@ from geoforge import (
 )
 from geoforge import floating_body
 from geoforge.core import EPS_AREA, EPS_DIST, _polygon_from_loop, _sutherland_hodgman
-from geoforge.floating_body import result_to_dict
+from geoforge.floating_body import _chord_midpoint, result_to_dict
 from geoforge.jsontext import dumps
 from geoforge.scene import parse_scene
 
@@ -39,19 +36,22 @@ UNIT_SQUARE = Polygon([Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)])
 
 
 def test_area_fraction_validation():
-    assert AreaFraction(0.5).delta == 0.5
+    r = dupin_floating_body(UNIT_SQUARE, Fraction(1, 2), n_directions=4)
+    assert type(r.delta) is float and r.delta == 0.5
     for bad in (0.0, -0.1, 0.6, 1.0, math.nan):
-        with pytest.raises(GeometryError):
-            AreaFraction(bad)
+        with pytest.raises(GeometryError, match=r"^delta must be in \(0, 0\.5\]$"):
+            dupin_floating_body(UNIT_SQUARE, bad)
+        with pytest.raises(GeometryError, match=r"^delta must be in \(0, 0\.5\]$"):
+            cut_halfplane(UNIT_SQUARE, 0.0, bad)
 
 
 def test_square_bottom_cut_is_analytic():
-    h = cut_halfplane(UNIT_SQUARE, 3 * math.pi / 2, AreaFraction(0.1))
+    h = cut_halfplane(UNIT_SQUARE, 3 * math.pi / 2, 0.1)
     # normal (0,-1): the removed cap {y < 0.1} has area exactly 0.1
     assert h.nx == pytest.approx(0.0, abs=1e-12)
     assert h.ny == pytest.approx(-1.0, abs=1e-12)
     assert h.c == pytest.approx(-0.1, abs=1e-9)
-    mid = chord_midpoint(UNIT_SQUARE, h)
+    mid = _chord_midpoint(UNIT_SQUARE.vertices, h.nx, h.ny, h.c)
     assert (mid.x, mid.y) == (pytest.approx(0.5, abs=1e-9), pytest.approx(0.1, abs=1e-9))
 
 
@@ -59,12 +59,12 @@ def test_square_corner_cut_is_analytic():
     # normal at 225 degrees cuts the corner at the origin; the removed
     # triangle is isoceles with legs L, area L^2/2 = delta
     delta = 0.125
-    h = cut_halfplane(UNIT_SQUARE, 5 * math.pi / 4, AreaFraction(delta))
+    h = cut_halfplane(UNIT_SQUARE, 5 * math.pi / 4, delta)
     length = math.sqrt(2 * delta)
     # cap {(-x - y)/sqrt(2) >= c}: the cut line passes (L, 0) and (0, L)
     want_c = -length / math.sqrt(2)
     assert h.c == pytest.approx(want_c, abs=1e-9)
-    mid = chord_midpoint(UNIT_SQUARE, h)
+    mid = _chord_midpoint(UNIT_SQUARE.vertices, h.nx, h.ny, h.c)
     assert mid.x == pytest.approx(length / 2, abs=1e-9)
     assert mid.y == pytest.approx(length / 2, abs=1e-9)
 
@@ -78,7 +78,7 @@ def test_cap_areas_audited_on_random_convex_polygons():
         for delta in (0.05, 0.25, 0.45):
             for k in range(0, 48):
                 phi = 2 * math.pi * k / 48
-                h = cut_halfplane(poly, phi, AreaFraction(delta))
+                h = cut_halfplane(poly, phi, delta)
                 kept = clip_halfplane(poly, h)
                 cap = area - (polygon_area(kept) if kept else 0.0)
                 assert cap == pytest.approx(delta * area, abs=1e-8 * area)
@@ -90,14 +90,14 @@ def test_fixture_rectangle_at_quarter_matches_its_golden():
     # one point; cuts solved to within 1e-9 * A missed it by up to 1e-7 and
     # left 28 sliver vertices (320 in all), where exact cuts leave 292
     scene = parse_scene((TESTS / "fixtures" / "floating-body.json").read_text())
-    r = dupin_floating_body(scene.polygons[0], AreaFraction(0.25), 720)
+    r = dupin_floating_body(scene.polygons[0], 0.25, 720)
     assert len(r.convex_fb) == 292
     got = dumps(result_to_dict(r)) + "\n"
     assert got == (TESTS / "golden" / "floating-body-delta-0.25.json").read_text()
 
 
 def test_dupin_square_passes_through_known_point():
-    r = dupin_floating_body(UNIT_SQUARE, AreaFraction(0.1), n_directions=360)
+    r = dupin_floating_body(UNIT_SQUARE, 0.1, n_directions=360)
     assert len(r.dupin) == 360
     nearest = min(math.hypot(p.x - 0.5, p.y - 0.1) for p in r.dupin)
     assert nearest < 1e-6
@@ -110,15 +110,15 @@ def test_dupin_collapses_to_center_at_half():
         (UNIT_SQUARE, (0.5, 0.5)),
         (Polygon([Point(-2, -1), Point(2, -1), Point(2, 1), Point(-2, 1)]), (0.0, 0.0)),
     ]:
-        r = dupin_floating_body(poly, AreaFraction(0.5), n_directions=120)
+        r = dupin_floating_body(poly, 0.5, n_directions=120)
         worst = max(math.hypot(p.x - center[0], p.y - center[1]) for p in r.dupin)
         assert worst < 1e-6
         assert r.convex_fb is None or polygon_area(r.convex_fb) < 1e-9
 
 
 def test_convex_bodies_nest():
-    r10 = dupin_floating_body(UNIT_SQUARE, AreaFraction(0.1), n_directions=360)
-    r25 = dupin_floating_body(UNIT_SQUARE, AreaFraction(0.25), n_directions=360)
+    r10 = dupin_floating_body(UNIT_SQUARE, 0.1, n_directions=360)
+    r25 = dupin_floating_body(UNIT_SQUARE, 0.25, n_directions=360)
     for v in r25.convex_fb.vertices:
         assert point_in_polygon(v, r10.convex_fb) in (
             PointLocation.INSIDE,
@@ -128,7 +128,7 @@ def test_convex_bodies_nest():
 
 def test_thin_triangle_dupin_is_not_convex():
     thin = Polygon([Point(0, 0), Point(10, 0), Point(0, 1)])
-    r = dupin_floating_body(thin, AreaFraction(0.45), n_directions=360)
+    r = dupin_floating_body(thin, 0.45, n_directions=360)
     assert r.is_dupin_convex is False
 
 
@@ -137,7 +137,7 @@ def test_dupin_points_lie_in_the_polygon():
     for _ in range(5):
         hull = geomgen.random_convex_polygon(rng, 15)
         poly = Polygon([Point(x, y) for x, y in hull])
-        r = dupin_floating_body(poly, AreaFraction(0.2), n_directions=90)
+        r = dupin_floating_body(poly, 0.2, n_directions=90)
         for p in r.dupin:
             assert point_in_polygon(p, poly) in (
                 PointLocation.INSIDE,
@@ -146,7 +146,7 @@ def test_dupin_points_lie_in_the_polygon():
 
 
 def test_quarter_turn_equivariance_on_the_square():
-    r = dupin_floating_body(UNIT_SQUARE, AreaFraction(0.15), n_directions=360)
+    r = dupin_floating_body(UNIT_SQUARE, 0.15, n_directions=360)
     # rotating the square by 90 degrees about its center maps the
     # direction sweep onto itself, so the dupin point set is preserved
     rotated = sorted(
@@ -161,19 +161,18 @@ def test_requires_convex_polygon():
         [Point(0, 0), Point(2, 0), Point(2, 1), Point(1, 1), Point(1, 2), Point(0, 2)]
     )
     with pytest.raises(GeometryError):
-        dupin_floating_body(l_shape, AreaFraction(0.1))
+        dupin_floating_body(l_shape, 0.1)
     with pytest.raises(GeometryError):
-        cut_halfplane(l_shape, 0.0, AreaFraction(0.1))
+        cut_halfplane(l_shape, 0.0, 0.1)
 
 
 def test_chord_midpoint_requires_a_cut():
-    h_missing = cut_halfplane(UNIT_SQUARE, 0.0, AreaFraction(0.1))
-    with pytest.raises(GeometryError):
-        chord_midpoint(UNIT_SQUARE, type(h_missing)(1.0, 0.0, 5.0))
+    with pytest.raises(GeometryError, match="^line does not cut polygon$"):
+        _chord_midpoint(UNIT_SQUARE.vertices, 1.0, 0.0, 5.0)
 
 
 def test_result_dict_shape():
-    r = dupin_floating_body(UNIT_SQUARE, AreaFraction(0.5), n_directions=8)
+    r = dupin_floating_body(UNIT_SQUARE, 0.5, n_directions=8)
     d = result_to_dict(r)
     assert d["delta"] == 0.5
     assert len(d["dupin"]) == 8
@@ -487,7 +486,7 @@ def test_dupin_equals_the_clip_every_direction_reference(case, n_directions):
     # midpoints are the exact chord's at its offsets, as if the line moved
     # by the solve's rounding, 4 u (M + |c| + |x_0| + |y_0|), and 4 u |x|
     # for the last rounding (about 6 times the largest seen).  The scan
-    # (chord_midpoint) counts a vertex within EPS_DIST of the line as an end
+    # (_chord_midpoint) counts a vertex within EPS_DIST of the line as an end
     # and drops hits within EPS_DIST of each other, so its midpoints are
     # those of lines within EPS_DIST of c, and it finds no chord where the
     # chord is shorter than EPS_DIST; the sweep's midpoint is exact there too
@@ -518,7 +517,7 @@ def test_dupin_equals_the_clip_every_direction_reference(case, n_directions):
         else:
             assert _distance(mid, exact) <= moved + 4 * _U * far, (k, mid, exact)
         try:
-            scan = chord_midpoint(poly, Halfplane(ux, uy, c))
+            scan = _chord_midpoint(poly.vertices, ux, uy, c)
         except GeometryError:
             assert half <= EPS_DIST, (k, half)
             continue
@@ -537,13 +536,13 @@ def test_dupin_uses_the_offsets_and_midpoints_of_single_cuts():
     rng = random.Random(4242)
     hull = geomgen.random_convex_polygon(rng, 40)
     poly = Polygon([Point(x, y) for x, y in hull])
-    r, offsets = _dupin_offsets(poly, AreaFraction(0.3), 45)
+    r, offsets = _dupin_offsets(poly, 0.3, 45)
     assert len(offsets) == 45
     step = 2.0 * math.pi / 45
     for k, (c, mid) in enumerate(zip(offsets, r.dupin)):
         h = cut_halfplane(poly, k * step, 0.3)
         assert h.c == c
-        scan = chord_midpoint(poly, h)
+        scan = _chord_midpoint(poly.vertices, h.nx, h.ny, h.c)
         assert math.hypot(scan.x - mid.x, scan.y - mid.y) <= EPS_DIST
 
 

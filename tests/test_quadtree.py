@@ -288,6 +288,15 @@ def test_round_trip_both_kinds():
     assert back.capacity is None
 
 
+def test_a_region_narrower_than_the_dump_prints_does_not_parse_back():
+    # the default region of two points one ulp apart prints as [0.5,0.5,0.5,0.5]
+    t = build_pr_quadtree([Point(0.5, 0.5), Point(0.5000000000000001, 0.5)], capacity=1)
+    text = quadtree_to_array(t)
+    assert '"region":[0.5,0.5,0.5,0.5]' in text
+    with pytest.raises(GeometryError, match=r"^bbox must satisfy xmin < xmax and ymin < ymax$"):
+        parse_quadtree_array(text)
+
+
 def test_parse_rejects_malformed_arrays():
     for text in [
         "[]",

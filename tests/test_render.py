@@ -16,7 +16,6 @@ from geoforge import (
     GeometryError,
     Point,
     Polygon,
-    RenderStyle,
     Scene,
     Segment,
     build_point_quadtree,
@@ -32,7 +31,6 @@ from geoforge import (
     sierpinski_carpet,
     sierpinski_triangle,
     triangulate,
-    AreaFraction,
     SampleRequest,
 )
 from geoforge.beta_skeleton import graph_to_dict
@@ -91,7 +89,7 @@ def test_every_result_kind_passes_the_ipe_whitelist():
         (scene_pts, tree_to_dict(build_pr_quadtree(pts, capacity=2))),
         (scene_pts, layers_to_lists(onion_decomposition(pts))),
         (scene_pts, graph_to_dict(beta_skeleton(pts, 1.0))),
-        (scene_sq, result_to_dict(dupin_floating_body(sq, AreaFraction(0.1), n_directions=36))),
+        (scene_sq, result_to_dict(dupin_floating_body(sq, 0.1, n_directions=36))),
         (scene_sq, triangulation_to_dict(tri)),
         (scene_sq, triangulation_to_dict(tri, sample_points(tri, SampleRequest(count=5, seed=3)))),
         (scene_sq, output_to_dict(sierpinski_triangle(
@@ -120,10 +118,16 @@ def test_fixed_decimals_in_svg():
 
 
 def test_style_colors_cycle():
-    style = RenderStyle()
-    seen = [style.color(i) for i in range(8)]
-    assert seen[0] != seen[1]
-    assert seen[0] == seen[len(style.layer_colors)]
+    # the scene layer and eight onion layers, one closed square each: layer
+    # i is drawn in palette colour i mod 6, in SVG and in Ipe
+    layers = [[[-k, -k], [k, -k], [k, k], [-k, k]] for k in range(1, 9)]
+    scene = parse_scene('{"polygons":[[[-9,-9],[9,-9],[9,9],[-9,9]]]}')
+    svg = re.findall(r'<path d="[^"]*" fill="none" stroke="([^"]*)"', emit_svg(scene, layers))
+    ipe = re.findall(r'<path stroke="([^"]*)">', emit_ipe(scene, layers))
+    palette = ["black", "red", "blue", "green", "orange", "purple"]
+    assert svg == [palette[i % 6] for i in range(9)]
+    ipe_palette = ["black", "1 0 0", "0 0 1", "0 1 0", "1 0.647 0", "0.627 0.125 0.941"]
+    assert ipe == [ipe_palette[i % 6] for i in range(9)]
 
 
 def test_nothing_to_render():
@@ -210,7 +214,6 @@ def _reference_fmt_ipe(v: float) -> str:
 
 
 def _reference_svg(scene, results) -> str:
-    style = RenderStyle()
     f = _reference_fmt_svg
     layers = render._gather_layers(scene, results)
     x0, y0, x1, y1 = render._padded(render._bounds(scene, layers))
@@ -222,7 +225,7 @@ def _reference_svg(scene, results) -> str:
     ]
     # each layer is its strokes, then its marks: (x, y) pairs
     for index, (strokes, marks) in enumerate(layers):
-        color = style.color(index)
+        color = render._PALETTE[index % len(render._PALETTE)][0]
         for item in strokes:
             parts = []
             for i, (px, py) in enumerate(item.points):
@@ -231,19 +234,18 @@ def _reference_svg(scene, results) -> str:
                 parts.append("Z")
             lines.append(
                 '<path d="%s" fill="none" stroke="%s" stroke-width="%s"/>'
-                % (" ".join(parts), color, f(style.stroke_width))
+                % (" ".join(parts), color, f(1.0))
             )
         for x, y in marks:
             lines.append(
                 '<circle cx="%s" cy="%s" r="%s" fill="%s"/>'
-                % (f(x), f(y), f(style.mark_radius), color)
+                % (f(x), f(y), f(2.0), color)
             )
     lines += ["</g>", "</svg>"]
     return "\n".join(lines) + "\n"
 
 
 def _reference_ipe(scene, results) -> str:
-    style = RenderStyle()
     f = _reference_fmt_ipe
     layers = render._gather_layers(scene, results)
     lines = [
@@ -253,7 +255,7 @@ def _reference_ipe(scene, results) -> str:
         "<page>",
     ]
     for index, (strokes, marks) in enumerate(layers):
-        color = render._IPE_COLORS.get(style.color(index), "black")
+        color = render._PALETTE[index % len(render._PALETTE)][1]
         for item in strokes:
             lines.append('<path stroke="%s">' % color)
             for i, (px, py) in enumerate(item.points):

@@ -19,12 +19,11 @@ def test_full_scene_parses():
     assert len(sc.segments) == 1
     assert len(sc.polygons) == 1
     assert (sc.bbox.xmin, sc.bbox.ymax) == (0.0, 5.0)
-    assert not sc.is_empty()
 
 
 def test_empty_scene():
     sc = parse_scene("{}")
-    assert sc.is_empty() and sc.bbox is None
+    assert sc == Scene()
     assert serialize_scene(sc) == "{}"
 
 
