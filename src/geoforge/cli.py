@@ -45,18 +45,6 @@ def _number_arg(convert, accept, message: str):
     return parse
 
 
-def _bbox_arg(text: str) -> BBox:
-    from .core import BBox, GeometryError
-
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError("bbox must be xmin,ymin,xmax,ymax")
-    try:
-        return BBox(*(float(p) for p in parts))
-    except (ValueError, GeometryError) as err:
-        raise argparse.ArgumentTypeError("bad bbox: %s" % err) from None
-
-
 def _depth_flag(cap_name: str):
     """--depth in [0, fractals.<cap_name>]; the cap is read when a value is checked."""
     def depth(text: str) -> int:
@@ -105,20 +93,15 @@ _COMMANDS = {
             ("--capacity", dict(
                 type=_number_arg(int, lambda v: v >= 1, "capacity must be an integer >= 1"),
                 required=True, help="leaf capacity")),
-            ("--bbox", dict(type=_bbox_arg, help="region override (xmin,ymin,xmax,ymax)")),
         ),
         "quadtree",
-        lambda m, scene, args: m.tree_to_dict(m.build_pr_quadtree(
-            scene.points, args.bbox if args.bbox is not None else scene.bbox, args.capacity
-        )),
+        lambda m, scene, args: m.tree_to_dict(
+            m.build_pr_quadtree(scene.points, scene.bbox, args.capacity)
+        ),
     ),
     "trapmap": _Command(
-        "trapezoidal map of scene segments",
-        (("--bbox", dict(type=_bbox_arg, help="bbox override (xmin,ymin,xmax,ymax)")),),
-        "trapmap",
-        lambda m, scene, args: m.map_to_dict(m.build_trapezoidal_map(
-            scene.segments, args.bbox if args.bbox is not None else scene.bbox
-        )),
+        "trapezoidal map of scene segments", (), "trapmap",
+        lambda m, scene, args: m.map_to_dict(m.build_trapezoidal_map(scene.segments, scene.bbox)),
     ),
     "onion": _Command(
         "onion decomposition of scene points", (), "onion",
@@ -253,20 +236,6 @@ def _write_output(path: str, chunks) -> None:
         raise
 
 
-def svg_chunks(scene: Scene, result):
-    """render.svg_chunks; render loads only for an SVG document."""
-    from . import render
-
-    return render.svg_chunks(scene, result)
-
-
-def ipe_chunks(scene: Scene, result):
-    """render.ipe_chunks; render loads only for an Ipe document."""
-    from . import render
-
-    return render.ipe_chunks(scene, result)
-
-
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -285,10 +254,11 @@ def main(argv=None) -> int:
         result = command.run(sys.modules[module], scene, args)
         if args.format == "json":
             chunks = itertools.chain(jsontext.iterdumps(result), ("\n",))
-        elif args.format == "svg":
-            chunks = svg_chunks(scene, result)
         else:
-            chunks = ipe_chunks(scene, result)
+            from . import render
+
+            figure = render.svg_chunks if args.format == "svg" else render.ipe_chunks
+            chunks = figure(scene, result)
         _write_output(args.output, chunks)
     except (SceneError, GeometryError, OSError, UnicodeDecodeError) as err:
         print("error: %s" % err, file=sys.stderr)

@@ -64,9 +64,9 @@ def distance(p: Point, q: Point) -> float:
     return math.hypot(p.x - q.x, p.y - q.y)
 
 
-def points_equal(p: Point, q: Point, tol: float = EPS_DIST) -> bool:
+def points_equal(p: Point, q: Point) -> bool:
     """Equality under the distance epsilon."""
-    return math.hypot(p.x - q.x, p.y - q.y) <= tol
+    return math.hypot(p.x - q.x, p.y - q.y) <= EPS_DIST
 
 
 def _reject_duplicates(order: list, pts) -> None:
@@ -157,10 +157,6 @@ class Halfplane:
             raise GeometryError("halfplane normal must be a unit vector")
         if not math.isfinite(self.c):
             raise GeometryError("halfplane offset must be finite")
-
-    def value(self, p: Point) -> float:
-        """Signed distance-like value; <= 0 means p is inside."""
-        return self.nx * p.x + self.ny * p.y - self.c
 
     def complement(self) -> Halfplane:
         return Halfplane(-self.nx, -self.ny, -self.c)

@@ -38,7 +38,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
 
-from .core import BBox, GeometryError, Point, Polygon
+from .core import COORD_LIMIT, BBox, GeometryError, Point, Polygon
 
 TRIANGLE_MAX_DEPTH = 12
 CARPET_MAX_DEPTH = 7
@@ -162,9 +162,9 @@ def sierpinski_carpet(seed: BBox, depth: int) -> FractalOutput:
         raise GeometryError("seed must be a bbox")
     _check_depth(depth, CARPET_MAX_DEPTH)
     # every cell corner is a Point; the seed's corners bound them all
-    Point(seed.xmin, seed.ymin)
-    Point(seed.xmax, seed.ymax)
     bounds = (seed.xmin, seed.ymin, seed.xmax, seed.ymax)
+    if not all(-COORD_LIMIT <= v <= COORD_LIMIT for v in bounds):
+        raise GeometryError("seed must satisfy |x|, |y| <= %g" % COORD_LIMIT)
     cells = CellSequence(partial(_carpet_walk, *bounds, depth), 8**depth, bounds, _polygon)
     return FractalOutput(kind=FractalKind.CARPET, depth=depth, cells=cells)
 

@@ -3,14 +3,14 @@
 Both emitters consume the same layers: the scene's own geometry first,
 then layers extracted from a structure dump (the plain-data form each
 module produces).  A layer is a pair (strokes, marks), drawn in that
-order in one colour.  A Stroke is a named tuple of a sequence of (x, y)
-pairs, open or closed; a fractal cell's own vertex list serves as its
-stroke's points.  A mark is any (x, y) pair, so the points of a dump (its
-[x, y] lists, or a triangulation's sample pairs) are the marks as they
-are, with nothing made per point.  The point-tree walks use an explicit
-stack, so tree depth is not bounded by the recursion limit.  Layers cycle
-through one fixed palette.  Output is deterministic: fixed element
-order and fixed coordinate formatting.
+order in one colour.  A stroke is a pair (points, closed): a sequence of
+(x, y) pairs and whether the path closes; a fractal cell's own vertex
+list serves as its stroke's points.  A mark is any (x, y) pair, so the
+points of a dump (its [x, y] lists, or a triangulation's sample pairs)
+are the marks as they are, with nothing made per point.  The point-tree
+walks use an explicit stack, so tree depth is not bounded by the
+recursion limit.  Layers cycle through one fixed palette.  Output is
+deterministic: fixed element order and fixed coordinate formatting.
 
 SVG uses fixed 6-decimal coordinates and flips the y axis so figures read
 in math orientation.  Ipe files carry no stylesheet and use only the
@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from itertools import chain, islice
 from operator import itemgetter
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING
 
 from .core import GeometryError
 from .jsontext import TextMemo
@@ -76,32 +76,26 @@ _PALETTE = (
 )
 
 
-class Stroke(NamedTuple):
-    # any sequence of (x, y) pairs, a dump's own lists included
-    points: Sequence[Sequence[float]]
-    closed: bool
-
-
-def _closed_stroke(points) -> Stroke:
-    return Stroke(points, True)
+def _closed_stroke(points) -> tuple:
+    return points, True
 
 
 def _loop_strokes(pts) -> list:
     """A vertex loop's stroke: closed through three or more points, open
     through two, none for fewer."""
-    return [Stroke(pts, len(pts) >= 3)] if len(pts) >= 2 else []
+    return [(pts, len(pts) >= 3)] if len(pts) >= 2 else []
 
 
-def _rect(x0, y0, x1, y1) -> Stroke:
-    return Stroke(((x0, y0), (x1, y0), (x1, y1), (x0, y1)), True)
+def _rect(x0, y0, x1, y1) -> tuple:
+    return ((x0, y0), (x1, y0), (x1, y1), (x0, y1)), True
 
 
 def _scene_layer(scene: Scene) -> tuple:
     strokes: list = []
     for s in scene.segments:
-        strokes.append(Stroke(((s.a.x, s.a.y), (s.b.x, s.b.y)), False))
+        strokes.append((((s.a.x, s.a.y), (s.b.x, s.b.y)), False))
     for poly in scene.polygons:
-        strokes.append(Stroke(tuple((v.x, v.y) for v in poly.vertices), True))
+        strokes.append((tuple((v.x, v.y) for v in poly.vertices), True))
     return strokes, [(p.x, p.y) for p in scene.points]
 
 
@@ -122,13 +116,13 @@ def _result_layers(results, scene: Scene) -> list[tuple]:
         if isinstance(cells, CellSequence):
             # made while it is written; it carries the bounds of all its cells
             return [(cells.remade(_closed_stroke), [])]
-        return [([Stroke(cell, True) for cell in cells], [])]
+        return [([(cell, True) for cell in cells], [])]
     if keys == {"bbox", "segments", "extensions", "trapezoids"}:
         return _trapmap_layers(results)
     if keys == {"points", "edges"}:
         pts = results["points"]
         edges = [
-            Stroke(((pts[i][0], pts[i][1]), (pts[j][0], pts[j][1])), False)
+            (((pts[i][0], pts[i][1]), (pts[j][0], pts[j][1])), False)
             for i, j in results["edges"]
         ]
         return [(edges, []), ([], pts)]
@@ -182,8 +176,8 @@ def _point_tree_lines(root: dict, bounds, lines: list, marks: list) -> None:
             continue
         site = node["site"]
         sx, sy = site
-        lines.append(Stroke(((sx, y0), (sx, y1)), False))
-        lines.append(Stroke(((x0, sy), (x1, sy)), False))
+        lines.append((((sx, y0), (sx, y1)), False))
+        lines.append((((x0, sy), (x1, sy)), False))
         marks.append(site)
         stack.append((node["se"], (sx, y0, x1, sy)))
         stack.append((node["sw"], (x0, y0, sx, sy)))
@@ -203,13 +197,13 @@ def _pr_tree_lines(node, lines: list, marks: list) -> None:
 def _trapmap_layers(data: dict) -> list[tuple]:
     base: list = [_rect(*data["bbox"])]
     for (ax, ay), (bx, by) in data["segments"]:
-        base.append(Stroke(((ax, ay), (bx, by)), False))
+        base.append((((ax, ay), (bx, by)), False))
     ext: list = []
     for e in data["extensions"]:
         ox, oy = e["origin"]
         ux, uy = e["up_hit"]
         dx, dy = e["down_hit"]
-        ext.append(Stroke(((dx, dy), (ox, oy), (ux, uy)), False))
+        ext.append((((dx, dy), (ox, oy), (ux, uy)), False))
     return [(base, []), (ext, [])]
 
 
@@ -226,10 +220,7 @@ def _triangulation_layers(data: dict, scene: Scene) -> list[tuple]:
     tris: list = []
     for i, j, k in data["triangles"]:
         tris.append(
-            Stroke(
-                ((verts[i].x, verts[i].y), (verts[j].x, verts[j].y), (verts[k].x, verts[k].y)),
-                True,
-            )
+            (((verts[i].x, verts[i].y), (verts[j].x, verts[j].y), (verts[k].x, verts[k].y)), True)
         )
     return [(tris, []), ([], data["samples"])]
 
@@ -249,9 +240,9 @@ def _bounds(scene: Scene, layers: list[tuple]) -> tuple[float, float, float, flo
     ys: list[float] = []
     for strokes, marks in layers:
         if type(strokes) is list:
-            for stroke in strokes:
-                xs.extend(p[0] for p in stroke.points)
-                ys.extend(p[1] for p in stroke.points)
+            for points, _ in strokes:
+                xs.extend(p[0] for p in points)
+                ys.extend(p[1] for p in points)
         else:
             # a fractal's CellSequence, which carries its bounds
             x0, y0, x1, y1 = strokes.bounds
@@ -263,10 +254,11 @@ def _bounds(scene: Scene, layers: list[tuple]) -> tuple[float, float, float, flo
     return min(xs), min(ys), max(xs), max(ys)
 
 
-def _padded(bounds, frac: float = 0.05) -> tuple[float, float, float, float]:
+def _padded(bounds) -> tuple[float, float, float, float]:
+    """The bounds grown by 5% per side, or by 1 along an axis of zero extent."""
     x0, y0, x1, y1 = bounds
-    pad_x = frac * (x1 - x0) if x1 > x0 else 1.0
-    pad_y = frac * (y1 - y0) if y1 > y0 else 1.0
+    pad_x = 0.05 * (x1 - x0) if x1 > x0 else 1.0
+    pad_y = 0.05 * (y1 - y0) if y1 > y0 else 1.0
     return x0 - pad_x, y0 - pad_y, x1 + pad_x, y1 + pad_y
 
 

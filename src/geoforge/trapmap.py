@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
 from .core import (
+    COORD_LIMIT,
     EPS_DIST,
     BBox,
     GeometryError,
@@ -103,7 +104,9 @@ def _default_bbox(segments) -> BBox:
     h = max(ys) - min(ys)
     pad_x = 0.10 * w  # w > 0: vertical segments are rejected
     pad_y = 0.10 * (h if h > 0.0 else w)
-    return BBox(min(xs) - pad_x, min(ys) - pad_y, max(xs) + pad_x, max(ys) + pad_y)
+    # the walls' ray hits are Points, so the y-range stays in the domain
+    return BBox(min(xs) - pad_x, max(min(ys) - pad_y, -COORD_LIMIT),
+                max(xs) + pad_x, min(max(ys) + pad_y, COORD_LIMIT))
 
 
 def build_trapezoidal_map(segments, bbox: BBox | None = None) -> TrapezoidalMap:
@@ -111,8 +114,10 @@ def build_trapezoidal_map(segments, bbox: BBox | None = None) -> TrapezoidalMap:
 
     Segments may share endpoints (polyline chains are fine); any other
     contact is rejected.  Without an explicit bbox the tight bounding box
-    of the endpoints expanded by 10% per side is used, which requires at
-    least one segment.
+    of the endpoints expanded by 10% per side is used, its y-range cut to
+    +/-COORD_LIMIT, which requires at least one segment.  An explicit bbox
+    around segments must keep |ymin|, |ymax| <= COORD_LIMIT, since the rays
+    that reach its walls end in Points there.
     """
     segs = tuple(segments)
     for i, s in enumerate(segs):
@@ -132,6 +137,8 @@ def build_trapezoidal_map(segments, bbox: BBox | None = None) -> TrapezoidalMap:
             raise GeometryError("empty segment set requires an explicit bbox")
         bbox = _default_bbox(segs)
     else:
+        if segs and not -COORD_LIMIT <= bbox.ymin < bbox.ymax <= COORD_LIMIT:
+            raise GeometryError("bbox must satisfy |ymin|, |ymax| <= %g" % COORD_LIMIT)
         for i, s in enumerate(segs):
             if not (bbox.contains(s.a) and bbox.contains(s.b)):
                 raise GeometryError("endpoint outside bbox: segment %d" % i)

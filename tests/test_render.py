@@ -226,11 +226,11 @@ def _reference_svg(scene, results) -> str:
     # each layer is its strokes, then its marks: (x, y) pairs
     for index, (strokes, marks) in enumerate(layers):
         color = render._PALETTE[index % len(render._PALETTE)][0]
-        for item in strokes:
+        for points, closed in strokes:
             parts = []
-            for i, (px, py) in enumerate(item.points):
+            for i, (px, py) in enumerate(points):
                 parts.append("%s %s %s" % ("M" if i == 0 else "L", f(px), f(py)))
-            if item.closed:
+            if closed:
                 parts.append("Z")
             lines.append(
                 '<path d="%s" fill="none" stroke="%s" stroke-width="%s"/>'
@@ -256,11 +256,11 @@ def _reference_ipe(scene, results) -> str:
     ]
     for index, (strokes, marks) in enumerate(layers):
         color = render._PALETTE[index % len(render._PALETTE)][1]
-        for item in strokes:
+        for points, closed in strokes:
             lines.append('<path stroke="%s">' % color)
-            for i, (px, py) in enumerate(item.points):
+            for i, (px, py) in enumerate(points):
                 lines.append("%s %s %s" % (f(px), f(py), "m" if i == 0 else "l"))
-            if item.closed:
+            if closed:
                 lines.append("h")
             lines.append("</path>")
         for x, y in marks:
@@ -325,9 +325,9 @@ def _all_layers_bounds(scene, layers):
     xs: list = []
     ys: list = []
     for strokes, marks in layers:
-        for item in strokes:
-            xs.extend(p[0] for p in item.points)
-            ys.extend(p[1] for p in item.points)
+        for points, _ in strokes:
+            xs.extend(p[0] for p in points)
+            ys.extend(p[1] for p in points)
         for x, y in marks:
             xs.append(x)
             ys.append(y)
