@@ -136,10 +136,11 @@ class BBox:
     def area(self) -> float:
         return self.width * self.height
 
-    def contains(self, p: Point, tol: float = EPS_DIST) -> bool:
+    def contains(self, p: Point) -> bool:
+        """Whether p lies in the box or within EPS_DIST of it on each axis."""
         return (
-            self.xmin - tol <= p.x <= self.xmax + tol
-            and self.ymin - tol <= p.y <= self.ymax + tol
+            self.xmin - EPS_DIST <= p.x <= self.xmax + EPS_DIST
+            and self.ymin - EPS_DIST <= p.y <= self.ymax + EPS_DIST
         )
 
 

@@ -24,10 +24,11 @@ generator is made, before its first chunk.  The SVG viewBox comes before
 the first path, so the bounds are found first: the scene bbox when there
 is one; otherwise the layers are measured: strokes point by point, marks
 by min and max over each coordinate, and a fractal dump's cells (a
-`CellSequence`) by the bounds they carry.  The fractal layer is the one
-layer made while it is written, one stroke per cell, so a fractal's
-document streams in memory that does not grow with its depth; every
-other dump is bounded by its input and is gathered whole.  The fractal
+`CellSequence`) and a quadtree's lines (a `_Framed` list, inside the
+rectangle it draws first) by the bounds they carry.  The fractal layer
+is the one layer made while it is written, one stroke per cell, so a
+fractal's document streams in memory that does not grow with its depth;
+every other dump is bounded by its input and is gathered whole.  The fractal
 and quadtree modules load only when one of their dumps is drawn, so a
 figure of any other structure does not compile them.
 
@@ -137,6 +138,13 @@ def _onion_layers(layers_data: list) -> list[tuple]:
     return [(_loop_strokes(pts), pts) for pts in layers_data]
 
 
+class _Framed(list):
+    """A quadtree's lines, which all lie in the rectangle (x0, y0, x1, y1)
+    their first stroke draws; _bounds reads it from `bounds`."""
+
+    __slots__ = ("bounds",)
+
+
 def _quadtree_layers(data: dict) -> list[tuple]:
     lines: list = []
     marks: list = []
@@ -147,9 +155,12 @@ def _quadtree_layers(data: dict) -> list[tuple]:
 
             sites = list(_point_tree_sites(root))
             bounds = bounding_square([x for x, _ in sites], [y for _, y in sites])
-            lines.append(_rect(*bounds))
+            lines = _Framed([_rect(*bounds)])
+            lines.bounds = bounds
             _point_tree_lines(root, bounds, lines, marks)
     elif data["kind"] == "pr":
+        lines = _Framed()
+        lines.bounds = tuple(root["region"])
         _pr_tree_lines(root, lines, marks)
     else:
         raise GeometryError("cannot render this dump")
@@ -244,7 +255,8 @@ def _bounds(scene: Scene, layers: list[tuple]) -> tuple[float, float, float, flo
                 xs.extend(p[0] for p in points)
                 ys.extend(p[1] for p in points)
         else:
-            # a fractal's CellSequence, which carries its bounds
+            # a fractal's CellSequence or a quadtree's _Framed lines, which
+            # carry their bounds
             x0, y0, x1, y1 = strokes.bounds
             xs += (x0, x1)
             ys += (y0, y1)

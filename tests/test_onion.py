@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import geomgen
 import geoforge.onion as onion
 from geoforge import GeometryError, Point, onion_decomposition
-from geoforge.core import EPS_DIST
+from geoforge.core import EPS_AREA, EPS_DIST, _OFF_LINE
 from geoforge.onion import layers_to_lists
 
 
@@ -232,3 +232,141 @@ def test_uniform_peels_make_few_distance_calls(monkeypatch):
         pts = [Point(rng.random(), rng.random()) for _ in range(1000)]
         assert onion_decomposition(pts) == geomgen.onion_reference(pts)
     assert calls[0] <= 100, calls[0]
+
+
+def _family_set(family: str, seed: int, n: int) -> list:
+    """About n distinct Points of one family, from random.Random(seed).
+
+    Most sets of every family but "tight" span far more than onion._DEEP,
+    so the column filter leaves points out of most of their layers; "tight"
+    is 1e-3 wide, so nothing is left out, though a margin of a few
+    _OFF_LINE would leave points out there.
+    """
+    rng = random.Random(seed)
+    ox, oy = rng.choice([(0.0, 0.0), (-9e5, 9e5), (3e5, -7e5)])
+    raw = []
+    if family == "lattice":
+        step = rng.choice([1.0, 7.0, 25.0, 0.5])
+        k = max(2, math.isqrt(n))
+        raw = [(ox + i * step, oy + j * step) for i in range(k) for j in range(k)
+               if rng.random() < 0.9]
+    elif family == "collinear":
+        for _ in range(rng.randint(2, 6)):
+            ax, ay = ox + rng.uniform(0, 1000), oy + rng.uniform(0, 1000)
+            dx, dy = rng.choice([(1, 0), (0, 1), (1, 1), (3, -2), (rng.random(), rng.random())])
+            step = rng.uniform(1, 40)
+            count = rng.randint(3, n // 4)
+            raw += [(ax + i * step * dx, ay + i * step * dy) for i in range(count)]
+        raw += [(ox + rng.uniform(0, 1000), oy + rng.uniform(0, 1000)) for _ in range(n // 2)]
+    elif family == "turns":
+        # corners on a circle; points whose turn with an edge is a few EPS_AREA
+        m = rng.randint(3, 9)
+        r = rng.uniform(100, 5000)
+        corners = [(ox + r * math.cos(a), oy + r * math.sin(a))
+                   for a in sorted(rng.uniform(0, 2 * math.pi) for _ in range(m))]
+        raw = list(corners)
+        for k in range(m):
+            (ax, ay), (bx, by) = corners[k], corners[(k + 1) % m]
+            length = math.hypot(bx - ax, by - ay)
+            for _ in range(n // (2 * m)):
+                t = rng.random()
+                off = rng.uniform(-5, 5) * EPS_AREA / length
+                raw.append((ax + t * (bx - ax) - off * (by - ay) / length,
+                            ay + t * (by - ay) + off * (bx - ax) / length))
+        raw += [(ox + rng.uniform(-r, r) * 0.7, oy + rng.uniform(-r, r) * 0.7)
+                for _ in range(n // 2)]
+    elif family == "clusters":
+        for _ in range(rng.randint(1, 5)):
+            cx, cy = ox + rng.uniform(0, 2000), oy + rng.uniform(0, 2000)
+            sigma = rng.choice([1.0, 30.0, 300.0, 1e-4])
+            raw += [(cx + rng.gauss(0, sigma), cy + rng.gauss(0, sigma)) for _ in range(n // 3)]
+    elif family == "uniform":
+        side = rng.choice([50.0, 1000.0, 1e5])
+        raw = [(ox + rng.uniform(0, side), oy + rng.uniform(0, side)) for _ in range(n)]
+    else:  # tight
+        raw = [(1e6 - rng.uniform(0, 1e-3), -1e6 + rng.uniform(0, 1e-3)) for _ in range(n)]
+    return [Point(x, y) for x, y in dict.fromkeys(raw) if max(abs(x), abs(y)) <= 1e6]
+
+
+FAMILIES = ("lattice", "collinear", "turns", "clusters", "uniform", "tight")
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32), n=st.sampled_from((20, 40, 100, 250, 600)))
+def test_filtered_peel_matches_the_reference(family, seed, n):
+    # sizes below and above 4 columns of w = max(8, isqrt(n)) points
+    pts = _family_set(family, seed, n)
+    assert _peel(onion_decomposition, pts) == _peel(geomgen.onion_reference, pts)
+
+
+def _candidates_and_remaining(pts):
+    """Points that reach _boundary_layer, and the points that remain, summed
+    over the layers of one peel."""
+    seen = []
+    boundary_layer = onion._boundary_layer
+
+    def counted(order, points):
+        seen.append(len(order))
+        return boundary_layer(order, points)
+
+    onion._boundary_layer = counted
+    try:
+        d = onion_decomposition(pts)
+    finally:
+        onion._boundary_layer = boundary_layer
+    remaining = len(pts)
+    total = 0
+    for layer in d.layers:
+        total += remaining
+        remaining -= len(layer)
+    return sum(seen), total
+
+
+@pytest.mark.parametrize("family", FAMILIES[:-1])
+def test_the_filter_leaves_points_out_of_each_wide_family(family):
+    # so the equality test above runs the filter, not only its fallback
+    counts = [_candidates_and_remaining(_family_set(family, seed, 600)) for seed in range(4)]
+    reached = sum(r for r, _ in counts)
+    remaining = sum(m for _, m in counts)
+    assert reached < 0.9 * remaining, counts
+
+
+def test_a_margin_of_a_few_off_line_would_change_tight_clusters(monkeypatch):
+    # the chain's EPS_AREA test blurs a line by up to EPS_AREA / EPS_DIST = 1
+    # unit about an edge EPS_DIST long; with a margin of twice _OFF_LINE,
+    # points deep in a 1e-3-wide cluster can sit in such a band
+    sets = [_family_set("tight", seed, 250) for seed in range(12)]
+    assert all(onion_decomposition(p) == geomgen.onion_reference(p) for p in sets)
+    monkeypatch.setattr(onion, "_DEEP", 2.0 * _OFF_LINE)
+    assert any(onion_decomposition(p) != geomgen.onion_reference(p) for p in sets)
+
+
+def test_uniform_peels_read_few_points_per_layer(monkeypatch):
+    # the points that reach _boundary_layer, plus the points the column
+    # scans read (a scan from a column's end reads its candidates there and
+    # the point that stops it), grow by less than 2.5 per doubling; a peel
+    # that reads every remaining point for every layer grows by about 3.1,
+    # as the number of layers grows as n**(2/3)
+    reads = [0]
+    shell = getattr(onion, "_shell", None)
+
+    def counted_shell(cols):
+        cand, cuts = shell(cols)
+        for (col, _, _), (i, j) in zip(cols, cuts):
+            n = len(col)
+            if (i, j) != (n, n):  # a column that gives all its points reads none
+                reads[0] += min(i + 1, n) + n - j + (j > i)
+        return cand, cuts
+
+    # a peel without column scans reads only what reaches _boundary_layer
+    monkeypatch.setattr(onion, "_shell", counted_shell, raising=False)
+    counts = []
+    for n in (4000, 8000, 16000):
+        rng = random.Random(n)
+        pts = [Point(rng.uniform(0, 1000), rng.uniform(0, 1000)) for _ in range(n)]
+        reads[0] = 0
+        reached, _ = _candidates_and_remaining(pts)
+        counts.append(reached + reads[0])
+    for small, large in zip(counts, counts[1:]):
+        assert large < 2.5 * small, counts

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -366,6 +367,25 @@ def test_streamed_viewbox_equals_the_bounds_of_every_layer():
         plain = dict(dump, cells=[list(cell) for cell in dump["cells"]])
         assert emit_svg(scene, plain) == emit_svg(scene, dump) == _reference_svg(scene, plain)
         assert emit_ipe(scene, plain) == emit_ipe(scene, dump) == _reference_ipe(scene, plain)
+
+
+def test_quadtree_frames_carry_the_bounds_of_their_lines():
+    # the point tree's lines lie in its bounding square and the PR tree's in
+    # its root region, so _bounds reads the frame instead of every line
+    rng = random.Random(2027)
+    unboxed = Scene(points=(), segments=(), polygons=(), bbox=None)
+    for trial in range(20):
+        n = rng.randint(1, 500)
+        pts = [Point(x, y) for x, y in dict.fromkeys(
+            (round(rng.uniform(-50, 80), 3), round(rng.uniform(-9, 300), 3)) for _ in range(n))]
+        for tree in (build_point_quadtree(pts), build_pr_quadtree(pts, capacity=1 + trial % 4)):
+            layers = render._gather_layers(unboxed, tree_to_dict(tree))
+            frame = layers[1][0]
+            assert type(frame) is not list
+            walked = [p for points, _ in frame for p in points]
+            assert frame.bounds == (min(x for x, _ in walked), min(y for _, y in walked),
+                                    max(x for x, _ in walked), max(y for _, y in walked))
+            assert render._bounds(unboxed, layers) == _all_layers_bounds(unboxed, layers)
 
 
 def test_chunks_join_to_the_document_and_stay_bounded():

@@ -284,7 +284,8 @@ def _boundary_queries(m, rng):
                 hi = _bound_y(t.top, x, m.segments, m.bbox)
                 ys += [lo + dy for dy in (0.0, 5e-10, 2e-9)]
                 ys += [hi - dy for dy in (0.0, 5e-10, 2e-9)]
-            out += [Point(x, y) for y in ys if m.bbox.contains(Point(x, y), 0.0)]
+            b = m.bbox
+            out += [Point(x, y) for y in ys if b.xmin <= x <= b.xmax and b.ymin <= y <= b.ymax]
     return out
 
 
