@@ -125,6 +125,17 @@ class BBox:
         if not (self.xmin < self.xmax and self.ymin < self.ymax):
             raise GeometryError("bbox must satisfy xmin < xmax and ymin < ymax")
 
+    @classmethod
+    def _unchecked(cls, xmin: float, ymin: float, xmax: float, ymax: float) -> BBox:
+        """Wrap finite float bounds the caller already knows satisfy xmin < xmax
+        and ymin < ymax."""
+        box = object.__new__(cls)
+        object.__setattr__(box, "xmin", xmin)
+        object.__setattr__(box, "ymin", ymin)
+        object.__setattr__(box, "xmax", xmax)
+        object.__setattr__(box, "ymax", ymax)
+        return box
+
     @property
     def width(self) -> float:
         return self.xmax - self.xmin

@@ -18,11 +18,15 @@ tuple whose items are all exactly int, such as an edge or a triangle, as
 one step through str) and falls back to isinstance checks for everything
 else, bools and int subclasses included.  Each distinct float is
 formatted once per call, through a memo that only floats reach and that
-starts over at a chunk's end once it holds MEMO_LIMIT entries; a miss
-formats in the memo's own `__missing__`, one Python call.  Dict keys
+starts over at a chunk's end once it holds MEMO_LIMIT entries.  An
+[x, y] pair formats its misses in the walk itself, so the points and
+samples that make up most dumps cost no Python call per coordinate; a
+lone float's miss formats in the memo's own `__missing__`.  Dict keys
 must be strings; any other key raises TypeError, since JSON has no other
-kind.  An error raises where the walk meets it, so chunks before it may
-already have been yielded.
+kind.  A key's text, quoted and with its colon, is made once per call
+for each distinct `str` key, in a memo that starts over like the floats'.
+An error raises where the walk meets it, so chunks before it may already
+have been yielded.
 """
 
 from __future__ import annotations
@@ -89,6 +93,8 @@ def iterdumps(value):
     """The text of dumps(value), in chunks of CHUNK_PARTS parts."""
     # keyed by floats only: 10**20 == 1e20 but they print differently
     floats = _FloatText()
+    get = floats.get
+    keys: dict = {}
     parts: list[str] = []
     out = parts.append
     # `items` iterates over what is left of the innermost open container
@@ -104,6 +110,8 @@ def iterdumps(value):
                 chunk = "".join(parts)
                 parts.clear()
                 floats.trim()
+                if len(keys) >= MEMO_LIMIT:
+                    keys.clear()
                 yield chunk
             if first:
                 first = False
@@ -111,17 +119,37 @@ def iterdumps(value):
                 out(",")
             if is_dict:
                 key, v = v
-                if not isinstance(key, str):
+                if type(key) is str:
+                    text = keys.get(key)
+                    if text is None:
+                        text = keys[key] = _quote(key) + ":"
+                elif isinstance(key, str):
+                    text = _quote(key) + ":"
+                else:
                     raise TypeError("dict keys must be strings, not %r" % type(key).__name__)
-                out(_quote(key))
-                out(":")
+                out(text)
             t = type(v)
             if t is float:
-                out(floats[v])
+                out(get(v) or floats[v])
                 continue
             if t is list or t is tuple:
                 if len(v) == 2 and type(v[0]) is float and type(v[1]) is float:
-                    out("[%s,%s]" % (floats[v[0]], floats[v[1]]))
+                    x, y = v
+                    # a miss is formatted here; only the text of inf, nan
+                    # and -0 goes through the memo's own rule
+                    sx = get(x)
+                    if sx is None:
+                        sx = "%.12g" % x
+                        if sx[-1] in "fn" or sx == "-0":
+                            sx = floats[x]
+                        floats[x] = sx
+                    sy = get(y)
+                    if sy is None:
+                        sy = "%.12g" % y
+                        if sy[-1] in "fn" or sy == "-0":
+                            sy = floats[y]
+                        floats[y] = sy
+                    out("[%s,%s]" % (sx, sy))
                     continue
                 for x in v:
                     if type(x) is not int:

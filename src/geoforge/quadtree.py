@@ -1,17 +1,20 @@
 """Point quadtrees and point-region (PR) quadtrees.
 
-Both trees send a point to a child by one rule, `_quadrant`: x >= the
-split value goes East, y >= the split value goes North.  The point
-quadtree splits at the stored site, so its shape depends on insertion
-order.  It rejects two points within EPS_DIST of each other whatever
-their order, by the onion and beta-skeleton rule.  The PR quadtree splits
-a region at its center while it holds more than its capacity, so its
-shape depends only on the point set, the region, and the capacity.
+Both trees send a point to a child by one rule: x >= the split value goes
+East, y >= the split value goes North.  The builds write the rule inline,
+so a point's descent or a node's partition makes no Python call per level
+or per point.  The point quadtree splits at the stored site, so its shape
+depends on insertion order.  It rejects two points within EPS_DIST of each
+other whatever their order, by the onion and beta-skeleton rule.  The PR
+quadtree splits a region at its center while it holds more than its
+capacity, so its shape depends only on the point set, the region, and the
+capacity.
 
 A point quadtree can be as deep as it has points (a diagonal input is one
-path), so its walks (equality, points(), the dump) use an explicit stack.
-parse_quadtree_array does not lift the limit: the stdlib JSON decoder
-bounds the nesting depth it reads, and a deeper dump is a GeometryError.
+path), so its walks (equality, points(), the dump) use an explicit stack,
+and so does the PR tree's dump.  parse_quadtree_array does not lift the
+limit: the stdlib JSON decoder bounds the nesting depth it reads, and a
+deeper dump is a GeometryError.
 """
 
 from __future__ import annotations
@@ -19,17 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import jsontext
-from .core import BBox, GeometryError, Point, _reject_duplicates
+from .core import EPS_DIST, BBox, GeometryError, Point, _reject_duplicates
 
 MAX_DEPTH = 32
 
-# child names in child order; _quadrant indexes them
+# child names in child order
 _QUADRANTS = ("nw", "ne", "sw", "se")
-
-
-def _quadrant(x: float, y: float, cx: float, cy: float) -> int:
-    """Index into _QUADRANTS of (x, y) about the split point (cx, cy)."""
-    return (x >= cx) + 2 * (y < cy)
 
 
 def bounding_square(xs, ys) -> tuple[float, float, float, float]:
@@ -93,14 +91,15 @@ def build_point_quadtree(points) -> PointQuadtree:
         return PointQuadtree(None)
     root = PointNode(pts[0])
     for p in pts[1:]:
+        x, y = p.x, p.y
         node = root
-        while True:
-            key = _QUADRANTS[_quadrant(p.x, p.y, node.site.x, node.site.y)]
-            child = getattr(node, key)
-            if child is None:
-                setattr(node, key, PointNode(p))
-                break
-            node = child
+        while node is not None:
+            parent, site = node, node.site
+            if y >= site.y:
+                node, key = (node.ne, "ne") if x >= site.x else (node.nw, "nw")
+            else:
+                node, key = (node.se, "se") if x >= site.x else (node.sw, "sw")
+        setattr(parent, key, PointNode(p))
     return PointQuadtree(root)
 
 
@@ -112,10 +111,6 @@ class PRNode:
         self.points: list[Point] | None = []
         self.children: list[PRNode] | None = None
         self.overfull = False
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.children is None
 
 
 def _pr_preorder(root: PRNode):
@@ -171,8 +166,11 @@ def build_pr_quadtree(points, region: BBox | None = None, capacity: int = 1) -> 
             raise GeometryError("empty point set requires an explicit region")
         region = BBox(*bounding_square([p.x for p in pts], [p.y for p in pts]))
     else:
+        # region.contains, with its bounds read once
+        lo_x, hi_x = region.xmin - EPS_DIST, region.xmax + EPS_DIST
+        lo_y, hi_y = region.ymin - EPS_DIST, region.ymax + EPS_DIST
         for i, p in enumerate(pts):
-            if not region.contains(p):
+            if not (lo_x <= p.x <= hi_x and lo_y <= p.y <= hi_y):
                 raise GeometryError("point %d outside region" % i)
     root = PRNode(region)
     root.points = pts
@@ -188,16 +186,22 @@ def build_pr_quadtree(points, region: BBox | None = None, capacity: int = 1) -> 
         if depth >= MAX_DEPTH or not (x0 < cx < x1 and y0 < cy < y1):
             node.overfull = tree.overfull = True
             continue
-        node.children = [
-            PRNode(BBox(x0, cy, cx, y1)),  # nw
-            PRNode(BBox(cx, cy, x1, y1)),  # ne
-            PRNode(BBox(x0, y0, cx, cy)),  # sw
-            PRNode(BBox(cx, y0, x1, cy)),  # se
+        # the test above proves each child's bounds ordered, and they are
+        # floats from the region's
+        nw, ne, sw, se = node.children = [
+            PRNode(BBox._unchecked(x0, cy, cx, y1)),
+            PRNode(BBox._unchecked(cx, cy, x1, y1)),
+            PRNode(BBox._unchecked(x0, y0, cx, cy)),
+            PRNode(BBox._unchecked(cx, y0, x1, cy)),
         ]
         for p in node.points:
-            node.children[_quadrant(p.x, p.y, cx, cy)].points.append(p)
+            if p.y >= cy:
+                (ne if p.x >= cx else nw).points.append(p)
+            else:
+                (se if p.x >= cx else sw).points.append(p)
         node.points = None
-        stack += ((child, depth + 1) for child in node.children)
+        depth += 1
+        stack += ((nw, depth), (ne, depth), (sw, depth), (se, depth))
     return tree
 
 
@@ -212,26 +216,49 @@ def tree_to_dict(tree) -> dict:
 
 def _point_node_dict(root: PointNode | None):
     # each node's dict is made with all five keys; an explicit stack then
-    # fills in the children's dicts
+    # fills in the children's dicts, nw first, so the dicts are made in
+    # preorder
     holder = {"root": None}
     stack = [(root, holder, "root")] if root is not None else []
+    push = stack.append
     while stack:
         node, parent, key = stack.pop()
-        d = parent[key] = {
-            "site": [node.site.x, node.site.y], "nw": None, "ne": None, "sw": None, "se": None
-        }
-        for quadrant in _QUADRANTS:
-            child = getattr(node, quadrant)
-            if child is not None:
-                stack.append((child, d, quadrant))
+        site = node.site
+        d = parent[key] = {"site": [site.x, site.y], "nw": None, "ne": None, "sw": None, "se": None}
+        if node.se is not None:
+            push((node.se, d, "se"))
+        if node.sw is not None:
+            push((node.sw, d, "sw"))
+        if node.ne is not None:
+            push((node.ne, d, "ne"))
+        if node.nw is not None:
+            push((node.nw, d, "nw"))
     return holder["root"]
 
 
-def _pr_node_dict(node: PRNode):
-    region = [node.region.xmin, node.region.ymin, node.region.xmax, node.region.ymax]
-    if node.is_leaf:
-        return {"region": region, "points": [[p.x, p.y] for p in node.points]}
-    return {"region": region, "children": [_pr_node_dict(c) for c in node.children]}
+def _pr_node_dict(root: PRNode):
+    # each node's dict is made whole, an inner node's with four empty
+    # slots that an explicit stack then fills in
+    holder = [None]
+    stack = [(root, holder, 0)]
+    while stack:
+        node, parent, i = stack.pop()
+        r = node.region
+        region = [r.xmin, r.ymin, r.xmax, r.ymax]
+        if node.children is None:
+            # a loop, not a comprehension: leaves hold a few points, and a
+            # comprehension is one more call
+            points = []
+            for p in node.points:
+                points.append([p.x, p.y])
+            parent[i] = {"region": region, "points": points}
+        else:
+            kids = [None, None, None, None]
+            parent[i] = {"region": region, "children": kids}
+            nw, ne, sw, se = node.children
+            # nw comes off first, so the dicts are made in preorder
+            stack += ((se, kids, 3), (sw, kids, 2), (ne, kids, 1), (nw, kids, 0))
+    return holder[0]
 
 
 def quadtree_to_array(tree) -> str:

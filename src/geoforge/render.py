@@ -153,11 +153,12 @@ def _quadtree_layers(data: dict) -> list[tuple]:
         if root is not None:
             from .quadtree import bounding_square
 
-            sites = list(_point_tree_sites(root))
-            bounds = bounding_square([x for x, _ in sites], [y for _, y in sites])
+            # the sites in preorder are the marks
+            marks = _point_tree_sites(root)
+            bounds = bounding_square(list(map(_X, marks)), list(map(_Y, marks)))
             lines = _Framed([_rect(*bounds)])
             lines.bounds = bounds
-            _point_tree_lines(root, bounds, lines, marks)
+            _point_tree_lines(root, bounds, lines)
     elif data["kind"] == "pr":
         lines = _Framed()
         lines.bounds = tuple(root["region"])
@@ -167,33 +168,36 @@ def _quadtree_layers(data: dict) -> list[tuple]:
     return [(lines, []), ([], marks)]
 
 
-def _point_tree_sites(root: dict):
+def _point_tree_sites(root: dict) -> list:
     """Sites of a point-tree dump in preorder, walked with an explicit stack."""
+    sites = []
     stack = [root]
     while stack:
         node = stack.pop()
         if node is not None:
-            yield node["site"]
-            stack.extend((node["se"], node["sw"], node["ne"], node["nw"]))
+            sites.append(node["site"])
+            stack += (node["se"], node["sw"], node["ne"], node["nw"])
+    return sites
 
 
-def _point_tree_lines(root: dict, bounds, lines: list, marks: list) -> None:
+def _point_tree_lines(root: dict, bounds, lines: list) -> None:
     # preorder with an explicit stack; children go on in reverse so that
-    # nw comes off first
+    # nw comes off first, and an empty quadrant draws nothing
     stack = [(root, bounds)]
+    push = stack.append
     while stack:
         node, (x0, y0, x1, y1) = stack.pop()
-        if node is None:
-            continue
-        site = node["site"]
-        sx, sy = site
+        sx, sy = node["site"]
         lines.append((((sx, y0), (sx, y1)), False))
         lines.append((((x0, sy), (x1, sy)), False))
-        marks.append(site)
-        stack.append((node["se"], (sx, y0, x1, sy)))
-        stack.append((node["sw"], (x0, y0, sx, sy)))
-        stack.append((node["ne"], (sx, sy, x1, y1)))
-        stack.append((node["nw"], (x0, sy, sx, y1)))
+        if (child := node["se"]) is not None:
+            push((child, (sx, y0, x1, sy)))
+        if (child := node["sw"]) is not None:
+            push((child, (x0, y0, sx, sy)))
+        if (child := node["ne"]) is not None:
+            push((child, (sx, sy, x1, y1)))
+        if (child := node["nw"]) is not None:
+            push((child, (x0, sy, sx, y1)))
 
 
 def _pr_tree_lines(node, lines: list, marks: list) -> None:

@@ -941,3 +941,31 @@ def pr_quadtree_reference(points, region=None, capacity=1):
             node = max(node.children, key=lambda ch: len(ch.points))
             depth += 1
     return tree
+
+
+def python_calls(fn, *args):
+    """How many Python functions fn(*args) enters, generator resumptions
+    included, counted with sys.setprofile; calls into C are not counted.
+    The collector is off meanwhile, so that no finalizer or gc callback
+    (hypothesis registers one) is counted."""
+    import gc
+    import sys
+
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call":
+            count += 1
+
+    enabled = gc.isenabled()
+    gc.disable()
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(previous)
+        if enabled:
+            gc.enable()
+    return count

@@ -9,6 +9,7 @@ from collections.abc import Sequence
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import geomgen
 from geoforge import jsontext
 from geoforge.jsontext import dumps, format_number, iterdumps, loads
 
@@ -246,3 +247,41 @@ def test_memo_that_starts_over_prints_the_same_text(monkeypatch):
     monkeypatch.setattr(jsontext, "CHUNK_PARTS", 8)
     chunks = list(iterdumps(values))
     assert len(chunks) > 50 and "".join(chunks) == expect
+
+
+class _Key(str):
+    """A str subclass key: written by its text, as the str it equals is."""
+
+
+class _LooksLikeA:
+    """Not a string, but it hashes and compares as the key "a"."""
+
+    def __hash__(self):
+        return hash("a")
+
+    def __eq__(self, other):
+        return other == "a"
+
+
+def test_key_texts_match_the_reference_writer():
+    # more distinct keys than the memo holds, keys repeated across many
+    # dicts, escaped keys, and str-subclass keys equal to memoized ones
+    many = {"k%d" % i: i for i in range(jsontext.MEMO_LIMIT + 100)}
+    small = [{"a": 0.5, 'q"u\n': [1.0, 2.0], _Key("c"): None} for _ in range(3000)]
+    doc = [many, small, {_Key("a"): 1, "k7": 2, "c": _Key("v")}, many]
+    assert dumps(doc) == _reference_dumps(doc)
+    assert dumps({_Key("a"): 1, "a": 2}) == '{"a":2}' == _reference_dumps({_Key("a"): 1, "a": 2})
+
+
+def test_a_non_string_key_raises_even_when_it_equals_a_written_key():
+    with pytest.raises(TypeError, match="dict keys must be strings"):
+        dumps([{"a": 1}, {_LooksLikeA(): 2}])
+
+
+def test_float_pairs_make_no_call_per_coordinate():
+    # 20,000 distinct pairs: a miss per coordinate through the memo's
+    # __missing__ made 40,000 calls
+    pairs = [[i + 0.25, -i - 0.5] for i in range(20000)]
+    chunks = len(list(iterdumps(pairs)))
+    assert chunks >= 5
+    assert geomgen.python_calls(dumps, pairs) <= 4 * chunks

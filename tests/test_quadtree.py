@@ -20,7 +20,8 @@ from geoforge import (
     parse_quadtree_array,
     quadtree_to_array,
 )
-from geoforge.quadtree import tree_to_dict
+from geoforge.core import points_equal
+from geoforge.quadtree import _pr_preorder, tree_to_dict
 
 
 def test_point_tree_three_sites():
@@ -82,6 +83,41 @@ def test_point_tree_path_replay_oracle():
                 else:
                     node = node.sw
                 assert node is not None, "path replay fell off the tree"
+
+
+def _tie_family(family, rng, n):
+    """(x, y) tuples whose coordinates often equal another point's."""
+    if family == "lattice":
+        k = rng.randint(1, 6)
+        return [(float(rng.randint(0, k)), float(rng.randint(0, k))) for _ in range(n)]
+    if family == "zeros":
+        values = (0.0, -0.0, 5e-324, -5e-324, 2e-9, -2e-9, 1.0, -1.0)
+        return [(rng.choice(values), rng.choice(values)) for _ in range(n)]
+    # near +/-1e6: steps of a unit, of 1e-3 and of a few ulps
+    steps = (0.0, 1.0, 2.0, 1e-3, 2e-3, 2.0 ** -33, 2.0 ** -32)
+    sx, sy = rng.choice((1.0, -1.0)), rng.choice((1.0, -1.0))
+    return [(sx * (1e6 - rng.choice(steps)), sy * (1e6 - rng.choice(steps))) for _ in range(n)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["lattice", "zeros", "far"]), st.integers(0, 2**32), st.integers(1, 60))
+def test_each_point_lies_where_the_rule_leads(family, seed, n):
+    pts: list = []
+    for x, y in _tie_family(family, random.Random(seed), n):
+        p = Point(x, y)
+        if not any(points_equal(p, q) for q in pts):
+            pts.append(p)
+    tree = build_point_quadtree(pts)
+    index = {id(p): i for i, p in enumerate(pts)}
+    for i, p in enumerate(pts):
+        node = tree.root
+        while node.site is not p:
+            # every node on the way holds a point inserted before p
+            assert index[id(node.site)] < i
+            east, north = p.x >= node.site.x, p.y >= node.site.y
+            node = (node.ne if east else node.nw) if north else (node.se if east else node.sw)
+            assert node is not None, "path replay fell off the tree"
+    assert len(tree.points()) == len(pts)
 
 
 def test_point_tree_duplicate_site_rejected():
@@ -273,6 +309,96 @@ def test_pr_build_matches_the_incremental_reference(family, seed, n, capacity, b
         assert not isinstance(got, str) and got[2], got
         return
     assert got == want
+
+
+def _pr_tie_family(family, rng, n):
+    """(points, region) with coordinates on split lines, on signed zeros,
+    near +/-1e6, or on the region's edges within a few EPS_DIST."""
+    if family == "centers":
+        # the centers of random nodes, computed as the build computes them
+        x0, y0, x1, y1 = rng.choice(((0.0, 0.0, 1.0, 1.0), (0.0, 0.25, 0.75, 1.0), (-3.0, -1.0, 5.0, 0.3)))
+        region = (x0, y0, x1, y1)
+        xs, ys = [x0, x1], [y0, y1]
+        for _ in range(rng.randint(1, 6)):
+            cx, cy = (x0 + x1) / 2.0, (y0 + y1) / 2.0
+            xs.append(cx)
+            ys.append(cy)
+            x0, x1 = (cx, x1) if rng.random() < 0.5 else (x0, cx)
+            y0, y1 = (cy, y1) if rng.random() < 0.5 else (y0, cy)
+        return [(rng.choice(xs), rng.choice(ys)) for _ in range(n)], region
+    if family == "zeros":
+        values = (0.0, -0.0, 5e-324, -5e-324, 1e-9, -1e-9, 0.5, 1.0)
+        return [(rng.choice(values), rng.choice(values)) for _ in range(n)], (0.0, 0.0, 1.0, 1.0)
+    if family == "far":
+        s = rng.choice((1.0, -1.0))
+        lo, hi = (1e6 - 1.0, 1e6) if s > 0 else (-1e6, -1e6 + 1.0)
+        steps = (0.0, 0.5, 0.25, 1e-3, 2.0 ** -33, 2.0 ** -32)
+        edge = hi if s > 0 else lo
+        pts = [(edge - s * rng.choice(steps), edge - s * rng.choice(steps)) for _ in range(n)]
+        return pts, (lo, lo, hi, hi)
+    # on the unit square's edges, up to 2 EPS_DIST outside it
+    offsets = (-2e-9, -1e-9, -5e-10, 0.0, 5e-10, 1e-9, 2e-9)
+    pts = []
+    for _ in range(n):
+        x, y = rng.random(), rng.random()
+        if rng.random() < 0.5:
+            x = rng.choice((0.0, 1.0)) + rng.choice(offsets)
+        else:
+            y = rng.choice((0.0, 1.0)) + rng.choice(offsets)
+        pts.append((x, y))
+    return pts, (0.0, 0.0, 1.0, 1.0)
+
+
+def _assert_regions_are_checked_boxes(tree):
+    for node in _pr_preorder(tree.root):
+        r = node.region
+        assert type(r) is BBox
+        assert all(type(v) is float for v in (r.xmin, r.ymin, r.xmax, r.ymax))
+        assert r == BBox(r.xmin, r.ymin, r.xmax, r.ymax)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(["centers", "zeros", "far", "fringe"]),
+    st.integers(0, 2**32),
+    st.integers(1, 40),
+    st.integers(1, 4),
+    st.booleans(),
+)
+def test_pr_build_matches_the_reference_on_ties(family, seed, n, capacity, explicit):
+    raw, box = _pr_tie_family(family, random.Random(seed), n)
+    pts = [Point(x, y) for x, y in raw]
+    region = BBox(*box) if explicit else None
+    want = _pr_outcome(geomgen.pr_quadtree_reference, pts, region, capacity)
+    got = _pr_outcome(build_pr_quadtree, pts, region, capacity)
+    if isinstance(want, str) and want.startswith("bbox must satisfy"):
+        assert not isinstance(got, str) and got[2], got
+    else:
+        # an error names the same point: "point %d outside region"
+        assert got == want
+    if not isinstance(got, str):
+        _assert_regions_are_checked_boxes(build_pr_quadtree(pts, region=region, capacity=capacity))
+
+
+def test_point_build_makes_no_call_per_level():
+    # a diagonal is one path: the i-th point descends i levels, so a call
+    # per level made about n**2 / 2 calls (1.1 million at n = 1,500)
+    for n in (500, 1500):
+        pts = [Point(i, i) for i in range(n)]
+        assert geomgen.python_calls(build_point_quadtree, pts) <= 3 * n
+
+
+def test_pr_build_and_dump_make_no_call_per_point_or_level():
+    # a call per point per level and per checked box made about 13 calls
+    # per node, and the recursive dump about 3
+    rng = random.Random(4000)
+    pts = [Point(x, y) for x, y in geomgen.random_points(rng, 4000, 0.0, 1000.0)]
+    for capacity, region in ((1, BBox(0, 0, 1000, 1000)), (4, BBox(0, 0, 1000, 1000)), (4, None)):
+        tree = build_pr_quadtree(pts, region=region, capacity=capacity)
+        nodes = sum(1 for _ in _pr_preorder(tree.root))
+        assert nodes > 1000
+        assert geomgen.python_calls(build_pr_quadtree, pts, region, capacity) <= 3 * nodes
+        assert geomgen.python_calls(tree_to_dict, tree) <= nodes // 100
 
 
 def test_round_trip_both_kinds():
