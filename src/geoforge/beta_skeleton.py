@@ -3,7 +3,9 @@
 An edge {v1, v2} survives when no third point sees it under an angle of
 theta(beta) or more; the forbidden neighbourhood is treated as closed, so
 a witness exactly on the critical circle removes the edge.  beta = 1
-gives the Gabriel graph, beta = 2 the relative neighbourhood graph.
+gives the Gabriel graph.  beta = 2 gives a strict subgraph of the
+lune-based relative neighbourhood graph: the angle rule also admits
+witnesses outside the lune.
 
 The build walks the other points in distance order once per point.  For
 beta >= 1 a Yao-cone prune (Yao 1982; Kirkpatrick & Radke 1985) keeps

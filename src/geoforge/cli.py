@@ -11,11 +11,24 @@ success, 1 when the input fails to parse or validate, 2 for usage errors.
 Start-up imports argparse and the command table only.  A run loads the
 scene parser and the JSON writer after its arguments parse, its own
 structure module when it runs, and the renderer only for SVG or Ipe.
+
+Once its arguments parse, a run pauses the cycle collector until its
+output is written, then puts back the state it found: --help and usage
+errors exit before the pause, and a caller that had the collector off
+keeps it off.  A run builds only acyclic data (points, dump dicts and
+lists, stroke tuples), which reference counting frees as soon as it is
+dropped, so the pause changes time, not memory; when on, the collector
+re-walks those containers every few hundred allocations.  The collector's
+state is process-wide, so other threads of a process that calls main run
+without it meanwhile too.  gc.freeze() is not used instead: its
+gc.unfreeze() would also release objects a caller froze on purpose, for
+example before a fork.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import math
 import os
@@ -246,6 +259,8 @@ def main(argv=None) -> int:
     from .scene import SceneError, parse_scene
 
     command = _COMMANDS[args.command]
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             scene = parse_scene(fh.read())
@@ -263,6 +278,9 @@ def main(argv=None) -> int:
     except (SceneError, GeometryError, OSError, UnicodeDecodeError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 1
+    finally:
+        if collecting:
+            gc.enable()
     return 0
 
 

@@ -18,6 +18,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import compress
+from operator import sub
 
 EPS_AREA = 1e-9
 EPS_DIST = 1e-9
@@ -73,9 +75,12 @@ def _reject_duplicates(order: list, pts) -> None:
     """Raise on two points equal under points_equal.
 
     order lists (x, y, index into pts) sorted by x; only points whose x
-    lies within EPS_DIST of each other are compared.
+    lies within EPS_DIST of each other are compared.  The walk starts only
+    at the positions whose next x is that near, since from any other it
+    stops at once.
     """
-    for a in range(len(order) - 1):
+    xs = [t[0] for t in order]
+    for a in compress(range(len(xs) - 1), map(EPS_DIST.__ge__, map(sub, xs[1:], xs))):
         x, _, i = order[a]
         for b in range(a + 1, len(order)):
             bx, _, j = order[b]

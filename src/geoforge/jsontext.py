@@ -13,10 +13,10 @@ bytes is an array and is iterated once, so a lazy sequence, such as a
 fractal dump's cells, streams without ever being a list.
 
 The walk dispatches on the exact types the package's dumps use (float,
-list, tuple, dict, an [x, y] pair of floats as one step, and a list or
-tuple whose items are all exactly int, such as an edge or a triangle, as
-one step through str) and falls back to isinstance checks for everything
-else, bools and int subclasses included.  Each distinct float is
+int through str, list, tuple, dict, an [x, y] pair of floats as one step,
+and a list or tuple whose items are all exactly int, such as an edge or a
+triangle, as one step through str) and falls back to isinstance checks for
+everything else, bools and int subclasses included.  Each distinct float is
 formatted once per call, through a memo that only floats reach and that
 starts over at a chunk's end once it holds MEMO_LIMIT entries.  An
 [x, y] pair formats its misses in the walk itself, so the points and
@@ -163,6 +163,9 @@ def iterdumps(value):
                 nested, inner = v, False
             elif t is dict:
                 nested, inner = v.items(), True
+            elif t is int:
+                out(str(v))
+                continue
             elif v is None:
                 out("null")
                 continue

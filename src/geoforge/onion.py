@@ -117,7 +117,7 @@ def onion_decomposition(points) -> OnionDecomposition:
     if not pts:
         raise GeometryError("empty point set")
     # (x, y, input index); the index breaks ties as a stable sort would
-    order = sorted((p.x, p.y, i) for i, p in enumerate(pts))
+    order = sorted(zip([p.x for p in pts], [p.y for p in pts], range(len(pts))))
     _reject_duplicates(order, pts)
     # columns of w points by x rank: (remaining points sorted by y, x range)
     w = max(8, isqrt(len(order)))

@@ -86,7 +86,9 @@ class PointQuadtree:
 def build_point_quadtree(points) -> PointQuadtree:
     """Insert points in the given order; duplicate points are rejected."""
     pts = list(points)
-    _reject_duplicates(sorted((p.x, p.y, i) for i, p in enumerate(pts)), pts)
+    xs = [p.x for p in pts]
+    ys = [p.y for p in pts]
+    _reject_duplicates(sorted(zip(xs, ys, range(len(pts)))), pts)
     if not pts:
         return PointQuadtree(None)
     root = PointNode(pts[0])

@@ -200,13 +200,18 @@ def _point_tree_lines(root: dict, bounds, lines: list) -> None:
             push((child, (x0, sy, sx, y1)))
 
 
-def _pr_tree_lines(node, lines: list, marks: list) -> None:
-    lines.append(_rect(*node["region"]))
-    if "points" in node:
-        marks.extend(node["points"])
-        return
-    for child in node["children"]:
-        _pr_tree_lines(child, lines, marks)
+def _pr_tree_lines(root: dict, lines: list, marks: list) -> None:
+    # preorder with an explicit stack; children go on in reverse so that
+    # the first comes off first
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        x0, y0, x1, y1 = node["region"]
+        lines.append((((x0, y0), (x1, y0), (x1, y1), (x0, y1)), True))
+        if "points" in node:
+            marks.extend(node["points"])
+        else:
+            stack += reversed(node["children"])
 
 
 def _trapmap_layers(data: dict) -> list[tuple]:

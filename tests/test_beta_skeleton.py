@@ -224,7 +224,8 @@ def test_walk_matches_every_pair_reference(pts):
 
 
 # the betas the grid walk is checked at: the no-prune branch, both sides of
-# beta = 1, the relative neighbourhood graph, and the scan-every-point case
+# beta = 1, beta = 2 (a strict subgraph of the lune-based relative
+# neighbourhood graph), and the scan-every-point case
 GRID_BETAS = (0.5, 1.0, 1.000000001, 2.0, 1e7)
 
 

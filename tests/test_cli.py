@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import io
 import json
 import os
+import random
 import re
 import stat
 import subprocess
@@ -18,8 +20,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import geomgen
 import geoforge
-from geoforge import cli, jsontext, render
+import geoforge.scene
+from geoforge import cli, jsontext, quadtree, render
 from geoforge.cli import main
 
 POINTS = '{"points":[[10,10],[40,70],[80,20],[60,60],[30,30]]}'
@@ -422,6 +426,96 @@ def test_rejected_seed_writes_nothing_to_stdout(scenes, capsys, fmt):
     assert code == 1
     assert captured.err.startswith("error: seed must be a triangle")
     assert captured.out == ""
+
+
+def _quadtree_scene(tmp_path, n: int) -> str:
+    path = tmp_path / ("quadtree-%d.json" % n)
+    path.write_text(json.dumps({"points": geomgen.random_points(random.Random(n), n, 0.0, 1000.0)}))
+    return str(path)
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """Runs the test with the cycle collector on or off, and puts it back."""
+    was = gc.isenabled()
+    if request.param:
+        gc.enable()
+    else:
+        gc.disable()
+    yield request.param
+    if was:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def test_a_run_puts_the_collector_state_back(scenes, tmp_path, capsys, monkeypatch, collector):
+    out = str(tmp_path / "out.json")
+    assert main(["quadtree", "--input", scenes["points"], "--output", out]) == 0
+    assert gc.isenabled() is collector
+    assert main(["triangulate", "--input", scenes["points"], "--output", out]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert gc.isenabled() is collector
+    with pytest.raises(SystemExit) as e:
+        main(["quadtree", "--input", scenes["points"]])
+    assert e.value.code == 2 and gc.isenabled() is collector
+    seen = []
+
+    def failing(points):
+        seen.append(gc.isenabled())
+        raise RuntimeError("builder failed")
+
+    monkeypatch.setattr(quadtree, "build_point_quadtree", failing)
+    with pytest.raises(RuntimeError, match="builder failed"):
+        main(["quadtree", "--input", scenes["points"], "--output", out])
+    assert seen == [False] and gc.isenabled() is collector
+
+
+def test_a_figure_run_makes_no_collection(tmp_path, monkeypatch):
+    # with the collector running, this run made dozens of collections; the
+    # count covers reading the scene through writing the figure
+    scene = _quadtree_scene(tmp_path, 2000)
+    starts = []
+    counting = False
+
+    def callback(phase, info):
+        if counting and phase == "start":
+            starts.append(info["generation"])
+
+    def parse_scene(text):
+        nonlocal counting
+        counting = True
+        return parse(text)
+
+    def write_output(path, chunks):
+        nonlocal counting
+        write(path, chunks)
+        counting = False
+
+    parse, write = geoforge.scene.parse_scene, cli._write_output
+    monkeypatch.setattr(geoforge.scene, "parse_scene", parse_scene)
+    monkeypatch.setattr(cli, "_write_output", write_output)
+    gc.callbacks.append(callback)
+    try:
+        code = main(["quadtree", "--input", scene, "--output", str(tmp_path / "q.svg"),
+                     "--format", "svg"])
+    finally:
+        gc.callbacks.remove(callback)
+    assert code == 0 and not counting
+    assert starts == []
+
+
+def test_a_run_leaves_no_cycle_that_grows_with_the_input(tmp_path):
+    # what a run leaves for the collector is the parser's own few cycles,
+    # whatever the number of points
+    found = []
+    for n in (500, 4000):
+        scene = _quadtree_scene(tmp_path, n)
+        gc.collect()
+        assert main(["quadtree", "--input", scene, "--output", str(tmp_path / "q.svg"),
+                     "--format", "svg"]) == 0
+        found.append(gc.collect())
+    assert found[0] == found[1] < 200, found
 
 
 # Prints the child's own peak RSS (KB) before and after one CLI run.  It

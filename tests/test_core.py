@@ -35,11 +35,52 @@ from geoforge.core import (
     EPS_AREA,
     EPS_DIST,
     _OFF_LINE,
+    _reject_duplicates,
     _turning_is_convex_ccw,
     cross,
     distance,
     point_segment_distance,
 )
+
+
+def _duplicate_walk_from_every_position(order, pts) -> bool:
+    """Reference for _reject_duplicates: a walk from every sorted position."""
+    for a in range(len(order) - 1):
+        x, _, i = order[a]
+        for b in range(a + 1, len(order)):
+            bx, _, j = order[b]
+            if bx - x > EPS_DIST:
+                break
+            if core.points_equal(pts[i], pts[j]):
+                return True
+    return False
+
+
+# offsets in units of EPS_DIST: shared coordinates, pairs within EPS_DIST
+# and pairs just beyond it
+_NEAR = (0.0, 0.5, -0.5, 1.0, -1.0, math.nextafter(1.0, 2.0), 1.000001, -1.000001, 1.5, 2.0, -3.0)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([0.0, 1.0, 1e6, -1e6]), st.sampled_from([0.0, -1e6]),
+       st.lists(st.tuples(st.integers(-6, 6), st.sampled_from(_NEAR),
+                          st.integers(-2, 2), st.sampled_from(_NEAR)),
+                min_size=2, max_size=10))
+def test_duplicate_check_matches_a_walk_from_every_position(x0, y0, offsets):
+    # points on a grid of 2 * EPS_DIST, each moved by one of the offsets
+    def clamp(v):
+        return min(COORD_LIMIT, max(-COORD_LIMIT, v))
+
+    pts = [Point(clamp(x0 + (2 * i + dx) * EPS_DIST), clamp(y0 + (2 * j + dy) * EPS_DIST))
+           for i, dx, j, dy in offsets]
+    order = sorted(zip([p.x for p in pts], [p.y for p in pts], range(len(pts))))
+    try:
+        _reject_duplicates(order, pts)
+        raised = False
+    except GeometryError as err:
+        assert str(err) == "duplicate point"
+        raised = True
+    assert raised == _duplicate_walk_from_every_position(order, pts)
 
 
 def test_point_validation():

@@ -285,3 +285,12 @@ def test_float_pairs_make_no_call_per_coordinate():
     chunks = len(list(iterdumps(pairs)))
     assert chunks >= 5
     assert geomgen.python_calls(dumps, pairs) <= 4 * chunks
+
+
+def test_int_values_make_no_call_each():
+    # a plain int went through format_number, one call per value: 20,041
+    # calls here
+    docs = [{"top": i, "bottom": -i} for i in range(10000)]
+    assert dumps(docs) == _reference_dumps(docs)
+    chunks = len(list(iterdumps(docs)))
+    assert geomgen.python_calls(dumps, docs) <= 4 * chunks

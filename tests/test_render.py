@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import geomgen
 from geoforge import jsontext, render
 from geoforge import (
     BBox,
@@ -386,6 +387,29 @@ def test_quadtree_frames_carry_the_bounds_of_their_lines():
             assert frame.bounds == (min(x for x, _ in walked), min(y for _, y in walked),
                                     max(x for x, _ in walked), max(y for _, y in walked))
             assert render._bounds(unboxed, layers) == _all_layers_bounds(unboxed, layers)
+
+
+def _pr_tree_lines_reference(node, lines, marks):
+    x0, y0, x1, y1 = node["region"]
+    lines.append((((x0, y0), (x1, y0), (x1, y1), (x0, y1)), True))
+    if "points" in node:
+        marks.extend(node["points"])
+    else:
+        for child in node["children"]:
+            _pr_tree_lines_reference(child, lines, marks)
+
+
+def test_pr_figure_makes_no_call_per_node():
+    # a recursive walk with a call per node and one per rectangle made 6,139
+    # calls on this dump
+    rng = random.Random(4000)
+    pts = [Point(x, y) for x, y in geomgen.random_points(rng, 4000, 0.0, 1000.0)]
+    dump = tree_to_dict(build_pr_quadtree(pts, capacity=4))
+    lines, marks = [], []
+    _pr_tree_lines_reference(dump["root"], lines, marks)
+    assert len(lines) > 2000
+    assert render._quadtree_layers(dump) == [(lines, []), ([], marks)]
+    assert geomgen.python_calls(render._quadtree_layers, dump) <= 5
 
 
 def test_chunks_join_to_the_document_and_stay_bounded():
