@@ -7,30 +7,23 @@ gives the Gabriel graph.  beta = 2 gives a strict subgraph of the
 lune-based relative neighbourhood graph: the angle rule also admits
 witnesses outside the lune.
 
-The build walks the other points in distance order once per point.  For
-beta >= 1 a Yao-cone prune (Yao 1982; Kirkpatrick & Radke 1985) keeps
-only the pairs the angle rule could leave alive, a walk stops once the
-points' bounding box leaves no octant room for another candidate, and
-every pair is tested only against the witnesses that can reach it.  On
-larger sets the walk reads its order lazily from a uniform grid of cells
-(Bentley, Weide & Yao, ACM TOMS 6(4), 1980) instead of sorting all the
-points.  Each test is the one angle predicate, so the edges are those of
-testing every pair against every other point.
+For beta >= 1 the build triangulates the points (Lawson flips; Lawson
+1977, Guibas & Stolfi, ACM ToG 4(2), 1985) and tests each Delaunay edge
+against its two opposite vertices, in O(n log n) expected time; below 1
+it tests every pair, O(n^2) to O(n^3).  Each test is the one angle
+predicate, so the edges are those of testing every pair against every
+other point.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import groupby
+from operator import itemgetter
 
-from .core import GeometryError, Point, _reject_duplicates
+from .core import GeometryError, Point, _incircle_sign, _orient_sign, _reject_duplicates
 
 EPS_ANGLE = 1e-9
-# points per grid cell, and the least n whose grid has more than one cell
-CELL_POINTS = 3
-GRID_MIN_POINTS = 160
 
 
 @dataclass(frozen=True)
@@ -57,71 +50,59 @@ def theta_of_beta(beta: float) -> float:
 
 
 def beta_skeleton(points, beta: float) -> ProximityGraph:
-    """Beta-skeleton from one distance-ordered walk per point.
+    """Beta-skeleton: Delaunay edges tested for beta >= 1, every pair below.
 
     Duplicate points (under the distance epsilon) are rejected.  A set of
     exactly two points yields the single edge between them.
 
-    A witness k kills the pair (i, j) when the angle i-k-j is at least
-    theta' = theta(beta) - EPS_ANGLE, decided by one square-root-free
-    predicate.  Point i walks the others in order of squared distance d2.
+    A witness k kills the pair (a, b), a < b, when the angle a-k-b is at
+    least theta' = theta(beta) - EPS_ANGLE, decided by one square-root-free
+    predicate on the float differences a - k and b - k: with c =
+    cos(theta'), c2 = c * c, dot their dot product and A, B their squared
+    lengths, k kills when dot <= 0 or dot * dot <= c2 * A * B (c >= 0), or
+    when dot < 0 and dot * dot >= c2 * A * B (c < 0).
 
-    Cone prune, only when c = cos(theta') >= 0 (every beta >= 1): the
-    predicate then kills on a dot product <= 0, and every surviving edge
-    is a Gabriel edge.  Split the directions around i into 8 closed 45
-    degree octants by signs and |dx| against |dy|.  The first point the
-    walk meets in an octant is its nearest point k, and a later q in that
-    octant is a candidate of i only if d2[q] <= 2 * (1 + 1e-6) * d2[k].
-    For a non-candidate |ik| < |iq| * cos 45 / (1 + 5e-7) and the angle
-    k-i-q is at most 45 degrees plus rounding, so
-    (i - k).(q - k) = |ik| (|ik| - |iq| cos(k-i-q)) is negative by a
-    margin of about 3e-7 |ik| |kq|, far above the 1e-15 relative error of
-    the float dot product: k kills (i, q).  A pair (j, i), j < i, is
-    tested only when each is the other's candidate; only the candidate
-    sets are kept.  For beta < 1 every pair is tested.
+    c >= 0 exactly when beta >= 1: below 1, theta exceeds pi/2 by at least
+    sqrt(2u) ~ 1.5e-8 > EPS_ANGLE (u = 2**-53), and from 1 on c >= ~1e-9.
+    Write cos for the exact cosine of the angle a-k-b.  Each difference,
+    product and sum rounds by a factor within 1 +- u, so dot is within
+    4.01u |ka| |kb| of exact and A, B within a factor 1 +- 4.01u (points
+    are over EPS_DIST apart within +/-1e6, so underflow is negligible).
+    For c >= 0:
+    (1) cos >= c + 11u means dot > 0 and dot * dot > c2 * A * B, as
+        (cos - 4.01u)^2 (1 - u) > c^2 (1 + 11.02u): k does not kill.  And
+        if k does not kill, cos > c (1 - 6.1u) - 4.01u > 0.
+    (2) dot * dot > c2t * A * B, with c2t the float square of c + 2**-47,
+        means dot > (c + 64u) (1 - 7.6u) |ka| |kb|, so cos > c + 52u.
 
-    Box stop: no point of octant o lies farther from i than
-    far2[o] = e * e + m * m.  Here ex and ey are the float distances from
-    i to the points' bounding box on o's side (xhi - xi or xi - xlo, and
-    likewise for y), e is ex for a flat octant (|dy| <= |dx|) and ey for a
-    steep one, and m = min(ex, ey).  Float subtraction is monotone, so a
-    point of o has |dx| <= ex and |dy| <= ey; its minor offset is at most
-    its major one, hence at most m; and squaring, adding and rounding are
-    monotone, so its float d2 = dx * dx + dy * dy is at most far2[o].  An
-    octant on the negative side of an axis along which i is least holds no
-    point (dx < 0 needs x < xi), and gets 0.  Octant o's limit is far2[o]
-    while it is empty and min(far2[o], 2.000002 * its first d2) after; the
-    walk stops at the first d2 above every limit, so its candidates are
-    those of a walk over all the points.
+    Delaunay edges (c >= 0).  _delaunay triangulates the points with exact
+    signs (core._orient_sign, _incircle_sign; Shewchuk, DCG 18, 1997), so
+    no triangle's open circumdisk holds a point (Kirkpatrick & Radke 1985;
+    Hurtado, Liotta & Meijer, CGTA 25, 2003):
+    (a) A pair no point kills is seen from every other point at an angle
+        below pi/2 (1), so its closed diametral disk holds no other point:
+        a Gabriel edge, an edge of every Delaunay triangulation.
+    (a') So ties cannot hide one: where four points share an empty circle
+        and the diagonal rs replaces pq, r or s sees pq at an angle of at
+        least pi/2 and kills it anyway.
+    (b) If an edge ab has the opposite vertex r, no point on r's side sees
+        it at an angle above a-r-b, or it would lie inside the circle
+        through a, b, r; points on the line ab see it at angle 0 (none lies
+        inside the segment, inside that circle).  So if r certifies (2),
+        no point on r's side or on the line kills ab (1).
+    An edge is dropped when an opposite vertex kills it and kept when each
+    (a hull edge has one) certifies (2).  Otherwise an angle lies within
+    rounding of theta' and the scan over every point decides (_killed);
+    from beta ~8.3e6 on, c + 2**-47 > 1 and that is every edge that
+    survives its opposite vertices, O(n^2).  Points on one line have no
+    triangle: the candidates are the pairs consecutive in (x, y) order,
+    the only ones with empty diametral disks; the other points see them
+    at angle 0, so c2t < 1 keeps them all by (1), else the scan decides.
 
-    Witness scan: by the law of sines a witness that sees (i, j) under
-    the angle a lies within |ij| / sin(a) of i.  The predicate kills only
-    when sin^2(a) >= sin^2(min(theta', pi/2)) - 1e-14, the slack bounding
-    its rounding error, so the scan walks i's order only while
-    d2[k] <= d2[j] * reach2, with reach2 = (1 + 1e-6) / (sin^2 - 1e-14).
-    Where sin^2(theta') <= 2e-14 (beta above about 7e6) rounding alone
-    can decide the predicate, and every point is scanned.
-
-    Grid order: with the prune and at least GRID_MIN_POINTS points the
-    points sit in about n / CELL_POINTS cells, otherwise in one (_Grid).
-    Point i's walk writes d2 for the points of a box of cells around its
-    own and releases, in d2 order, those below bound = gap * gap, gap
-    being the float distance from i to the nearest x or y of a point
-    outside the box.  A point q outside has, say, x_q >= that x >= xi, so
-    by monotone rounding its float dx, dx * dx and d2 are at least gap,
-    bound and bound: the released points are exactly the first of i's
-    order.  When the walk or a scan reaches the end of what is released,
-    the box grows and releases the next block (_Grid.more).  Points of
-    equal d2 may come in any order: a prune limit depends only on d2, and
-    a pair's fate only on whether some point within reach kills it.
-
-    GRID_MIN_POINTS is where the grid starts to pay.  On uniform points
-    like the bench's (a 1e-6 grid in [0, 1000]^2, beta 1 and 2; CPython
-    3.11 on 2 shared vCPUs, median of 24 interleaved runs) the grid ran at
-    0.91x the speed of one cell at n = 128, 1.00x at 150, 1.01x at 175,
-    1.11x at 200 and 1.33x at 250.  With 2, 3 or 4 points a cell it ran
-    at 1.40x, 1.52x or 1.56x at n = 300 and 4.19x, 4.37x or 4.40x at
-    1,200, so CELL_POINTS = 3 sits where the cell size hardly matters.
+    Every pair (c < 0): point i sorts the others by squared distance d2
+    and scans them for each j < i while d2[k] <= d2[j] * (1 + 1e-6).  A
+    killer has dot < 0, so an angle at k above pi/2 - 4.02u: ij is the
+    longest side but for a factor 1 + 1e-15, and |ik| < |ij| (1 + 1e-15).
     """
     pts = tuple(points)
     n = len(pts)
@@ -129,232 +110,195 @@ def beta_skeleton(points, beta: float) -> ProximityGraph:
         raise GeometryError("beta skeleton needs at least 2 points")
     xs = [p.x for p in pts]
     ys = [p.y for p in pts]
-    _reject_duplicates(sorted(zip(xs, ys, range(n))), pts)
-    theta = theta_of_beta(beta)
+    order = sorted(zip(xs, ys, range(n)))
+    _reject_duplicates(order, pts)
     # angle >= theta - EPS_ANGLE  <=>  cos(angle) <= cos(theta - EPS_ANGLE)
-    c = math.cos(theta - EPS_ANGLE)
+    c = math.cos(theta_of_beta(beta) - EPS_ANGLE)
     c2 = c * c
-    s2 = math.sin(min(theta - EPS_ANGLE, math.pi / 2)) ** 2
-    reach2 = (1.0 + 1e-6) / (s2 - 1e-14) if s2 > 2e-14 else math.inf
-    prune = c >= 0.0
-    grid = _Grid(xs, ys, max(n // CELL_POINTS, 1) if prune and n >= GRID_MIN_POINTS else 1)
-    # d2[q] from the current point i, written for the points its walk has met
-    d2 = grid.d2
-    xlo, xhi, ylo, yhi = grid.xlo, grid.xhi, grid.ylo, grid.yhi
-    cand = []  # cand[i]: the candidates of i, kept only when prune
-    edges = set()
-    for i in range(n):
-        xi, yi = xs[i], ys[i]
-        order = grid.walk(i)
-        if prune:
-            mine = set()
-            first = [0.0] * 8
-            # far2 of each octant (see above), in o's order
-            lim = []
-            for ex in (xhi - xi, xi - xlo):
-                for ey in (yhi - yi, yi - ylo):
-                    m = min(ex, ey)
-                    mm = m * m
-                    lim += (ex * ex + mm, ey * ey + mm)
-            # no point lies on the negative side of an axis where i is least
-            if xi == xlo:
-                lim[4:] = 0.0, 0.0, 0.0, 0.0
-            if yi == ylo:
-                lim[2] = lim[3] = lim[6] = lim[7] = 0.0
-            top = max(lim)
-            # each for runs over one released block; when it runs out, the
-            # walk releases the next, or None once nothing left is <= top
-            seq = order
-            while seq is not None:
-                for q in seq:
-                    dq = d2[q]
-                    if dq > top:
-                        break
-                    dx = xs[q] - xi
-                    dy = ys[q] - yi
-                    o = (dx < 0.0) * 4 + (dy < 0.0) * 2 + (abs(dx) < abs(dy))
-                    if not first[o]:
-                        first[o] = b = 2.000002 * dq
-                        if b < lim[o]:
-                            lim[o] = b
-                            top = max(lim)
-                    elif dq > first[o]:
-                        continue
-                    mine.add(q)
-                else:
-                    seq = grid.more(top)
-                    continue
-                break
-            cand.append(mine)
-            pairs = [j for j in mine if j < i and i in cand[j]]
-        else:
-            pairs = range(i)  # one cell: the walk has met every point
-        for j in pairs:
-            limit = d2[j] * reach2
-            xj, yj = xs[j], ys[j]
-            seq = order
-            while seq is not None:
-                for k in seq:
-                    if d2[k] > limit:
-                        edges.add((j, i))
-                        break
-                    if k == j:
-                        continue
-                    # the pair's lower index is a, as in every-pair order
-                    ax = xj - xs[k]
-                    ay = yj - ys[k]
-                    bx = xi - xs[k]
-                    by = yi - ys[k]
-                    dot = ax * bx + ay * by
-                    if c >= 0.0:
-                        if dot <= 0.0 or dot * dot <= c2 * (ax * ax + ay * ay) * (bx * bx + by * by):
-                            break
-                    elif dot < 0.0 and dot * dot >= c2 * (ax * ax + ay * ay) * (bx * bx + by * by):
-                        break
-                else:
-                    seq = grid.more(limit)
-                    continue
-                break
-            else:  # every point not yet met is out of reach
-                edges.add((j, i))
+    if c < 0.0:
+        edges = _every_pair(xs, ys, c2)
+    else:
+        cm = c + 2.0**-47
+        edges = _delaunay_edges(xs, ys, order, c2, cm * cm)
     return ProximityGraph(vertices=pts, edges=frozenset(edges))
 
 
-def _squared_distances(d2: list, block: list, xs: list, ys: list, xi: float, yi: float) -> None:
-    """Write d2[q] from (xi, yi) for each index q in block."""
-    for q in block:
-        x = xs[q]
-        y = ys[q]
-        d2[q] = (x - xi) * (x - xi) + (y - yi) * (y - yi)
+def _every_pair(xs: list, ys: list, c2: float) -> set:
+    """The pairs no point kills (c < 0), each point's witnesses in d2 order."""
+    n = len(xs)
+    edges = set()
+    for i in range(n):
+        xi, yi = xs[i], ys[i]
+        d2 = [(x - xi) * (x - xi) + (y - yi) * (y - yi) for x, y in zip(xs, ys)]
+        order = sorted(range(n), key=d2.__getitem__)
+        del order[0]  # i itself, the only point at d2 = 0
+        for j in range(i):
+            limit = d2[j] * (1.0 + 1e-6)
+            xj, yj = xs[j], ys[j]
+            for k in order:
+                if d2[k] > limit:
+                    edges.add((j, i))
+                    break
+                if k == j:
+                    continue
+                # the pair's lower index is a, as in every-pair order
+                ax = xj - xs[k]
+                ay = yj - ys[k]
+                bx = xi - xs[k]
+                by = yi - ys[k]
+                dot = ax * bx + ay * by
+                if dot < 0.0 and dot * dot >= c2 * (ax * ax + ay * ay) * (bx * bx + by * by):
+                    break
+            else:
+                edges.add((j, i))
+    return edges
 
 
-def _extremes(vs: list, lo: float, s: float, g: int) -> tuple:
-    """The least value in bins >= b and the greatest in bins < b, b = 0..g.
+def _killed(a: int, b: int, xs: list, ys: list, c2: float) -> bool:
+    """The witness scan: whether any point kills (a, b), a < b (c >= 0)."""
+    xa, ya, xb, yb = xs[a], ys[a], xs[b], ys[b]
+    for k, (x, y) in enumerate(zip(xs, ys)):
+        if k == a or k == b:
+            continue
+        ax = xa - x
+        ay = ya - y
+        bx = xb - x
+        by = yb - y
+        dot = ax * bx + ay * by
+        if dot <= 0.0 or dot * dot <= c2 * (ax * ax + ay * ay) * (bx * bx + by * by):
+            return True
+    return False
 
-    A value's bin is int((v - lo) * s), nondecreasing in v, so each bin's
-    values are a run of the sorted values; inf and -inf stand for none.
-    """
-    sv = sorted(vs)
-    ends = [bisect_left(sv, b, key=lambda v: int((v - lo) * s)) for b in range(g + 1)]
-    above = [sv[k] if k < len(sv) else math.inf for k in ends]
-    below = [sv[k - 1] if k else -math.inf for k in ends]
-    return above, below
 
-
-class _Grid:
-    """The points in gx by gy cells over their bounding box, and the walk
-    from one point at a time in d2 order.
-
-    About `cells` near-square cells; one cell holds every point when cells
-    is 1.  A point's column is int((x - xlo) * sx), nondecreasing in x and
-    below gx since sx = (gx - 1/2) / (xhi - xlo) (rounding moves the
-    product by far less than 1/2); its row likewise.  Cell (c, r) is
-    cells[c * gy + r].  x_above[c] is the least x in columns >= c and
-    x_below[c] the greatest x in columns < c; y_above and y_below do so
-    for rows.
-
-    `walk(i)` returns the released prefix of point i's order, and `more`
-    extends it.  The walk has met the points of a box of cells around i's
-    cell (`box`) and written their d2; it has released those with d2 <
-    `bound`, the square of the distance from i to the nearest x or y of a
-    point outside the box, and `pool` holds the rest.
-    """
-
-    __slots__ = ("xs", "ys", "xlo", "xhi", "ylo", "yhi", "gx", "gy", "sx", "sy", "cells",
-                 "x_above", "x_below", "y_above", "y_below",
-                 "d2", "xi", "yi", "box", "pool", "bound", "order")
-
-    def __init__(self, xs: list, ys: list, cells: int) -> None:
-        self.xs, self.ys = xs, ys
-        self.xlo, self.xhi = xlo, xhi = min(xs), max(xs)
-        self.ylo, self.yhi = ylo, yhi = min(ys), max(ys)
-        w, h = xhi - xlo, yhi - ylo
-        if h * cells <= w:
-            gx, gy = cells, 1
-        elif w * cells <= h:
-            gx, gy = 1, cells
+def _delaunay_edges(xs: list, ys: list, order: list, c2: float, c2t: float) -> set:
+    """The pairs that no point kills under the c >= 0 predicate, from the
+    Delaunay edges and their opposite vertices (beta_skeleton's (a), (b))."""
+    tri, twin = _delaunay(xs, ys, order)
+    if tri is None:  # one line: the consecutive pairs, seen at angle 0
+        pairs = [(min(p[2], q[2]), max(p[2], q[2])) for p, q in zip(order, order[1:])]
+        return {(a, b) for a, b in pairs if c2t < 1.0 or not _killed(a, b, xs, ys, c2)}
+    ghost = len(xs)
+    edges = set()
+    for e, a in enumerate(tri):
+        b = tri[e + 1 if e % 3 < 2 else e - 2]
+        if not a < b < ghost:  # each edge once, its lower index as a
+            continue
+        f = twin[e]
+        xa, ya, xb, yb = xs[a], ys[a], xs[b], ys[b]
+        near = False
+        for k in (tri[e - 1 if e % 3 else e + 2], tri[f - 1 if f % 3 else f + 2]):
+            if k == ghost:
+                continue
+            ax = xa - xs[k]
+            ay = ya - ys[k]
+            bx = xb - xs[k]
+            by = yb - ys[k]
+            dot = ax * bx + ay * by
+            dd = dot * dot
+            a2 = ax * ax + ay * ay
+            b2 = bx * bx + by * by
+            if dot <= 0.0 or dd <= c2 * a2 * b2:
+                break
+            if dd <= c2t * a2 * b2:
+                near = True
         else:
-            gx = round(math.sqrt(cells * w / h))
-            gy = max(1, cells // gx)
-        self.gx, self.gy = gx, gy
-        self.sx = sx = (gx - 0.5) / w if gx > 1 else 0.0
-        self.sy = sy = (gy - 0.5) / h if gy > 1 else 0.0
-        self.x_above, self.x_below = _extremes(xs, xlo, sx, gx)
-        self.y_above, self.y_below = _extremes(ys, ylo, sy, gy)
-        self.cells = [list(range(len(xs)))]
-        if gx * gy > 1:
-            cell = [int((x - xlo) * sx) * gy + int((y - ylo) * sy) for x, y in zip(xs, ys)]
-            self.cells = [()] * (gx * gy)
-            for k, run in groupby(sorted(range(len(xs)), key=cell.__getitem__), cell.__getitem__):
-                self.cells[k] = list(run)
-        self.d2 = [0.0] * len(xs)
+            if not (near and _killed(a, b, xs, ys, c2)):
+                edges.add((a, b))
+    return edges
 
-    def walk(self, i: int) -> list:
-        """Start the walk from point i with its own cell and the 8 around it."""
-        self.xi, self.yi = xi, yi = self.xs[i], self.ys[i]
-        c, r = int((xi - self.xlo) * self.sx), int((yi - self.ylo) * self.sy)
-        gx, gy = self.gx, self.gy
-        self.box = c0, c1, r0, r1 = (c - 1 if c else 0, c + 1 if c + 1 < gx else c,
-                                     r - 1 if r else 0, r + 1 if r + 1 < gy else r)
-        block = []
-        for c in range(c0, c1 + 1):
-            for cell in self.cells[c * gy + r0:c * gy + r1 + 1]:
-                block += cell
-        _squared_distances(self.d2, block, self.xs, self.ys, xi, yi)
-        block.sort(key=self.d2.__getitem__)
-        del block[0]  # i itself, the only point at d2 = 0
-        self.pool, self.order = block, []
-        self._release()
-        return self.order
 
-    def more(self, reach: float):
-        """The next released block, or None once every point left has d2 > reach.
+def _delaunay(xs: list, ys: list, order: list) -> tuple:
+    """The halfedges of a Delaunay triangulation of the points, or
+    (None, None) when they all lie on one line.
 
-        The box grows on each side by at least one cell and by a sixth of
-        its width plus height, so a walk that crosses many cells widens it
-        geometrically.
-        """
-        cells, gy = self.cells, self.gy
-        while self.bound <= reach and self.bound != math.inf:
-            c0, c1, r0, r1 = self.box
-            step = max(1, (c1 - c0 + r1 - r0) // 6)
-            self.box = n0, n1, m0, m1 = (max(c0 - step, 0), min(c1 + step, self.gx - 1),
-                                         max(r0 - step, 0), min(r1 + step, gy - 1))
-            # the new columns whole, then the new rows of the old columns
-            runs = [cells[c * gy + m0:c * gy + m1 + 1] for c in (*range(n0, c0), *range(c1 + 1, n1 + 1))]
-            if m0 < r0:
-                runs += [cells[c * gy + m0:c * gy + r0] for c in range(c0, c1 + 1)]
-            if m1 > r1:
-                runs += [cells[c * gy + r1 + 1:c * gy + m1 + 1] for c in range(c0, c1 + 1)]
-            block = []
-            for run in runs:
-                for cell in run:
-                    block += cell
-            _squared_distances(self.d2, block, self.xs, self.ys, self.xi, self.yi)
-            self.pool += block
-            self.pool.sort(key=self.d2.__getitem__)
-            fresh = self._release()
-            if fresh:
-                return fresh
-        return None
+    Halfedges 3t, 3t + 1, 3t + 2 are triangle t's edges, counterclockwise:
+    tri[e] is the vertex e starts from, and twin[e] is e in the
+    neighbouring triangle.  Vertex n is the ghost: a hull edge u -> v, the
+    outside on its left, lies in the ghost triangle (u, v, n).
 
-    def _release(self) -> list:
-        """Move the pooled points nearer than every point outside the box to the order."""
-        c0, c1, r0, r1 = self.box
-        xi, yi = self.xi, self.yi
-        gap = min(self.x_above[c1 + 1] - xi, xi - self.x_below[c0],
-                  self.y_above[r1 + 1] - yi, yi - self.y_below[r0])
-        self.bound = bound = gap * gap
-        pool = self.pool
-        if bound == math.inf:
-            self.pool = []
-            self.order += pool
-            return pool
-        m = bisect_left(pool, bound, key=self.d2.__getitem__)
-        fresh = pool[:m]
-        del pool[:m]
-        self.order += fresh
-        return fresh
+    The points go in in column-snake order (about sqrt(n / 2) columns by
+    x rank, read up and down in turn).  A walk from the previous point's
+    triangle crosses any edge with the point strictly beyond it, and stops
+    in a triangle that holds the point or in a ghost triangle whose hull
+    edge it strictly sees; with exact signs, such walks in a Delaunay
+    triangulation do not cycle (Edelsbrunner, Combinatorica 10, 1990).
+    The triangle splits in three around the point, and Lawson flips mend
+    the edges facing it: a real edge flips when the far vertex lies
+    strictly inside the circumcircle, an edge to the ghost when the point
+    strictly sees the hull edge beyond it, and a hull edge when the point
+    lies on it; so a flat triangle the split leaves on an edge flips away
+    (beyond a real edge the incircle sign is positive).
+    """
+    n = len(xs)
+    ghost = n
+    size = -(-n // max(1, math.isqrt(n // 2)))
+    seq = [t[2] for k in range(0, n, size)
+           for t in sorted(order[k:k + size], key=itemgetter(1), reverse=k // size % 2)]
+    a, b = seq[0], seq[1]
+    xa, ya, xb, yb = xs[a], ys[a], xs[b], ys[b]
+    for k in range(2, n):
+        turn = _orient_sign(xa, ya, xb, yb, xs[seq[k]], ys[seq[k]])
+        if turn:
+            break
+    else:
+        return None, None
+    c = seq.pop(k)
+    if turn < 0:
+        a, b = b, a
+    tri = [a, b, c, b, a, ghost, c, b, ghost, a, c, ghost]
+    twin = [3, 6, 9, 0, 11, 7, 1, 5, 10, 2, 8, 4]
+    t = 0
+    for p in seq[2:]:
+        px, py = xs[p], ys[p]
+        came = -1  # the halfedge of t the walk came in by
+        while True:
+            v0, v1, v2 = tri[t], tri[t + 1], tri[t + 2]
+            if ghost in (v0, v1, v2):
+                if came >= 0:  # came in across its hull edge
+                    break
+                h = t if v2 == ghost else t + 1 if v0 == ghost else t + 2
+                u, v = tri[h], tri[h + 1 if h % 3 < 2 else h - 2]
+                if _orient_sign(xs[u], ys[u], xs[v], ys[v], px, py) > 0:
+                    break
+                t = twin[h] - twin[h] % 3
+                continue
+            for e, u, v in ((t, v0, v1), (t + 1, v1, v2), (t + 2, v2, v0)):
+                if e != came and _orient_sign(xs[u], ys[u], xs[v], ys[v], px, py) < 0:
+                    break
+            else:
+                break
+            came = twin[e]
+            t = came - came % 3
+        # split t: (v0, v1, p) in place, (v1, v2, p) and (v2, v0, p) new
+        s = len(tri)
+        o1, o2 = twin[t + 1], twin[t + 2]
+        tri[t + 2] = p
+        tri += (v1, v2, p, v2, v0, p)
+        twin += (o1, s + 5, t + 1, o2, t + 2, s + 1)
+        twin[t + 1], twin[t + 2], twin[o1], twin[o2] = s + 2, s + 4, s, s + 3
+        # Lawson flips: e = u -> v faces p, its twin f = v -> u faces q
+        stack = [t, s, s + 3]
+        while stack:
+            e = stack.pop()
+            f = twin[e]
+            e1 = e + 1 if e % 3 < 2 else e - 2
+            f1 = f + 1 if f % 3 < 2 else f - 2
+            f2 = f - 1 if f % 3 else f + 2
+            u, v, q = tri[e], tri[e1], tri[f2]
+            if q == ghost:
+                flip = _orient_sign(xs[u], ys[u], xs[v], ys[v], px, py) == 0
+            elif u == ghost:
+                flip = _orient_sign(xs[v], ys[v], px, py, xs[q], ys[q]) > 0
+            elif v == ghost:
+                flip = _orient_sign(px, py, xs[u], ys[u], xs[q], ys[q]) > 0
+            else:
+                flip = _incircle_sign(px, py, xs[u], ys[u], xs[v], ys[v], xs[q], ys[q]) > 0
+            if flip:  # (u, v, p), (v, u, q) -> (u, q, p), (v, p, q)
+                uq, vp = twin[f1], twin[e1]  # the outer twins of u -> q and v -> p
+                tri[e1], tri[f1] = q, p
+                twin[e], twin[uq], twin[f], twin[vp], twin[e1], twin[f1] = uq, e, vp, f, f1, e1
+                stack += (e, f2)
+    return tri, twin
 
 
 def graph_to_dict(g: ProximityGraph) -> dict:

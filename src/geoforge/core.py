@@ -3,8 +3,9 @@
 The numeric policy is deliberately simple: coordinates live in a bounded
 domain (|x|, |y| <= COORD_LIMIT) and all comparisons use fixed absolute
 epsilons.  EPS_AREA guards orientation determinants, EPS_DIST guards
-point and distance comparisons.  Exact arithmetic is out of scope; the
-bounded domain is what keeps the fixed epsilons meaningful.  A polygon's
+point and distance comparisons; the bounded domain is what keeps the
+fixed epsilons meaningful.  Exact arithmetic only settles the signs a
+float filter leaves open in _orient_sign and _incircle_sign.  A polygon's
 orientation and zero-area test use a shoelace shifted to its first vertex
 (_signed_area2), which rounds with the polygon's size, not its position.
 
@@ -342,6 +343,59 @@ def _sure_sign(ax: float, ay: float, bx: float, by: float, cx: float, cy: float)
 def _sign_is_sure(p: Point, q: Point, r: Point) -> bool:
     """True when rounding cannot have flipped the sign of cross(p, q, r)."""
     return _sure_sign(p.x, p.y, q.x, q.y, r.x, r.y) != 0
+
+
+# Shewchuk's first incircle error bound (1997): (10 + 96u)u
+_INCIRCLE_ERR = (10.0 + 96.0 * 2.0**-53) * 2.0**-53
+
+
+def _orient_sign(ax: float, ay: float, bx: float, by: float, cx: float, cy: float) -> int:
+    """The exact sign of the cross product of a, b, c (1 for a left turn):
+    _sure_sign's, or _exact_sign's where rounding could have flipped it."""
+    return _sure_sign(ax, ay, bx, by, cx, cy) or _exact_sign(ax, ay, bx, by, cx, cy)
+
+
+def _incircle_sign(ax: float, ay: float, bx: float, by: float, cx: float, cy: float,
+                   dx: float, dy: float) -> int:
+    """The exact sign of the incircle determinant: for a counterclockwise
+    a, b, c, 1 when d lies inside their circle, -1 outside and 0 on it.
+
+    The float determinant is sure beyond Shewchuk's bound, _INCIRCLE_ERR
+    times its permanent, plus 2**-1000 for underflow: within
+    +/-COORD_LIMIT a product loses at most 2**-1075 to it before factors
+    below 2**43 scale it.  _exact_sign settles the rest.
+    """
+    adx, ady, bdx, bdy, cdx, cdy = ax - dx, ay - dy, bx - dx, by - dy, cx - dx, cy - dy
+    alift = adx * adx + ady * ady
+    blift = bdx * bdx + bdy * bdy
+    clift = cdx * cdx + cdy * cdy
+    bc, cb = bdx * cdy, cdx * bdy
+    ca, ac = cdx * ady, adx * cdy
+    ab, ba = adx * bdy, bdx * ady
+    det = alift * (bc - cb) + blift * (ca - ac) + clift * (ab - ba)
+    bound = _INCIRCLE_ERR * ((abs(bc) + abs(cb)) * alift + (abs(ca) + abs(ac)) * blift
+                             + (abs(ab) + abs(ba)) * clift) + 2.0**-1000
+    if det > bound:
+        return 1
+    if det < -bound:
+        return -1
+    return _exact_sign(ax, ay, bx, by, cx, cy, dx, dy)
+
+
+def _exact_sign(*coords: float) -> int:
+    """The exact sign of the orientation (six coordinates) or incircle
+    (eight) determinant, on the floats as integers over their common
+    power-of-two denominator, a positive scale that keeps every sign."""
+    ratios = [v.as_integer_ratio() for v in coords]
+    den = max(q for _, q in ratios)
+    ax, ay, bx, by, cx, cy, *d = [m * (den // q) for m, q in ratios]
+    if not d:
+        det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    else:
+        ax, ay, bx, by, cx, cy = ax - d[0], ay - d[1], bx - d[0], by - d[1], cx - d[0], cy - d[1]
+        det = ((ax * ax + ay * ay) * (bx * cy - cx * by) + (bx * bx + by * by) * (cx * ay - ax * cy)
+               + (cx * cx + cy * cy) * (ax * by - bx * ay))
+    return (det > 0) - (det < 0)
 
 
 def _contact_candidates(segments):

@@ -172,11 +172,14 @@ def beta_skeleton_reference(points, theta, eps_angle=1e-9):
     Every pair is tested against every other point with the library's
     square-root-free angle predicate, in the same float operations, so a
     faster build must return exactly this set.  points are distinct
-    (x, y) tuples.
+    (x, y) tuples.  The witnesses of a pair (i, j) are tried in order of
+    distance from i, nearest first, where a killer is likeliest; any order
+    gives the same set.
     """
     n = len(points)
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
+    near = [sorted(range(n), key=lambda k: dist2(p, points[k])) for p in points]
     # angle >= theta - EPS_ANGLE  <=>  cos(angle) <= cos(theta - EPS_ANGLE)
     c = math.cos(theta - eps_angle)
     c2 = c * c
@@ -186,7 +189,7 @@ def beta_skeleton_reference(points, theta, eps_angle=1e-9):
         for j in range(i + 1, n):
             xj, yj = xs[j], ys[j]
             alive = True
-            for k in range(n):
+            for k in near[i]:
                 if k == i or k == j:
                     continue
                 ax = xi - xs[k]

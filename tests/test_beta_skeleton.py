@@ -19,14 +19,16 @@ from geoforge import (
     onion_decomposition,
     theta_of_beta,
 )
-from geoforge.beta_skeleton import GRID_MIN_POINTS, graph_to_dict
+from geoforge.beta_skeleton import graph_to_dict
 
 # the module; the package's name beta_skeleton is the function
 skeleton = importlib.import_module("geoforge.beta_skeleton")
+core = importlib.import_module("geoforge.core")
 
 # both branches of the predicate, both sides of beta = 1, and betas whose
-# critical angle is at or below the float noise of the predicate
-BETAS = (0.05, 0.3, 0.7, 0.999999999, 1.0, 1.000000001, 1.5, 2.0, 10.0, 1e6, 1e10, 1e300)
+# critical angle is at or below the float noise of the predicate (from
+# about 8.3e6 no Delaunay edge is certified and each is scanned)
+BETAS = (0.05, 0.3, 0.7, 0.999999999, 1.0, 1.000000001, 1.5, 2.0, 10.0, 1e6, 1e7, 1e10, 1e300)
 
 
 def test_theta_special_values():
@@ -217,25 +219,21 @@ def test_walk_matches_every_pair_reference(pts):
     for beta in BETAS:
         want = geomgen.beta_skeleton_reference(raw, theta_of_beta(beta))
         assert set(beta_skeleton(pts, beta).edges) == want, beta
-        # and on a grid of n // 3 cells, which the walk uses from 2 points on
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(skeleton, "GRID_MIN_POINTS", 2)
-            assert set(beta_skeleton(pts, beta).edges) == want, (beta, "grid")
 
 
-# the betas the grid walk is checked at: the no-prune branch, both sides of
-# beta = 1, beta = 2 (a strict subgraph of the lune-based relative
-# neighbourhood graph), and the scan-every-point case
+# the betas the larger sets are checked at: the every-pair branch, both
+# sides of beta = 1, beta = 2 (a strict subgraph of the lune-based relative
+# neighbourhood graph), and the scan-every-edge case
 GRID_BETAS = (0.5, 1.0, 1.000000001, 2.0, 1e7)
 
 
 @st.composite
 def _grid_sized_sets(draw, kind):
-    """Sets of GRID_MIN_POINTS to GRID_MIN_POINTS + 48 distinct points."""
-    n = draw(st.integers(GRID_MIN_POINTS, GRID_MIN_POINTS + 48))
+    """Sets of 160 to 208 distinct points."""
+    n = draw(st.integers(160, 208))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     if kind == "lattice":
-        # exact d2 ties, and points on the box edges at octant far2 bounds
+        # exact d2 ties, cocircular quadruples and collinear runs
         g = math.isqrt(n) + rng.randint(1, 3)
         s = rng.choice([1.0, 0.5, 3.0, 1e-3])
         raw = rng.sample([(i * s, j * s) for i in range(g) for j in range(g)], n)
@@ -265,7 +263,7 @@ def test_grid_walk_matches_every_pair_reference(kind):
     @settings(max_examples=3, deadline=None, derandomize=True, database=None)
     @given(_grid_sized_sets(kind))
     def check(pts):
-        assert len(pts) >= GRID_MIN_POINTS
+        assert len(pts) >= 160
         raw = [(p.x, p.y) for p in pts]
         for beta in GRID_BETAS:
             want = geomgen.beta_skeleton_reference(raw, theta_of_beta(beta))
@@ -276,43 +274,144 @@ def test_grid_walk_matches_every_pair_reference(kind):
 
 def test_walk_reaches_points_at_the_octant_bound():
     # seen from (1, 3) the box is [0, 2] x [0, 3], and (0, 0) and (2, 0) sit
-    # in its steep lower octants at exactly far2 = 3**2 + min(1, 3)**2 = 10;
-    # a walk that stopped at d2 >= far2 would give (1, 3) no candidates
+    # in its steep lower octants at d2 = 3**2 + min(1, 3)**2 = 10 exactly
     cases = [[(2, 0), (1, 3), (0, 0)]]
-    # the same on the edges of lattice boxes of 4 to 160 points, the last
-    # at GRID_MIN_POINTS
+    # the same on the edges of lattice boxes of 4 to 160 points: collinear
+    # hull runs and cocircular corners for the triangulation
     for k in (1, 2, 5, 40):
         cases.append([(x, y) for x in range(k + 1) for y in range(k + 1)
                       if x in (0, k) or y in (0, k)])
         cases.append([(x, y) for x in range(k + 1) for y in (0, 3 * k)] + [(k // 2, 2 * k)])
-    assert len(cases[-2]) >= GRID_MIN_POINTS
+    assert len(cases[-2]) == 160
     for raw in cases:
         pts = [Point(x, y) for x, y in raw]
-        for beta in GRID_BETAS[1:]:  # the stop needs the prune, beta >= 1
+        for beta in GRID_BETAS:
             want = geomgen.beta_skeleton_reference(raw, theta_of_beta(beta))
             assert set(beta_skeleton(pts, beta).edges) == want, (len(raw), beta)
     assert beta_skeleton([Point(*p) for p in cases[0]], 1.0).edge_list() == [(0, 1), (0, 2), (1, 2)]
 
 
-def test_squared_distances_grow_near_linearly(monkeypatch):
-    # every point's full sort made n - 1 evaluations per point, a 4x growth
-    # per doubling; the grid walk meets a few cells around each point
-    made = [0]
-    squared_distances = skeleton._squared_distances
+def _counted_predicates(monkeypatch, budget):
+    """Count the orientation and incircle signs the build asks for, and
+    raise once there are more than budget, so a walk or a flip loop that
+    cycles fails instead of running on."""
+    calls = [0]
 
-    def counted(d2, block, *rest):
-        made[0] += len(block)
-        return squared_distances(d2, block, *rest)
+    def counting(sign):
+        def counted(*coords):
+            calls[0] += 1
+            if calls[0] > budget:
+                raise AssertionError("more than %d predicate calls" % budget)
+            return sign(*coords)
+        return counted
 
-    monkeypatch.setattr(skeleton, "_squared_distances", counted)
+    monkeypatch.setattr(skeleton, "_orient_sign", counting(skeleton._orient_sign))
+    monkeypatch.setattr(skeleton, "_incircle_sign", counting(skeleton._incircle_sign))
+    return calls
+
+
+def test_predicate_calls_grow_near_linearly(monkeypatch):
+    # the walk starts next to its point and the flips stay near it, so the
+    # signs per point grow slowly (22, 24 and 26 here); every pair would
+    # grow 4x per doubling
+    calls = _counted_predicates(monkeypatch, 10**6)
     rng = random.Random(619)
     counts = []
-    for n in (1200, 2400, 4800):
+    for n in (2400, 4800, 9600):
         pts = [Point(x, y) for x, y in geomgen.random_points(rng, n)]
-        made[0] = 0
+        calls[0] = 0
         beta_skeleton(pts, 1.0)
-        counts.append(made[0])
-    assert counts[1] < 2.5 * counts[0] and counts[2] < 2.5 * counts[1], counts
+        counts.append(calls[0])
+    assert counts[1] < 2.3 * counts[0] and counts[2] < 2.3 * counts[1], counts
+
+
+def test_uniform_sets_need_almost_no_exact_signs(monkeypatch):
+    # the float filters settle the signs on the bench's points: 1e-6 grid
+    # coordinates in [0, 1000]^2
+    exact = [0]
+    exact_sign = core._exact_sign
+
+    def counted(*coords):
+        exact[0] += 1
+        return exact_sign(*coords)
+
+    monkeypatch.setattr(core, "_exact_sign", counted)
+    calls = _counted_predicates(monkeypatch, 10**6)
+    for n in (75, 150, 300, 1200):
+        rng = random.Random(n)
+        pts = [Point(round(rng.uniform(0, 1000), 6), round(rng.uniform(0, 1000), 6))
+               for _ in range(n)]
+        for beta in (1.0, 2.0):
+            beta_skeleton(pts, beta)
+    assert calls[0] > 10**4 and exact[0] <= 2, (calls[0], exact[0])
+
+
+@pytest.mark.parametrize("direction", [(1.0, 1.0), (0.3, -0.7)])
+def test_near_line_sets_match_every_pair_reference(monkeypatch, direction):
+    # 600 points on a line through the origin, not parallel to an axis, and
+    # one point off it: slivers along the line, a fan to the lone point
+    dx, dy = direction
+    raw = [(t * dx, t * dy) for t in range(-300, 300)] + [(7.5, -2.25)]
+    pts = [Point(x, y) for x, y in raw]
+    calls = _counted_predicates(monkeypatch, 60 * len(raw))
+    for beta in (1.0, 2.0, 1e7):
+        calls[0] = 0
+        got = set(beta_skeleton(pts, beta).edges)
+        assert calls[0] <= 30 * len(raw), (beta, calls[0])
+        assert got == geomgen.beta_skeleton_reference(raw, theta_of_beta(beta)), beta
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_point_sets())
+def test_triangulation_is_delaunay(pts):
+    # the precondition of the edge rule: on the sphere of n points and the
+    # ghost, 2n - 2 triangles with consistent twins, each real one strictly
+    # counterclockwise with no point strictly inside its circle (flat
+    # triangles from points on edges or hull lines must all be gone)
+    xs, ys = [p.x for p in pts], [p.y for p in pts]
+    n = len(pts)
+    tri, twin = skeleton._delaunay(xs, ys, sorted(zip(xs, ys, range(n))))
+    if tri is None:
+        assert all(core._orient_sign(xs[0], ys[0], xs[1], ys[1], x, y) == 0 for x, y in zip(xs, ys))
+        return
+    assert len(tri) == 3 * (2 * n - 2)
+    for e in range(len(tri)):
+        e1 = e + 1 if e % 3 < 2 else e - 2
+        f = twin[e]
+        assert twin[f] == e and tri[f] == tri[e1] and tri[f + 1 if f % 3 < 2 else f - 2] == tri[e]
+    for t in range(0, len(tri), 3):
+        a, b, c = tri[t:t + 3]
+        if n in (a, b, c):
+            continue
+        abc = (xs[a], ys[a], xs[b], ys[b], xs[c], ys[c])
+        assert core._orient_sign(*abc) == 1
+        assert all(core._incircle_sign(*abc, x, y) <= 0 for x, y in zip(xs, ys))
+
+
+@st.composite
+def _cocircular_threshold_sets(draw):
+    """(0, 0), (1, 0) and 2 to 10 points on one circle through them, with
+    betas whose theta' lies within a few ulps of the angle that every
+    point of the major arc sees the pair under."""
+    yc = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-3.0, 1.0))
+    r = math.hypot(0.5, yc)
+    turns = draw(st.lists(st.floats(0.0, 2.0 * math.pi), min_size=2, max_size=10))
+    raw = [(0.0, 0.0), (1.0, 0.0)] + [(0.5 + r * math.cos(t), yc + r * math.sin(t)) for t in turns]
+    beta = 1.0 / math.sin(math.asin(0.5 / r) + 1e-9)
+    return _distinct(raw), [beta * (1.0 + s * 1e-15) for s in range(-6, 7)]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_cocircular_threshold_sets())
+def test_cocircular_witnesses_at_the_threshold_match_every_pair_reference(case):
+    # rounding alone tells the arc's points apart: the opposite vertex of
+    # (0, 1) may spare it while another point kills it, the case the
+    # witness scan is for, and the pair's order in the predicate matters
+    pts, betas = case
+    raw = [(p.x, p.y) for p in pts]
+    for beta in betas:
+        want = geomgen.beta_skeleton_reference(raw, theta_of_beta(beta))
+        assert set(beta_skeleton(pts, beta).edges) == want, beta
 
 
 def test_cone_prune_at_the_45_degree_boundary():

@@ -676,3 +676,90 @@ def test_polygon_check_memory_does_not_grow_with_the_pair_count():
         finally:
             tracemalloc.stop()
     assert peaks[1] < 8 * peaks[0], peaks
+
+
+def _sign(v) -> int:
+    return (v > 0) - (v < 0)
+
+
+def _orient_fraction(ax, ay, bx, by, cx, cy) -> int:
+    ax, ay, bx, by, cx, cy = map(Fraction, (ax, ay, bx, by, cx, cy))
+    return _sign((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
+
+
+def _incircle_fraction(ax, ay, bx, by, cx, cy, dx, dy) -> int:
+    ax, ay, bx, by, cx, cy, dx, dy = map(Fraction, (ax, ay, bx, by, cx, cy, dx, dy))
+    rows = [(x - dx, y - dy) for x, y in ((ax, ay), (bx, by), (cx, cy))]
+    (a, b), (c, d), (e, f) = rows
+    la, lc, le = a * a + b * b, c * c + d * d, e * e + f * f
+    return _sign(la * (c * f - e * d) - lc * (a * f - e * b) + le * (a * d - c * b))
+
+
+def _nudge(v: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        v = math.nextafter(v, math.copysign(math.inf, ulps))
+    return v
+
+
+_ULPS = st.integers(-3, 3)
+# the least subnormal, so that differences of its multiples are subnormal
+_TINY = 2.0**-1074
+
+
+@st.composite
+def _exact_sign_points(draw, count):
+    """count points: near one line, on one lattice circle scaled by a power
+    of two, near one float circle, clustered near +/-1e6, or on a grid of
+    subnormals, each coordinate then moved by up to 3 ulps or not at all."""
+    kind = draw(st.sampled_from(["line", "lattice circle", "circle", "far", "subnormal"]))
+    if kind == "line":
+        x0, y0 = draw(st.sampled_from([(0.0, 0.0), (1.0, -3.0), (123.456, 7e-3), (-1e6, 1e6)]))
+        dx, dy = draw(st.sampled_from([(1.0, 0.0), (1.0, 1.0), (0.3, -0.7), (1e-3, 2.5)]))
+        ts = draw(st.lists(st.floats(-1e3, 1e3), min_size=count, max_size=count))
+        pts = [(x0 + t * dx, y0 + t * dy) for t in ts]
+    elif kind == "lattice circle":
+        # the lattice points at distance sqrt(65) from the centre
+        ring = [(sx * u, sy * v) for u, v in ((1, 8), (8, 1), (4, 7), (7, 4))
+                for sx in (1, -1) for sy in (1, -1)]
+        scale = draw(st.sampled_from([1.0, 0.5, 2.0**-30, 1024.0]))
+        cx, cy = draw(st.tuples(st.integers(-10**5, 10**5), st.integers(-10**5, 10**5)))
+        pts = [(cx + scale * u, cy + scale * v)
+               for u, v in draw(st.lists(st.sampled_from(ring), min_size=count, max_size=count))]
+    elif kind == "circle":
+        r = draw(st.sampled_from([1.0, 3.7, 1000.0]))
+        ks = draw(st.lists(st.integers(0, 23), min_size=count, max_size=count))
+        pts = [(r * math.cos(math.pi * k / 12), r * math.sin(math.pi * k / 12)) for k in ks]
+    elif kind == "far":
+        cx, cy = draw(st.sampled_from([(1e6, 1e6), (-1e6, 1e6), (1e6, -1e6), (-1e6, -1e6)]))
+        offs = draw(st.lists(st.tuples(st.floats(0.0, 1e-3), st.floats(0.0, 1e-3)),
+                             min_size=count, max_size=count))
+        pts = [(cx - math.copysign(u, cx), cy - math.copysign(v, cy)) for u, v in offs]
+    else:
+        ints = draw(st.lists(st.tuples(st.integers(-64, 64), st.integers(-64, 64)),
+                             min_size=count, max_size=count))
+        pts = [(i * _TINY, j * _TINY) for i, j in ints]
+    if draw(st.booleans()):
+        pts = [(_nudge(x, draw(_ULPS)), _nudge(y, draw(_ULPS))) for x, y in pts]
+    return [min(COORD_LIMIT, max(-COORD_LIMIT, v)) for p in pts for v in p]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_exact_sign_points(3))
+def test_orient_sign_is_the_exact_sign(coords):
+    assert core._orient_sign(*coords) == _orient_fraction(*coords)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_exact_sign_points(4))
+def test_incircle_sign_is_the_exact_sign(coords):
+    assert core._incircle_sign(*coords) == _incircle_fraction(*coords)
+
+
+def test_exact_signs_settle_the_cases_the_filters_leave_open():
+    # exact zeros the float filters cannot certify, and subnormal
+    # determinants that underflow to 0
+    assert core._orient_sign(0.1, 0.1, 0.2, 0.2, 0.3, 0.3) == _orient_fraction(0.1, 0.1, 0.2, 0.2, 0.3, 0.3)
+    assert core._orient_sign(0.0, 0.0, _TINY, 0.0, 0.0, _TINY) == 1
+    assert core._incircle_sign(5.0, 0.0, 0.0, 5.0, -5.0, 0.0, 3.0, -4.0) == 0
+    assert core._incircle_sign(5.0, 0.0, 0.0, 5.0, -5.0, 0.0, 3.0, math.nextafter(-4.0, 0.0)) == 1
+    assert core._incircle_sign(_TINY, 0.0, 0.0, _TINY, -_TINY, 0.0, 0.0, -2 * _TINY) == -1
