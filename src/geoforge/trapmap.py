@@ -24,7 +24,8 @@ are neighbours.  The tie rules:
   event, and an endpoint equally near two events joins the lower one.
 
 locate uses the slab method: two bisections in an index built on its
-first call.
+first call.  Build and index read every height from per-segment rows, as
+ay + (x - ax) * dy / dx: the same float as _seg_y_at's.
 """
 
 from __future__ import annotations
@@ -86,6 +87,20 @@ class TrapezoidalMap:
 def _seg_y_at(seg: Segment, x: float) -> float:
     a, b = seg.a, seg.b
     return a.y + (x - a.x) * (b.y - a.y) / (b.x - a.x)
+
+
+def _rows(segs, bbox: BBox) -> tuple[list, list, list, list]:
+    """a.x, a.y, b.x - a.x and b.y - a.y per bound id: the segments by
+    index, then the bottom and top walls as constant rows.
+
+    ay[i] + (x - ax[i]) * dy[i] / dx[i] makes _seg_y_at's operations in its
+    order, so it is the same float; a wall row gives the wall's height.
+    """
+    ax = [s.a.x for s in segs] + [0.0, 0.0]
+    ay = [s.a.y for s in segs] + [bbox.ymin, bbox.ymax]
+    dx = [s.b.x - s.a.x for s in segs] + [1.0, 1.0]
+    dy = [s.b.y - s.a.y for s in segs] + [0.0, 0.0]
+    return ax, ay, dx, dy
 
 
 def _bound_y(bound, x: float, segs, bbox: BBox) -> float:
@@ -159,12 +174,12 @@ def _distinct_endpoints(segs) -> list[Point]:
     for s in segs:
         for p in (s.a, s.b):
             cx, cy = math.floor(p.x / cell), math.floor(p.y / cell)
-            if not any(
-                points_equal(p, q)
-                for gx in (cx - 1, cx, cx + 1)
-                for gy in (cy - 1, cy, cy + 1)
-                for q in grid.get((gx, gy), ())
-            ):
+            kept = True
+            for gx in (cx - 1, cx, cx + 1):
+                for gy in (cy - 1, cy, cy + 1):
+                    for q in grid.get((gx, gy), ()):
+                        kept = kept and not points_equal(p, q)
+            if kept:
                 grid.setdefault((cx, cy), []).append(p)
                 out.append(p)
     return out
@@ -263,19 +278,23 @@ def _sweep(segs, bbox: BBox, origins) -> tuple[tuple, tuple]:
     Every event adds or removes O(1) neighbour pairs and each ray makes
     O(log n) probes plus a short walk, so band segments cost O(n log n)
     height evaluations; an event shared by many endpoints costs its
-    origins times its entering and leaving segments.
+    origins times its entering and leaving segments.  Each height is
+    ay + (x - ax) * dy / dx on the rows of _rows, computed where it is
+    used with no call or memo: the same float as _seg_y_at's, so every
+    key, tie and bound above reads the same values.
     """
     n = len(segs)
     bottom, top = n, n + 1  # the walls as bound ids
     bound_of = list(range(n)) + [Wall.BOTTOM, Wall.TOP]
+    ax, ay, dx, dy = _rows(segs, bbox)
     events = _event_xs(segs, bbox)
     mids = [(xl + xr) / 2.0 for xl, xr in zip(events, events[1:])]
     nslab = len(mids)
     lo = [min(s.a.x, s.b.x) for s in segs]
     hi = [max(s.a.x, s.b.x) for s in segs]
-    err = [8.0 * _U * (abs(s.a.y) + abs(s.b.y - s.a.y)) + _TINY for s in segs]
+    err = [8.0 * _U * (abs(ay[i]) + abs(dy[i])) + _TINY for i in range(n)]
     err_max = max(err, default=0.0)
-    slope = [(s.b.y - s.a.y) / (s.b.x - s.a.x) for s in segs]
+    slope = [dy[i] / dx[i] for i in range(n)]
     # per index k: the segments that enter and leave the list there, and
     # those that enter or leave there or lie over no slab, the candidates
     # the rays at k test one by one
@@ -304,11 +323,11 @@ def _sweep(segs, bbox: BBox, origins) -> tuple[tuple, tuple]:
     for pts in endpoints_at.values():
         pts.sort(key=lambda p: p.y)
 
-    def pick_endpoint(x: float, pair) -> Point | None:
-        lo = _bound_y(pair[1], x, segs, bbox) - EPS_DIST
-        hi = _bound_y(pair[0], x, segs, bbox) + EPS_DIST
-        for p in endpoints_at.get(x, ()):
-            if lo <= p.y <= hi:
+    def pick_endpoint(x: float, t: int, b: int) -> Point | None:
+        y_lo = ay[b] + (x - ax[b]) * dy[b] / dx[b] - EPS_DIST
+        y_hi = ay[t] + (x - ax[t]) * dy[t] / dx[t] + EPS_DIST
+        for p in endpoints_at[x]:
+            if y_lo <= p.y <= y_hi:
                 return p
         return None
 
@@ -318,38 +337,31 @@ def _sweep(segs, bbox: BBox, origins) -> tuple[tuple, tuple]:
     def shoot(origin: Point, active, scan) -> VerticalExtension:
         ox, oy = origin.x, origin.y
         t_up, t_dn = oy + EPS_DIST, oy - EPS_DIST
-        memo: dict[int, float] = {}
-
-        def y_at(s: int) -> float:
-            y = memo.get(s)
-            if y is None:
-                y = memo[s] = _seg_y_at(segs[s], ox)
-            return y
-
-        cand = [s for s in scan if lo[s] <= ox <= hi[s]]
-        k = bisect_right(active, oy, key=y_at)
+        # the candidates and their heights at ox
+        cand = {s: ay[s] + (ox - ax[s]) * dy[s] / dx[s] for s in scan if lo[s] <= ox <= hi[s]}
+        k = bisect_right(active, oy, key=lambda s: ay[s] + (ox - ax[s]) * dy[s] / dx[s])
         best = ymax  # the lowest height above t_up so far
         for i in range(k, len(active)):
             s = active[i]
-            y = y_at(s)
+            y = ay[s] + (ox - ax[s]) * dy[s] / dx[s]
             if y - 3.0 * (err[s] + err_max) > best:
                 break
-            cand.append(s)
+            cand[s] = y
             if t_up < y < best:
                 best = y
         best = ymin  # the highest height below t_dn so far
         for i in range(k - 1, -1, -1):
             s = active[i]
-            y = y_at(s)
+            y = ay[s] + (ox - ax[s]) * dy[s] / dx[s]
             if y + 3.0 * (err[s] + err_max) < best:
                 break
-            cand.append(s)
+            cand[s] = y
             if best < y < t_dn:
                 best = y
         up_y, up_target = ymax, Wall.TOP
         down_y, down_target = ymin, Wall.BOTTOM
-        for s in sorted(set(cand)):
-            y = y_at(s)
+        for s in sorted(cand):
+            y = cand[s]
             if y > t_up and y < up_y:
                 up_y, up_target = y, s
             elif y < t_dn and y > down_y:
@@ -381,14 +393,6 @@ def _sweep(segs, bbox: BBox, origins) -> tuple[tuple, tuple]:
 
     for k in range(nslab):
         xl, mid = events[k], mids[k]
-        at_mid: dict[int, float] = {}
-
-        def y_mid(s: int) -> float:
-            y = at_mid.get(s)
-            if y is None:
-                y = at_mid[s] = _seg_y_at(segs[s], mid)
-            return y
-
         closed = []
         work = []
         for r in leaving[k]:
@@ -409,7 +413,8 @@ def _sweep(segs, bbox: BBox, origins) -> tuple[tuple, tuple]:
             t = up[b]
             if b == bottom or t == top or t < 0:
                 continue
-            yb, yt = y_mid(b), y_mid(t)
+            yb = ay[b] + (mid - ax[b]) * dy[b] / dx[b]
+            yt = ay[t] + (mid - ax[t]) * dy[t] / dx[t]
             if (yb, b) < (yt, t):
                 certify(b, t, yb, yt, mid)
                 continue
@@ -429,16 +434,16 @@ def _sweep(segs, bbox: BBox, origins) -> tuple[tuple, tuple]:
                 extensions[o] = shoot(origins[o], act, local[k])
 
         for s in entering[k]:
-            ys = y_mid(s)
-            i = bisect_left(act, (ys, s), key=lambda v: (y_mid(v), v))
+            ys = ay[s] + (mid - ax[s]) * dy[s] / dx[s]
+            i = bisect_left(act, (ys, s), key=lambda v: (ay[v] + (mid - ax[v]) * dy[v] / dx[v], v))
             b = act[i - 1] if i else bottom
             t = act[i] if i < len(act) else top
             act.insert(i, s)
             up[b], down[s], up[s], down[t] = s, b, t, s
             if b != bottom:
-                certify(b, s, y_mid(b), ys, mid)
+                certify(b, s, ay[b] + (mid - ax[b]) * dy[b] / dx[b], ys, mid)
             if t != top:
-                certify(s, t, ys, y_mid(t), mid)
+                certify(s, t, ys, ay[t] + (mid - ax[t]) * dy[t] / dx[t], mid)
             dirty += (b, s)
 
         opened = []
@@ -455,12 +460,13 @@ def _sweep(segs, bbox: BBox, origins) -> tuple[tuple, tuple]:
         dirty = []
         closed.sort()
         for _, t, b, start_x, leftp in closed:
-            pair = (bound_of[t], bound_of[b])
-            done.append(Trapezoid(pair[0], pair[1], start_x, xl, leftp, pick_endpoint(xl, pair)))
-        opened.sort(key=lambda b: (-math.inf, b) if b == bottom else (y_mid(b), b))
+            done.append(Trapezoid(bound_of[t], bound_of[b], start_x, xl, leftp,
+                                  pick_endpoint(xl, t, b)))
+        opened.sort(key=lambda b: (-math.inf, b) if b == bottom
+                    else (ay[b] + (mid - ax[b]) * dy[b] / dx[b], b))
         for b in opened:
             t = up[b]
-            leftp = pick_endpoint(xl, (bound_of[t], bound_of[b])) if k > 0 else None
+            leftp = pick_endpoint(xl, t, b) if k > 0 else None
             gaps[b] = (seq, t, b, xl, leftp)
             seq += 1
 
@@ -490,9 +496,11 @@ def locate(m: TrapezoidalMap, q: Point) -> int:
 
     The first call caches a slab index on the map: the sorted trapezoid
     x-boundaries and, for each interval between neighbouring boundaries,
-    the trapezoids over it from bottom to top.  A query bisects both, then
-    runs the strict EPS_DIST containment test on the hit and its two
-    neighbours and returns the lowest index that passes.
+    the trapezoids over it from bottom to top, with each trapezoid's
+    x-range and bottom and top bound ids into rows per bound id (_rows).
+    A query bisects both, then runs the strict EPS_DIST containment test
+    on the hit and its two neighbours and returns the lowest index that
+    passes.  Each height read from a row is the float _bound_y gives.
     """
     if not (
         m.bbox.xmin + EPS_DIST < q.x < m.bbox.xmax - EPS_DIST
@@ -501,55 +509,56 @@ def locate(m: TrapezoidalMap, q: Point) -> int:
         raise GeometryError("query outside bbox")
     if m._slabs is None:
         object.__setattr__(m, "_slabs", _slab_index(m))
-    xs, stacks = m._slabs
-    k = bisect_right(xs, q.x) - 1
+    xs, stacks, (ax, ay, dx, dy), bot, top, lx, rx = m._slabs
+    qx, qy = q.x, q.y
+    k = bisect_right(xs, qx) - 1
     if 0 <= k < len(stacks):
-        traps, segs, bbox = m.trapezoids, m.segments, m.bbox
         stack = stacks[k]
-        h = bisect_right(stack, q.y, key=lambda i: _bound_y(traps[i].bottom, q.x, segs, bbox))
-        for idx in sorted(stack[max(h - 2, 0) : h + 1]):
-            t = traps[idx]
+        h = bisect_right(stack, qy, key=lambda i: ay[b := bot[i]] + (qx - ax[b]) * dy[b] / dx[b])
+        for i in sorted(stack[max(h - 2, 0) : h + 1]):
+            b, t = bot[i], top[i]
             if (
-                t.left_x + EPS_DIST < q.x < t.right_x - EPS_DIST
-                and _bound_y(t.bottom, q.x, segs, bbox) + EPS_DIST
-                < q.y
-                < _bound_y(t.top, q.x, segs, bbox) - EPS_DIST
+                lx[i] + EPS_DIST < qx < rx[i] - EPS_DIST
+                and ay[b] + (qx - ax[b]) * dy[b] / dx[b] + EPS_DIST
+                < qy
+                < ay[t] + (qx - ax[t]) * dy[t] / dx[t] - EPS_DIST
             ):
-                return idx
+                return i
     raise GeometryError("degenerate query: on a subdivision boundary")
 
 
-def _slab_index(m: TrapezoidalMap) -> tuple[list[float], list[list[int]]]:
+def _slab_index(m: TrapezoidalMap) -> tuple:
     """Sorted x-boundaries of the trapezoids and, per interval between two
     neighbouring boundaries, the indices of the trapezoids spanning it
-    from bottom to top.
+    from bottom to top; then the rows, and per trapezoid its bottom and
+    top bound ids and its left and right x.
 
     Each interval's stack is the previous one without the trapezoids that
     end at its left boundary, with those starting there inserted by
     their bottom and top heights at its midpoint.
     """
-    traps, segs, bbox = m.trapezoids, m.segments, m.bbox
-    xs = sorted({t.left_x for t in traps} | {t.right_x for t in traps})
+    traps, n = m.trapezoids, len(m.segments)
+    ax, ay, dx, dy = rows = _rows(m.segments, m.bbox)
+    ids = {Wall.BOTTOM: n, Wall.TOP: n + 1}
+    bot = [ids.get(t.bottom, t.bottom) for t in traps]
+    top = [ids.get(t.top, t.top) for t in traps]
+    lx = [t.left_x for t in traps]
+    rx = [t.right_x for t in traps]
+    xs = sorted(set(lx) | set(rx))
     starting: list[list[int]] = [[] for _ in xs]
-    for idx, t in enumerate(traps):
-        if t.left_x < t.right_x:
-            starting[bisect_left(xs, t.left_x)].append(idx)
+    for i in range(len(traps)):
+        if lx[i] < rx[i]:
+            starting[bisect_left(xs, lx[i])].append(i)
     stacks: list[list[int]] = []
     stack: list[int] = []
     for k in range(len(xs) - 1):
         x0, mid = xs[k], (xs[k] + xs[k + 1]) / 2.0
-        stack = [i for i in stack if traps[i].right_x > x0]
-        for idx in starting[k]:
-            insort(
-                stack,
-                idx,
-                key=lambda i: (
-                    _bound_y(traps[i].bottom, mid, segs, bbox),
-                    _bound_y(traps[i].top, mid, segs, bbox),
-                ),
-            )
+        stack = [i for i in stack if rx[i] > x0]
+        for i in starting[k]:
+            insort(stack, i, key=lambda j: (ay[b := bot[j]] + (mid - ax[b]) * dy[b] / dx[b],
+                                            ay[t := top[j]] + (mid - ax[t]) * dy[t] / dx[t]))
         stacks.append(stack)
-    return xs, stacks
+    return xs, stacks, rows, bot, top, lx, rx
 
 
 def _bound_dict(bound):

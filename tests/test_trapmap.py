@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -452,21 +453,64 @@ def test_ray_under_a_narrow_fan_whose_heights_round_out_of_order():
     assert ray.up_target == 2
 
 
-def test_height_evaluations_grow_near_linearly(monkeypatch):
+def test_sweep_matches_the_reference_at_the_bench_sizes():
+    # the hypothesis test above stops at 40 segments; the bench builds 100-400
+    for family in ("band", "chains"):
+        for n in (100, 200, 400):
+            for seed in (1, 2):
+                raw = _tie_rule_scene(family, seed, 2 * n, 1e3)[0][:n]
+                m = build_trapezoidal_map([seg(a[0], a[1], b[0], b[1]) for a, b in raw])
+                assert len(m.segments) == n
+                want = geomgen.trapmap_reference(m.segments, m.bbox)
+                assert (m.extensions, m.trapezoids) == want, (family, n, seed)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(["band", "chains", "fan", "fan-on-midpoint", "noisy-fan",
+                     "merged-events", "shared-x", "no-slab", "wall", "empty"]),
+    st.integers(0, 2**32),
+    st.integers(1, 40),
+    st.sampled_from([1.0, 1e3, 1e5]),
+)
+def test_locate_matches_linear_scan_on_the_tie_rule_families(family, seed, n, scale):
+    # the wall family puts a segment on the tight box's bottom wall
+    raw, bbox = _tie_rule_scene(family, seed, n, scale)
+    segs = [seg(a[0], a[1], b[0], b[1]) for a, b in raw if abs(a[0] - b[0]) > EPS_DIST]
+    try:
+        m = build_trapezoidal_map(segs, bbox)
+    except GeometryError:
+        return
+    rng = random.Random(seed)
+    b = m.bbox
+    queries = _boundary_queries(m, rng)
+    queries += [Point(rng.uniform(b.xmin, b.xmax), rng.uniform(b.ymin, b.ymax)) for _ in range(100)]
+    _assert_locate_matches_scan(m, queries)
+
+
+def test_build_line_events_grow_near_linearly():
     # a build that scans every segment per ray or per slab grows about 4x
-    # per doubling here; the one-pass sweep about 2.2x
-    calls = [0]
-    seg_y_at = trapmap._seg_y_at
+    # per doubling here; the one-pass sweep about 2x.  Its heights are
+    # inline arithmetic, so the count is of the lines run in this module.
+    events = [0]
 
-    def counted(s, x):
-        calls[0] += 1
-        return seg_y_at(s, x)
+    def line(frame, event, arg):
+        events[0] += event == "line"
+        return line
 
-    monkeypatch.setattr(trapmap, "_seg_y_at", counted)
+    def call(frame, event, arg):
+        return line if frame.f_code.co_filename == trapmap.__file__ else None
+
     counts = []
     for n in (200, 400, 800):
         raw = geomgen.random_noncrossing_segments(random.Random(n), n)
-        calls[0] = 0
-        build_trapezoidal_map([seg(a[0], a[1], b[0], b[1]) for a, b in raw])
-        counts.append(calls[0])
+        segs = [seg(a[0], a[1], b[0], b[1]) for a, b in raw]
+        events[0] = 0
+        previous = sys.gettrace()
+        sys.settrace(call)
+        try:
+            build_trapezoidal_map(segs)
+        finally:
+            sys.settrace(previous)
+        counts.append(events[0])
     assert all(b < 2.6 * a for a, b in zip(counts, counts[1:])), counts
