@@ -345,6 +345,128 @@ def _sign_is_sure(p: Point, q: Point, r: Point) -> bool:
     return _sure_sign(p.x, p.y, q.x, q.y, r.x, r.y) != 0
 
 
+_CONTACT_REACH = 1e-8
+"""D: segments that _boxed_segments_contact finds in contact lie within D.
+
+Let P = p1p2 and Q = q1q2 lie in the +/-COORD_LIMIT box, each longer than
+EPS_DIST / 2, with overlapping _contact_box boxes, and let
+_boxed_segments_contact(p1, p2, q1, q2, shared_ok=False) be True.  Then
+their exact distance, dist, is below 7.5e-9.
+
+Proof.  Write u = 2**-53 and L = COORD_LIMIT.  With shared_ok False the
+call is True through a distance test or a crossing test.
+
+1. point_segment_distance(p, s1, s2) <= EPS_DIST.  By step 4 of the
+   _OFF_LINE proof, the computed distance is within 8.49 * 2Lu of p's
+   distance to an exact point of s1s2, so dist <= EPS_DIST + 8.49 * 2Lu,
+   under 2.9e-9.
+2. The EPS_AREA crossing test or the sure-sign one.  Both need o1, o2 of
+   strictly opposite float signs, and o3, o4 as well.
+   (F1) P has a point within h = 2 sqrt(2) L _CROSS_ERR (1+u)^3, about
+   9.42e-10, of Q's line.  Either p1 and p2 are not strictly on one side
+   of it, so P meets it, or one of o1, o2 has the wrong float sign.  Then
+   that end's exact cross product C is at most the rounding error, which
+   is at most _CROSS_ERR (|left| + |right|) by Shewchuk's bound.  With
+   coordinate differences of at most 2L, that is at most
+   (1+u)^3 2L (|dx| + |dy|) _CROSS_ERR <= h |Q|.  Gradual underflow adds
+   under 1e-300 for segments this long.
+   (F2) Likewise Q has a point within h of P's line.
+   (F3) A box bound is a segment's min or max -/+ 2 EPS_DIST, rounded
+   once, so it lies within w = 2 EPS_DIST + u (L + 2 EPS_DIST) of that
+   min or max.  So P's and Q's x-ranges come within 2w of each other,
+   and so do their y-ranges.
+   Let a in P and b in Q be the points of F1 and F2, and let phi <= pi/2
+   be the angle between the two lines.
+   - If phi > pi/4, the lines meet at a point Z.  There
+     |a - Z| = dist(a, Q's line) / sin(phi) <= sqrt(2) h, and likewise
+     for b, so dist <= |a - b| <= 2 sqrt(2) h, about 2.7e-9.
+   - If phi <= pi/4, let t measure along a unit vector v on Q's line, and
+     let d(t) be the offset of P's line from Q's at t.  d is linear, so
+     |d| is convex.  |d(t_a)| <= h, and |d(t_b)| <= h / cos(phi) <=
+     sqrt(2) h, because b lies within h of P's line.  If the segments'
+     t-ranges overlap, they share a t between t_a and t_b, where the
+     segments are |d(t)| <= sqrt(2) h apart.  Otherwise a gap g lies
+     between the ranges, say with P's below Q's.  Then P's end e at the
+     top of its range lies between t_a and t_b, so |d(t_e)| <= sqrt(2) h,
+     and Q's end f at the bottom of its range is within sqrt(g^2 + 2 h^2)
+     of e.  Take the axis (x, say) and the sign of v that give
+     v.x >= 1/sqrt(2).  P's direction is within pi/4 of v, so x does not
+     fall along P toward e, and Q starts at f.  So the segments' x-ranges
+     are at least f.x - e.x >= g / sqrt(2) - h apart, which by F3 is at
+     most 2w.  Then g <= sqrt(2) (2w + h), and
+     dist <= sqrt(2) sqrt((2w + h)^2 + h^2), about 7.42e-9.
+
+D = 1e-8 leaves room for the rounding of the star certificate's distance
+(_star_certificate).
+"""
+
+
+def _star_certificate(vertices) -> bool:
+    """True when a counterclockwise loop is proven to have no edge contact.
+
+    The loop is star-shaped about c, its vertex mean, and its non-adjacent
+    edges lie farther than _CONTACT_REACH apart.  Polygon then skips the
+    contact scan, because the scan would find nothing.  The test is
+    linear, and a False changes nothing: the scan runs as before.
+
+    (i) Every edge has c strictly on its left, by _sure_sign's test.  So
+        the angle about c grows along every edge, by less than pi.
+    (ii) Exactly one edge goes up across c's horizontal, with
+        a.y < c.y <= b.y.  By (i), such an edge crosses right of c, and an
+        edge going down crosses left of c.  The crossings right of c count
+        the loop's winding number about c, so it winds once, and the
+        edges' angular sectors at c tile the circle once.
+    (iii) delta = r * s > _CONTACT_REACH.  Here r bounds c's distance to
+        every edge line from below, and s bounds every sector's sine from
+        below.  The exact cross product A of an edge ab about c gives
+        both: the distance is A / |b - a|, and the sine is
+        A / (|a - c| |b - c|).
+
+    Two non-adjacent edges have a whole sector between them on either
+    side.  So from c, their points p and q lie at an angle theta of at
+    least Delta apart, where Delta is the least sector angle.  Both points
+    lie at least r from c.  So |p - q| >= r sin(min(theta, pi/2)) >=
+    r sin(min(Delta, pi/2)) >= delta.  By _CONTACT_REACH's lemma,
+    _boxed_segments_contact is False on every such pair.
+
+    delta is computed from A's lower bound, the cross product less
+    _sure_sign's bound, and from the hypot of the rounded differences.  It
+    is at most (1 + 16u) times the exact bound, with u = 2**-53.  So a
+    computed delta above 1e-8 leaves the exact one above 7.5e-9.  It also
+    keeps every area above 5e-18 and every distance above 9e-9, far from
+    underflow; the products inside the cross product have _sure_sign's
+    2**-1060.
+    """
+    n = len(vertices)
+    xs = [v.x for v in vertices]
+    ys = [v.y for v in vertices]
+    cx = sum(xs) / n
+    cy = sum(ys) / n
+    ux = [x - cx for x in xs]
+    uy = [y - cy for y in ys]
+    rho = list(map(math.hypot, ux, uy))
+    lengths = list(map(math.hypot, map(sub, xs[1:] + xs[:1], xs), map(sub, ys[1:] + ys[:1], ys)))
+    ups = 0
+    r = s = math.inf
+    for ax, ay, bx, by, ra, rb, length in zip(
+        ux, uy, ux[1:] + ux[:1], uy[1:] + uy[:1], rho, rho[1:] + rho[:1], lengths
+    ):
+        left = ax * by
+        right = ay * bx
+        area = (left - right) - (_CROSS_ERR * (abs(left) + abs(right)) + 2.0**-1060)
+        if area <= 0.0:
+            return False
+        if ay < 0.0 <= by:  # a float difference has the exact sign
+            ups += 1
+        q = area / length
+        if q < r:
+            r = q
+        q = area / (ra * rb)
+        if q < s:
+            s = q
+    return ups == 1 and r * s > _CONTACT_REACH
+
+
 # Shewchuk's first incircle error bound (1997): (10 + 96u)u
 _INCIRCLE_ERR = (10.0 + 96.0 * 2.0**-53) * 2.0**-53
 
@@ -447,11 +569,12 @@ class Polygon:
     The constructor accepts either winding direction, normalizes to
     counterclockwise, and rejects inputs that are degenerate (fewer than
     three vertices, consecutive duplicates, zero area, zero-angle spikes)
-    or self-intersecting.  Convex inputs are recognized in linear time;
-    for the others, the simplicity check tests only the edge pairs whose
-    bounding boxes overlap (_contact_candidates), which costs O(n log n)
-    plus the number of such pairs, most of which the _OFF_LINE certificate
-    settles with four cross products.
+    or self-intersecting.  Convex loops, and loops star-shaped about their
+    vertex mean with room to spare (_star_certificate), are recognized as
+    simple in linear time.  For the others, the simplicity check tests
+    only the edge pairs whose bounding boxes overlap (_contact_candidates),
+    which costs O(n log n) plus the number of such pairs, most of which
+    the _OFF_LINE certificate settles with four cross products.
     """
 
     vertices: tuple[Point, ...]
@@ -477,7 +600,7 @@ class Polygon:
                 dot = (a.x - b.x) * (c.x - b.x) + (a.y - b.y) * (c.y - b.y)
                 if dot > 0.0:
                     raise GeometryError("self-intersecting polygon: spike vertex")
-        if not _turning_is_convex_ccw(verts):
+        if not _turning_is_convex_ccw(verts) and not _star_certificate(verts):
             edges = [(verts[i], verts[(i + 1) % n]) for i in range(n)]
             first = _first_contact(
                 _contact_candidates(edges),

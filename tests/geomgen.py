@@ -230,13 +230,18 @@ def segments_contact(p1, p2, q1, q2, shared_ok):
     equals an endpoint of the other is not contact, but two segments with
     the same endpoints still are.
     """
+    if not contact_boxes_overlap(p1, p2, q1, q2):
+        return False
+    return boxed_segments_contact_reference(p1, p2, q1, q2, shared_ok)
+
+
+def contact_boxes_overlap(p1, p2, q1, q2):
+    """Whether the library's widened boxes (_contact_box) of p1p2 and q1q2 overlap."""
     from geoforge.core import _contact_box
 
     a = _contact_box(p1, p2)
     b = _contact_box(q1, q2)
-    if a[0] > b[2] or b[0] > a[2] or a[1] > b[3] or b[1] > a[3]:
-        return False
-    return boxed_segments_contact_reference(p1, p2, q1, q2, shared_ok)
+    return not (a[0] > b[2] or b[0] > a[2] or a[1] > b[3] or b[1] > a[3])
 
 
 def boxed_segments_contact_reference(p1, p2, q1, q2, shared_ok):
@@ -386,6 +391,38 @@ def star_polygon(rng, n, span=1000.0):
         r = span * ((0.45 if k % 2 else 0.25) + rng.uniform(0.0, 0.04))
         verts.append((span / 2.0 + r * math.cos(phi), span / 2.0 + r * math.sin(phi)))
     return verts
+
+
+def crossed_star(rng, n):
+    """The benchmark's self-intersecting stars: a star_polygon on a 1e-6 grid
+    with vertex n//3 moved to radius 550, opposite its old place, so its
+    edges cross edges far from their neighbours."""
+    verts = [(round(x, 6), round(y, 6)) for x, y in star_polygon(rng, n)]
+    k = n // 3
+    dx, dy = verts[k][0] - 500.0, verts[k][1] - 500.0
+    scale = 550.0 / math.hypot(dx, dy)
+    verts[k] = (round(500.0 - dx * scale, 6), round(500.0 - dy * scale, 6))
+    return verts
+
+
+def segment_distance2_exact(p1, p2, q1, q2):
+    """The exact squared distance between the closed segments p1p2 and q1q2
+    (Points, read as Fractions): 0 when they meet, else the least distance
+    from an endpoint of one to the other."""
+    from fractions import Fraction
+
+    p1, p2, q1, q2 = [(Fraction(p.x), Fraction(p.y)) for p in (p1, p2, q1, q2)]
+    o = [cross3(q1, q2, p1), cross3(q1, q2, p2), cross3(p1, p2, q1), cross3(p1, p2, q2)]
+    if any(o) and o[0] * o[1] <= 0 and o[2] * o[3] <= 0:
+        return Fraction(0)
+
+    def to_segment(p, a, b):
+        dx, dy = b[0] - a[0], b[1] - a[1]
+        t = min(max(((p[0] - a[0]) * dx + (p[1] - a[1]) * dy) / (dx * dx + dy * dy), 0), 1)
+        return dist2(p, (a[0] + t * dx, a[1] + t * dy))
+
+    return min(to_segment(p1, q1, q2), to_segment(p2, q1, q2),
+               to_segment(q1, p1, p2), to_segment(q2, p1, p2))
 
 
 def peel_oracle(points):

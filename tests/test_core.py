@@ -253,6 +253,96 @@ def test_polygon_edge_scan_matches_all_pairs(raw, star):
     assert got == want
 
 
+def _moved_inner_vertex(rng, n, eps):
+    """A star whose inner vertex k sits eps from outer vertex k + 1, on the
+    way back to vertex k - 1 or to the centre: eps from the non-adjacent
+    edge k + 1, with edge k about eps long."""
+    verts = geomgen.star_polygon(rng, n, span=1.0)
+    k = 2 * rng.randrange(n // 2)
+    (px, py), (ox, oy) = verts[k - 1], verts[(k + 1) % n]
+    bx, by, cx, cy = px - ox, py - oy, 0.5 - ox, 0.5 - oy
+    lam = rng.uniform(0.0, 0.9)
+    wx = (1 - lam) * bx / math.hypot(bx, by) + lam * cx / math.hypot(cx, cy)
+    wy = (1 - lam) * by / math.hypot(bx, by) + lam * cy / math.hypot(cx, cy)
+    w = math.hypot(wx, wy)
+    verts[k] = (ox + eps * wx / w, oy + eps * wy / w)
+    return verts
+
+
+def _twice_wound_star(rng, n):
+    """A star with every angle about its centre doubled, so that it winds
+    twice: every edge has the centre on its left, yet the loop crosses
+    itself."""
+    zs = [complex(x - 0.5, y - 0.5) for x, y in geomgen.star_polygon(rng, n, span=1.0)]
+    return [(0.5 + w.real, 0.5 + w.imag) for w in (z * z / abs(z) for z in zs)]
+
+
+def _off_mean_star(rng, n):
+    """A loop star-shaped about (0.5, 0.5) whose angles crowd toward 0, so
+    that its vertex mean lies elsewhere."""
+    power = rng.uniform(1.0, 3.0)
+    inner, outer = rng.uniform(0.05, 0.3), rng.uniform(0.35, 0.5)
+    verts = []
+    for k in range(n):
+        phi = 2.0 * math.pi * ((k + 0.5 + rng.uniform(-0.3, 0.3)) / n) ** power
+        r = outer if k % 2 else inner
+        verts.append((0.5 + r * math.cos(phi), 0.5 + r * math.sin(phi)))
+    return verts
+
+
+@st.composite
+def _star_loops(draw):
+    """A loop from one of five families, on the unit square, then scaled by
+    1e-4 to 1e3, rotated, and moved anywhere up to the edge of the box:
+    geomgen stars, stars with an inner vertex moved 1e-10 to 1e-6 from a
+    non-adjacent edge, the bench's crossed stars, loops star-shaped about
+    a point other than their vertex mean, and stars wound twice."""
+    family = draw(st.sampled_from(("star", "moved", "crossed", "off_mean", "twice")))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(5, 48))
+    if family == "star":
+        loop = geomgen.star_polygon(rng, n, span=1.0)
+    elif family == "moved":
+        loop = _moved_inner_vertex(rng, max(n, 6), 10.0 ** draw(st.floats(-10.0, -6.0)))
+    elif family == "crossed":
+        loop = [(x / 1000.0, y / 1000.0)
+                for x, y in geomgen.crossed_star(rng, draw(st.sampled_from((12, 40, 100))))]
+    elif family == "off_mean":
+        loop = _off_mean_star(rng, n)
+    else:
+        loop = _twice_wound_star(rng, max(n, 8))
+    scale = 10.0 ** draw(st.floats(-4.0, 3.0))
+    angle = draw(st.sampled_from((0.0, 0.5 * math.pi)) | st.floats(0.0, 2.0 * math.pi))
+    room = COORD_LIMIT - scale
+    sx, sy = [room * draw(st.sampled_from((0.0, 1.0, -1.0)) | st.floats(-1.0, 1.0)) for _ in "xy"]
+    c, s = math.cos(angle), math.sin(angle)
+    return [(sx + scale * (c * (x - 0.5) - s * (y - 0.5)), sy + scale * (s * (x - 0.5) + c * (y - 0.5)))
+            for x, y in loop]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_star_loops())
+def test_star_certificate_matches_all_pairs(loop):
+    # Polygon's outcome, accepted or the first touching pair, equals the
+    # all-pairs scan wherever the loop reaches the scan or the certificate
+    verts = [Point(x, y) for x, y in loop]
+    try:
+        Polygon(verts)
+        got = None
+    except GeometryError as e:
+        m = _TOUCH.fullmatch(str(e))
+        if m is None:
+            return  # rejected before the edge scan
+        got = (int(m[1]), int(m[2]))
+    ccw = verts if core._signed_area2(verts) > 0.0 else verts[::-1]
+    if _turning_is_convex_ccw(ccw):
+        return  # the convex fast path, before the certificate
+    want = _first_touching_edges(ccw)
+    assert got == want
+    if core._star_certificate(ccw):
+        assert want is None
+
+
 def test_polygon_accepts_straight_interior_vertex():
     p = Polygon([Point(0, 0), Point(1, 0), Point(2, 0.5), Point(2, 2), Point(0, 2)])
     assert len(p.vertices) == 5
@@ -565,7 +655,8 @@ _SPOTS = (0.0, 999000.0, -999000.0)
 
 @st.composite
 def _near_line_segments(draw):
-    """A segment q and a segment p whose ends sit near q's line, or on q's ends."""
+    """A segment q and a segment p whose ends sit near q's line, just past
+    q's ends along it, or on q's ends."""
     cx, cy = draw(st.sampled_from(_SPOTS)), draw(st.sampled_from(_SPOTS))
     angle = draw(st.one_of(st.sampled_from((0.0, 0.5 * math.pi, 0.25 * math.pi, 1e-7)),
                            st.floats(0.0, 0.5 * math.pi)))
@@ -578,13 +669,21 @@ def _near_line_segments(draw):
     assume(distance(q1, q2) > EPS_DIST)
     ends = []
     for _ in range(2):
-        kind = draw(st.sampled_from(("margin", "offset", "far", "end")))
+        kind = draw(st.sampled_from(("margin", "offset", "far", "end", "past")))
         if kind == "end":
             ends.append(draw(st.sampled_from((q1, q2))))
             continue
         t = draw(st.sampled_from((0.0, 0.5, 1.0)) | st.floats(-0.25, 1.25))
         side = draw(st.sampled_from((-1.0, 1.0)))
-        if kind == "margin":
+        if kind == "past":
+            # up to 10 EPS_DIST beyond an end, or up to q's length beyond it
+            if draw(st.booleans()):
+                run = draw(st.floats(0.0, 10.0)) * EPS_DIST / length
+            else:
+                run = draw(st.floats(0.0, 1.0))
+            t = draw(st.sampled_from((-run, 1.0 + run)))
+            off, ulps = draw(st.floats(0.0, 3.0)) * EPS_DIST, 0
+        elif kind == "margin":
             off, ulps = _margin(q1, q2), draw(st.integers(-1, 1))
         elif kind == "offset":
             off, ulps = draw(st.floats(0.0, 20.0)) * EPS_DIST, 0
@@ -601,12 +700,53 @@ def _near_line_segments(draw):
 @given(_near_line_segments())
 def test_contact_certificate_matches_the_uncertified_predicate(segments):
     # ends 0-20 EPS_DIST off the line, around the margin by an ulp, far off
-    # (crossings), or on q's ends (shared endpoints, collinear overlaps)
+    # (crossings), just past q's ends, or on them (shared endpoints,
+    # collinear overlaps)
     q1, q2, p1, p2 = segments
     for shared_ok in (True, False):
         for args in ((p1, p2, q1, q2), (q1, q2, p1, p2), (p2, p1, q2, q1)):
             want = geomgen.boxed_segments_contact_reference(*args, shared_ok)
             assert core._boxed_segments_contact(*args, shared_ok) is want
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_near_line_segments())
+def test_segments_in_contact_lie_within_the_contact_reach(segments):
+    # the lemma of core._CONTACT_REACH, in exact arithmetic: near-collinear
+    # pairs at any angle up to 90 degrees, anywhere in the box, end to end
+    # or crossing near an end
+    q1, q2, p1, p2 = segments
+    assume(geomgen.contact_boxes_overlap(p1, p2, q1, q2))
+    reach2 = Fraction(core._CONTACT_REACH) ** 2
+    for args in ((p1, p2, q1, q2), (q1, q2, p1, p2), (p2, p1, q2, q1)):
+        if core._boxed_segments_contact(*args, shared_ok=False):
+            assert geomgen.segment_distance2_exact(*args) <= reach2
+
+
+def test_a_float_crossing_reaches_past_the_distance_tests():
+    # end to end on one line near (-1e6, -1e6), 5.35e-9 apart: the four
+    # orientations are rounding noise above EPS_AREA whose float signs say
+    # the segments cross, so the pair is in contact more than five times
+    # EPS_DIST apart, and within the contact reach
+    p1 = Point(-338654.44678463595, -375348.95202957006)
+    p2 = Point(11946.724762284779, -44230.21125781763)
+    q1 = Point(-999000.0, -999000.0)
+    q2 = Point(-338654.44678463985, -375348.95202957373)
+    assert core._boxed_segments_contact(p1, p2, q1, q2, shared_ok=False)
+    exact2 = geomgen.segment_distance2_exact(p1, p2, q1, q2)
+    assert Fraction(5e-9) ** 2 < exact2 <= Fraction(core._CONTACT_REACH) ** 2
+
+
+def test_contact_reach_covers_the_proven_bound():
+    # the three cases of core._CONTACT_REACH's proof, and the room the star
+    # certificate's rounding needs, with u = 2**-53 and L = COORD_LIMIT
+    u, big = 2.0**-53, COORD_LIMIT
+    h = 2.0 * math.sqrt(2.0) * big * core._CROSS_ERR * (1.0 + u) ** 3
+    w = 2.0 * EPS_DIST + u * (big + 2.0 * EPS_DIST)
+    cases = (EPS_DIST + 8.49 * 2.0 * big * u,
+             2.0 * math.sqrt(2.0) * h,
+             math.sqrt(2.0) * math.hypot(2.0 * w + h, h))
+    assert max(cases) < 7.5e-9 < core._CONTACT_REACH / (1.0 + 16.0 * u)
 
 
 def test_star_polygon_checks_make_few_distance_calls(monkeypatch):
@@ -623,6 +763,43 @@ def test_star_polygon_checks_make_few_distance_calls(monkeypatch):
     for n in (400, 800):
         Polygon([Point(*v) for v in geomgen.star_polygon(random.Random(n), n)])
     assert calls[0] <= 100, calls[0]
+
+
+def test_certified_stars_skip_the_contact_scan(monkeypatch):
+    # the star certificate settles these stars in linear time: no edge
+    # pair is tested, and the Python calls grow with n
+    calls = [0]
+    boxed_segments_contact = core._boxed_segments_contact
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return boxed_segments_contact(*args, **kwargs)
+
+    monkeypatch.setattr(core, "_boxed_segments_contact", counted)
+    counts = []
+    for n in (400, 800, 1600):
+        verts = [Point(*v) for v in geomgen.star_polygon(random.Random(n), n)]
+        assert core._star_certificate(Polygon(verts).vertices)
+        counts.append(geomgen.python_calls(Polygon, verts))
+    assert calls[0] == 0
+    assert counts[1] <= 2.2 * counts[0] and counts[2] <= 2.2 * counts[1], counts
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the convex fast path skips the contact scan, and this needle's edges 0 and 2 touch",
+)
+def test_convex_needle_whose_edges_touch_is_rejected():
+    with pytest.raises(GeometryError, match="edges 0 and 2 touch"):
+        Polygon([Point(0, 0), Point(10, -4e-10), Point(20, 0), Point(10, 4e-10)])
+
+
+def test_needle_with_a_fifth_vertex_is_rejected():
+    # the same needle, made non-convex, reaches the scan
+    needle = [Point(0, 0), Point(10, -4e-10), Point(20, 0), Point(10, 4e-10)]
+    assert core._boxed_segments_contact(*needle, shared_ok=False)
+    with pytest.raises(GeometryError, match="edges 0 and 2 touch"):
+        Polygon(needle + [Point(5, 1e-3)])
 
 
 def test_band_segments_are_swept_along_y(monkeypatch):
