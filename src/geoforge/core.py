@@ -195,27 +195,6 @@ def _signed_area2(vertices) -> float:
     return total
 
 
-def _turning_is_convex_ccw(vertices) -> bool:
-    """True when the loop is convex, counterclockwise, and winds exactly once.
-
-    A convex single-winding loop without spikes or duplicate consecutive
-    vertices is necessarily simple, which lets Polygon skip the edge
-    contact scan for the common convex case.
-    """
-    n = len(vertices)
-    turning = 0.0
-    for i in range(n):
-        a = vertices[i - 1]
-        b = vertices[i]
-        c = vertices[(i + 1) % n]
-        cr = cross(a, b, c)
-        if cr < -EPS_AREA:
-            return False
-        dot = (b.x - a.x) * (c.x - b.x) + (b.y - a.y) * (c.y - b.y)
-        turning += math.atan2(cr, dot)
-    return abs(turning - 2.0 * math.pi) < 1e-6
-
-
 def _contact_box(p: Point, q: Point) -> tuple:
     """The box of segment pq widened by 2 * EPS_DIST on every side."""
     w = 2.0 * EPS_DIST
@@ -569,12 +548,13 @@ class Polygon:
     The constructor accepts either winding direction, normalizes to
     counterclockwise, and rejects inputs that are degenerate (fewer than
     three vertices, consecutive duplicates, zero area, zero-angle spikes)
-    or self-intersecting.  Convex loops, and loops star-shaped about their
-    vertex mean with room to spare (_star_certificate), are recognized as
-    simple in linear time.  For the others, the simplicity check tests
-    only the edge pairs whose bounding boxes overlap (_contact_candidates),
-    which costs O(n log n) plus the number of such pairs, most of which
-    the _OFF_LINE certificate settles with four cross products.
+    or self-intersecting.  Loops star-shaped about their vertex mean with
+    room to spare (_star_certificate), as convex loops are unless thin or
+    tiny, are recognized as simple in linear time.  For the others, the
+    simplicity check tests only the edge pairs whose bounding boxes
+    overlap (_contact_candidates), which costs O(n log n) plus the number
+    of such pairs, most of which the _OFF_LINE certificate settles with
+    four cross products.
     """
 
     vertices: tuple[Point, ...]
@@ -600,7 +580,7 @@ class Polygon:
                 dot = (a.x - b.x) * (c.x - b.x) + (a.y - b.y) * (c.y - b.y)
                 if dot > 0.0:
                     raise GeometryError("self-intersecting polygon: spike vertex")
-        if not _turning_is_convex_ccw(verts) and not _star_certificate(verts):
+        if not _star_certificate(verts):
             edges = [(verts[i], verts[(i + 1) % n]) for i in range(n)]
             first = _first_contact(
                 _contact_candidates(edges),

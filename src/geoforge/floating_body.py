@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 from .core import (
-    EPS_DIST,
     GeometryError,
     Halfplane,
     Point,
@@ -237,46 +236,6 @@ def cut_halfplane(poly: Polygon, phi: float, delta) -> Halfplane:
     ux, uy = math.cos(phi), math.sin(phi)
     t = max(range(len(poly)), key=lambda i: ux * loop[i][0] + uy * loop[i][1])
     return Halfplane(ux, uy, caps.cut(ux, uy, t, t)[2])
-
-
-def _chord_midpoint(verts, ux: float, uy: float, c: float) -> Point:
-    """Midpoint of the chord the line ux * x + uy * y = c cuts in a convex
-    loop of Points; the loop is not checked.
-
-    A vertex within EPS_DIST of the line is a hit, and so is the crossing
-    of an edge whose ends lie strictly on opposite sides, farther than
-    EPS_DIST; a hit within EPS_DIST of an earlier one is dropped.  The
-    chord's ends are the first and last hits along the line direction.
-    """
-    loop = [(v.x, v.y) for v in verts]
-    vals = [ux * x + uy * y - c for x, y in loop]
-    n = len(loop)
-    hits: list[tuple[float, float]] = []
-
-    def push(x: float, y: float) -> None:
-        for hx, hy in hits:
-            if math.hypot(hx - x, hy - y) <= EPS_DIST:
-                return
-        hits.append((x, y))
-
-    for i in range(n):
-        j = (i + 1) % n
-        vi, vj = vals[i], vals[j]
-        if abs(vi) <= EPS_DIST:
-            push(*loop[i])
-        elif (vi > 0.0) != (vj > 0.0) and abs(vj) > EPS_DIST:
-            t = vi / (vi - vj)
-            (xi, yi), (xj, yj) = loop[i], loop[j]
-            push(xi + t * (xj - xi), yi + t * (yj - yi))
-    if len(hits) < 2:
-        raise GeometryError("line does not cut polygon")
-    # chord endpoints are the extremes along the line direction
-    wx, wy = -uy, ux
-    ts = [(wx * x + wy * y, x, y) for x, y in hits]
-    ts.sort(key=lambda t: t[0])
-    _, x0, y0 = ts[0]
-    _, x1, y1 = ts[-1]
-    return Point((x0 + x1) / 2.0, (y0 + y1) / 2.0)
 
 
 def _turns_left(chain) -> bool:

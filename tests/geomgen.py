@@ -393,6 +393,15 @@ def star_polygon(rng, n, span=1000.0):
     return verts
 
 
+def circle_polygon(rng, n):
+    """The benchmark's convex polygons: a CCW n-gon on a 1e-6 grid, with
+    vertex k on the circle of radius 400 about (500, 500), within 0.3 of a
+    step from angle 2*pi*k/n."""
+    step = 2.0 * math.pi / n
+    return [(round(500.0 + 400.0 * math.cos(phi), 6), round(500.0 + 400.0 * math.sin(phi), 6))
+            for phi in ((k + rng.uniform(-0.3, 0.3)) * step for k in range(n))]
+
+
 def crossed_star(rng, n):
     """The benchmark's self-intersecting stars: a star_polygon on a 1e-6 grid
     with vertex n//3 moved to radius 550, opposite its old place, so its
@@ -658,11 +667,55 @@ def chords_exact(loop, ux, uy, offsets):
     return chords
 
 
+def chord_midpoint_scan(verts, ux, uy, c):
+    """Midpoint of the chord the line ux * x + uy * y = c cuts in a convex
+    loop of Points, by a scan of all n vertices; the loop is not checked.
+    dupin_floating_body took its midpoints from this scan until it read
+    them off the edges the cut's rise and fall chains name.
+
+    A vertex within EPS_DIST of the line is a hit, and so is the crossing
+    of an edge whose ends lie strictly on opposite sides, farther than
+    EPS_DIST; a hit within EPS_DIST of an earlier one is dropped.  The
+    chord's ends are the first and last hits along the line direction.
+    """
+    from geoforge.core import EPS_DIST, GeometryError, Point
+
+    loop = [(v.x, v.y) for v in verts]
+    vals = [ux * x + uy * y - c for x, y in loop]
+    n = len(loop)
+    hits: list[tuple[float, float]] = []
+
+    def push(x, y):
+        for hx, hy in hits:
+            if math.hypot(hx - x, hy - y) <= EPS_DIST:
+                return
+        hits.append((x, y))
+
+    for i in range(n):
+        j = (i + 1) % n
+        vi, vj = vals[i], vals[j]
+        if abs(vi) <= EPS_DIST:
+            push(*loop[i])
+        elif (vi > 0.0) != (vj > 0.0) and abs(vj) > EPS_DIST:
+            t = vi / (vi - vj)
+            (xi, yi), (xj, yj) = loop[i], loop[j]
+            push(xi + t * (xj - xi), yi + t * (yj - yi))
+    if len(hits) < 2:
+        raise GeometryError("line does not cut polygon")
+    # chord endpoints are the extremes along the line direction
+    wx, wy = -uy, ux
+    ts = [(wx * x + wy * y, x, y) for x, y in hits]
+    ts.sort(key=lambda t: t[0])
+    _, x0, y0 = ts[0]
+    _, x1, y1 = ts[-1]
+    return Point((x0 + x1) / 2.0, (y0 + y1) / 2.0)
+
+
 def dupin_floating_body_reference(poly, delta, n_directions=720):
     """dupin_floating_body as it was built before the closed-form solve.
 
     Every direction solves its offset with cut_offset_reference, scans
-    all n vertices for the chord midpoint (floating_body._chord_midpoint)
+    all n vertices for the chord midpoint (chord_midpoint_scan)
     and clips the whole running body
     with one exact-zero Sutherland-Hodgman pass.  poly is a convex
     geoforge Polygon.  Its offsets are within 1e-9 * area of cap error, so
@@ -678,7 +731,6 @@ def dupin_floating_body_reference(poly, delta, n_directions=720):
     )
     from geoforge.floating_body import (
         FloatingBodyResult,
-        _chord_midpoint,
         _delta_value,
         _require_convex,
     )
@@ -697,7 +749,7 @@ def dupin_floating_body_reference(poly, delta, n_directions=720):
         ux = math.cos(phi)
         uy = math.sin(phi)
         c = cut_offset_reference(loop, ux, uy, d * area, area, diam)
-        midpoints.append(_chord_midpoint(poly.vertices, ux, uy, c))
+        midpoints.append(chord_midpoint_scan(poly.vertices, ux, uy, c))
         if body:
             body = _sutherland_hodgman(body, ux, uy, c, 0.0)
             if len(body) < 3:

@@ -36,7 +36,6 @@ from geoforge.core import (
     EPS_DIST,
     _OFF_LINE,
     _reject_duplicates,
-    _turning_is_convex_ccw,
     cross,
     distance,
     point_segment_distance,
@@ -249,8 +248,7 @@ def test_polygon_edge_scan_matches_all_pairs(raw, star):
         got = (int(m[1]), int(m[2]))
     area2 = sum(p.x * q.y - q.x * p.y for p, q in zip(verts, verts[1:] + verts[:1]))
     ccw = verts if area2 > 0 else verts[::-1]
-    want = None if _turning_is_convex_ccw(ccw) else _first_touching_edges(ccw)
-    assert got == want
+    assert got == _first_touching_edges(ccw)
 
 
 def _moved_inner_vertex(rng, n, eps):
@@ -292,12 +290,13 @@ def _off_mean_star(rng, n):
 
 @st.composite
 def _star_loops(draw):
-    """A loop from one of five families, on the unit square, then scaled by
+    """A loop from one of six families, on the unit square, then scaled by
     1e-4 to 1e3, rotated, and moved anywhere up to the edge of the box:
     geomgen stars, stars with an inner vertex moved 1e-10 to 1e-6 from a
     non-adjacent edge, the bench's crossed stars, loops star-shaped about
-    a point other than their vertex mean, and stars wound twice."""
-    family = draw(st.sampled_from(("star", "moved", "crossed", "off_mean", "twice")))
+    a point other than their vertex mean, stars wound twice, and the
+    bench's convex n-gons flattened to aspect ratios 1 to 1e-6."""
+    family = draw(st.sampled_from(("star", "moved", "crossed", "off_mean", "twice", "convex")))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(5, 48))
     if family == "star":
@@ -309,6 +308,10 @@ def _star_loops(draw):
                 for x, y in geomgen.crossed_star(rng, draw(st.sampled_from((12, 40, 100))))]
     elif family == "off_mean":
         loop = _off_mean_star(rng, n)
+    elif family == "convex":
+        aspect = 10.0 ** draw(st.floats(-6.0, 0.0))
+        loop = [(x / 1000.0, 0.5 + aspect * (y / 1000.0 - 0.5))
+                for x, y in geomgen.circle_polygon(rng, n)]
     else:
         loop = _twice_wound_star(rng, max(n, 8))
     scale = 10.0 ** draw(st.floats(-4.0, 3.0))
@@ -335,8 +338,6 @@ def test_star_certificate_matches_all_pairs(loop):
             return  # rejected before the edge scan
         got = (int(m[1]), int(m[2]))
     ccw = verts if core._signed_area2(verts) > 0.0 else verts[::-1]
-    if _turning_is_convex_ccw(ccw):
-        return  # the convex fast path, before the certificate
     want = _first_touching_edges(ccw)
     assert got == want
     if core._star_certificate(ccw):
@@ -766,8 +767,9 @@ def test_star_polygon_checks_make_few_distance_calls(monkeypatch):
 
 
 def test_certified_stars_skip_the_contact_scan(monkeypatch):
-    # the star certificate settles these stars in linear time: no edge
-    # pair is tested, and the Python calls grow with n
+    # the star certificate settles these stars and the bench's convex
+    # n-gons in linear time: no edge pair is tested, and the Python calls
+    # grow with n
     calls = [0]
     boxed_segments_contact = core._boxed_segments_contact
 
@@ -776,19 +778,16 @@ def test_certified_stars_skip_the_contact_scan(monkeypatch):
         return boxed_segments_contact(*args, **kwargs)
 
     monkeypatch.setattr(core, "_boxed_segments_contact", counted)
-    counts = []
-    for n in (400, 800, 1600):
-        verts = [Point(*v) for v in geomgen.star_polygon(random.Random(n), n)]
-        assert core._star_certificate(Polygon(verts).vertices)
-        counts.append(geomgen.python_calls(Polygon, verts))
+    for loops in (geomgen.star_polygon, geomgen.circle_polygon):
+        counts = []
+        for n in (400, 800, 1600):
+            verts = [Point(*v) for v in loops(random.Random(n), n)]
+            assert core._star_certificate(Polygon(verts).vertices)
+            counts.append(geomgen.python_calls(Polygon, verts))
+        assert counts[1] <= 2.2 * counts[0] and counts[2] <= 2.2 * counts[1], (loops.__name__, counts)
     assert calls[0] == 0
-    assert counts[1] <= 2.2 * counts[0] and counts[2] <= 2.2 * counts[1], counts
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the convex fast path skips the contact scan, and this needle's edges 0 and 2 touch",
-)
 def test_convex_needle_whose_edges_touch_is_rejected():
     with pytest.raises(GeometryError, match="edges 0 and 2 touch"):
         Polygon([Point(0, 0), Point(10, -4e-10), Point(20, 0), Point(10, 4e-10)])

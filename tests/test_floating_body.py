@@ -26,7 +26,7 @@ from geoforge import (
 )
 from geoforge import floating_body
 from geoforge.core import EPS_AREA, EPS_DIST, _polygon_from_loop, _sutherland_hodgman
-from geoforge.floating_body import _chord_midpoint, result_to_dict
+from geoforge.floating_body import result_to_dict
 from geoforge.jsontext import dumps
 from geoforge.scene import parse_scene
 
@@ -51,7 +51,7 @@ def test_square_bottom_cut_is_analytic():
     assert h.nx == pytest.approx(0.0, abs=1e-12)
     assert h.ny == pytest.approx(-1.0, abs=1e-12)
     assert h.c == pytest.approx(-0.1, abs=1e-9)
-    mid = _chord_midpoint(UNIT_SQUARE.vertices, h.nx, h.ny, h.c)
+    mid = geomgen.chord_midpoint_scan(UNIT_SQUARE.vertices, h.nx, h.ny, h.c)
     assert (mid.x, mid.y) == (pytest.approx(0.5, abs=1e-9), pytest.approx(0.1, abs=1e-9))
 
 
@@ -64,7 +64,7 @@ def test_square_corner_cut_is_analytic():
     # cap {(-x - y)/sqrt(2) >= c}: the cut line passes (L, 0) and (0, L)
     want_c = -length / math.sqrt(2)
     assert h.c == pytest.approx(want_c, abs=1e-9)
-    mid = _chord_midpoint(UNIT_SQUARE.vertices, h.nx, h.ny, h.c)
+    mid = geomgen.chord_midpoint_scan(UNIT_SQUARE.vertices, h.nx, h.ny, h.c)
     assert mid.x == pytest.approx(length / 2, abs=1e-9)
     assert mid.y == pytest.approx(length / 2, abs=1e-9)
 
@@ -168,7 +168,7 @@ def test_requires_convex_polygon():
 
 def test_chord_midpoint_requires_a_cut():
     with pytest.raises(GeometryError, match="^line does not cut polygon$"):
-        _chord_midpoint(UNIT_SQUARE.vertices, 1.0, 0.0, 5.0)
+        geomgen.chord_midpoint_scan(UNIT_SQUARE.vertices, 1.0, 0.0, 5.0)
 
 
 def test_result_dict_shape():
@@ -486,10 +486,11 @@ def test_dupin_equals_the_clip_every_direction_reference(case, n_directions):
     # midpoints are the exact chord's at its offsets, as if the line moved
     # by the solve's rounding, 4 u (M + |c| + |x_0| + |y_0|), and 4 u |x|
     # for the last rounding (about 6 times the largest seen).  The scan
-    # (_chord_midpoint) counts a vertex within EPS_DIST of the line as an end
-    # and drops hits within EPS_DIST of each other, so its midpoints are
-    # those of lines within EPS_DIST of c, and it finds no chord where the
-    # chord is shorter than EPS_DIST; the sweep's midpoint is exact there too
+    # (geomgen.chord_midpoint_scan) counts a vertex within EPS_DIST of the
+    # line as an end and drops hits within EPS_DIST of each other, so its
+    # midpoints are those of lines within EPS_DIST of c, and it finds no
+    # chord where the chord is shorter than EPS_DIST; the sweep's midpoint
+    # is exact there too
     poly, delta, _, _, valley = case
     r, offsets = _dupin_offsets(poly, delta, n_directions)
     assert len(offsets) == n_directions
@@ -517,7 +518,7 @@ def test_dupin_equals_the_clip_every_direction_reference(case, n_directions):
         else:
             assert _distance(mid, exact) <= moved + 4 * _U * far, (k, mid, exact)
         try:
-            scan = _chord_midpoint(poly.vertices, ux, uy, c)
+            scan = geomgen.chord_midpoint_scan(poly.vertices, ux, uy, c)
         except GeometryError:
             assert half <= EPS_DIST, (k, half)
             continue
@@ -542,7 +543,7 @@ def test_dupin_uses_the_offsets_and_midpoints_of_single_cuts():
     for k, (c, mid) in enumerate(zip(offsets, r.dupin)):
         h = cut_halfplane(poly, k * step, 0.3)
         assert h.c == c
-        scan = _chord_midpoint(poly.vertices, h.nx, h.ny, h.c)
+        scan = geomgen.chord_midpoint_scan(poly.vertices, h.nx, h.ny, h.c)
         assert math.hypot(scan.x - mid.x, scan.y - mid.y) <= EPS_DIST
 
 
@@ -573,11 +574,7 @@ def test_dupin_equals_the_reference_where_cuts_miss_the_body():
 
 
 def _bench_polygon(n):
-    # the benchmark's convex jobs: jittered vertices on a radius-400 circle
-    rng = random.Random(n)
-    step = 2 * math.pi / n
-    return Polygon([Point(round(500 + 400 * math.cos(a), 6), round(500 + 400 * math.sin(a), 6))
-                    for a in ((k + rng.uniform(-0.3, 0.3)) * step for k in range(n))])
+    return Polygon([Point(*v) for v in geomgen.circle_polygon(random.Random(n), n)])
 
 
 def _count_direction_products(monkeypatch) -> list:
