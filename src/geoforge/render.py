@@ -2,15 +2,23 @@
 
 Both emitters consume the same layers: the scene's own geometry first,
 then layers extracted from a structure dump (the plain-data form each
-module produces).  A layer is a pair (strokes, marks), drawn in that
-order in one colour.  A stroke is a pair (points, closed): a sequence of
-(x, y) pairs and whether the path closes; a fractal cell's own vertex
-list serves as its stroke's points.  A mark is any (x, y) pair, so the
-points of a dump (its [x, y] lists, or a triangulation's sample pairs)
-are the marks as they are, with nothing made per point.  The point-tree
-walks use an explicit stack, so tree depth is not bounded by the
-recursion limit.  Layers cycle through one fixed palette.  Output is
-deterministic: fixed element order and fixed coordinate formatting.
+module produces).  A layer is a pair (runs, marks), drawn in that order
+in one colour.  A run is a tuple (n, closed, count, coords, bounds):
+`count` strokes of one shape, n points each and closed or not, whose
+coordinates are one flat sequence x0, y0, x1, y1, ... in drawing order.
+The count is carried, so a run of zero-point strokes (an empty cell of a
+plain-list cells dump, drawn as a lone close) keeps its strokes.  Where
+the producer knows the bounds of a run they are its `bounds`, and the run
+is not measured: a fractal's cells (its `CellSequence` bounds), a point
+quadtree's lines (its bounding square, which it draws first) and a PR
+quadtree's regions (its root region); every other run has None there.
+A mark is any (x, y) pair, so the points of a dump (its [x, y] lists, or
+a triangulation's sample pairs) are the marks as they are, with nothing
+made per point.  The dump walks add each stroke's coordinates to its run
+with no tuple kept per stroke or point, and the point-tree walks use an
+explicit stack, so tree depth is not bounded by the recursion limit.
+Layers cycle through one fixed palette.  Output is deterministic: fixed
+element order and fixed coordinate formatting.
 
 SVG uses fixed 6-decimal coordinates and flips the y axis so figures read
 in math orientation.  Ipe files carry no stylesheet and use only the
@@ -18,19 +26,22 @@ elements ipe, page, path, use and group, which Ipe 7.2.x opens with its
 defaults; coordinates are trimmed to at most 6 decimals.
 
 `svg_chunks` and `ipe_chunks` give a document as chunks: the head, then
-up to CHUNK_LINES strokes or marks of one layer at a time, then the tail;
-and `emit_svg` and `emit_ipe` join them.  Every check runs when a chunk
-generator is made, before its first chunk.  The SVG viewBox comes before
-the first path, so the bounds are found first: the scene bbox when there
-is one; otherwise the layers are measured: strokes point by point, marks
-by min and max over each coordinate, and a fractal dump's cells (a
-`CellSequence`) and a quadtree's lines (a `_Framed` list, inside the
-rectangle it draws first) by the bounds they carry.  The fractal layer
-is the one layer made while it is written, one stroke per cell, so a
-fractal's document streams in memory that does not grow with its depth;
-every other dump is bounded by its input and is gathered whole.  The fractal
-and quadtree modules load only when one of their dumps is drawn, so a
-figure of any other structure does not compile them.
+up to CHUNK_LINES strokes of one run or marks of one layer at a time,
+then the tail; and `emit_svg` and `emit_ipe` join them.  A chunk of
+strokes is one template, the run's stroke repeated for the batch, filled
+by one "%" over the batch's coordinate texts; a chunk of marks takes the
+next CHUNK_LINES pairs and flattens them in the same way.  Every check
+runs when a chunk generator is made, before its first chunk.  The SVG
+viewBox comes before the first path, so the bounds are found first: the
+scene bbox when there is one; otherwise each run's bounds, measured over
+its coordinates where it carries none, and each layer's marks, by min and
+max over each coordinate.  A fractal's run is made while it is written,
+its coordinates flattened from the cells' walk one batch at a time (so
+gathered layers draw once), and a fractal's document streams in memory
+that does not grow with its depth; every other dump is bounded by its
+input and is gathered whole.  The fractal and quadtree modules load only
+when one of their dumps is drawn, so a figure of any other structure does
+not compile them.
 
 Figures repeat coordinates heavily (a depth-5 carpet has 262,144
 coordinate slots but about 244 distinct x and 244 distinct y values), so
@@ -39,17 +50,17 @@ document, through a memo keyed by the number that starts over after a
 chunk once it holds MEMO_LIMIT entries; a miss is one Python call, the
 memo's `__missing__`.  Keys that compare equal print alike in both
 formats: 0.0 and -0.0 both print as zero, and an int prints as the float
-it equals.  An SVG mark skips the memo: its line is one "%" over both
-coordinates, with -0.000000 then written as 0.000000, since the points
-that marks draw (samples above all) seldom repeat.  Ipe marks keep it,
-because the scene layer and a structure's layers draw the same input
-points twice.  Each path is built as one string.
+it equals.  SVG marks skip the memo: their template holds "%.6f" for
+each coordinate, with -0.000000 then written as 0.000000, since the
+points that marks draw (samples above all) seldom repeat.  Ipe marks keep
+it, because the scene layer and a structure's layers draw the same input
+points twice.
 """
 
 from __future__ import annotations
 
-from itertools import chain, islice
-from operator import itemgetter
+from itertools import chain, groupby, islice
+from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING
 
 from .core import GeometryError
@@ -62,6 +73,12 @@ CHUNK_LINES = 1024
 
 _X = itemgetter(0)
 _Y = itemgetter(1)
+_flat = chain.from_iterable
+# a box (x0, y0, x1, y1) as its rectangle's corners, counterclockwise from (x0, y0)
+_RECT = itemgetter(0, 1, 2, 1, 2, 3, 0, 3)
+_XY = attrgetter("x", "y")
+_SEGMENT = attrgetter("a.x", "a.y", "b.x", "b.y")
+_EXTENSION = itemgetter("down_hit", "origin", "up_hit")
 
 IPE_VERSION = "70218"
 IPE_CREATOR = "geoforge"
@@ -77,34 +94,39 @@ _PALETTE = (
 )
 
 
-def _closed_stroke(points) -> tuple:
-    return points, True
+def _runs(n: int, closed: bool, coords, bounds=None) -> list:
+    """The strokes of n >= 1 points each in the flat `coords`, as one run,
+    or as none when there are no strokes."""
+    return [(n, closed, len(coords) // (2 * n), coords, bounds)] if coords else []
 
 
-def _loop_strokes(pts) -> list:
+def _outline(pts) -> list:
     """A vertex loop's stroke: closed through three or more points, open
     through two, none for fewer."""
-    return [(pts, len(pts) >= 3)] if len(pts) >= 2 else []
+    return _runs(len(pts), len(pts) >= 3, list(_flat(pts))) if len(pts) >= 2 else []
 
 
-def _rect(x0, y0, x1, y1) -> tuple:
-    return ((x0, y0), (x1, y0), (x1, y1), (x0, y1)), True
+def _loop_runs(loops) -> list:
+    """One closed stroke per sequence of (x, y) pairs in `loops`, a run per
+    stretch of sequences of one length (which may be 0 or 1)."""
+    runs = []
+    for n, group in groupby(loops, len):
+        group = list(group)
+        runs.append((n, True, len(group), list(_flat(_flat(group))), None))
+    return runs
 
 
 def _scene_layer(scene: Scene) -> tuple:
-    strokes: list = []
-    for s in scene.segments:
-        strokes.append((((s.a.x, s.a.y), (s.b.x, s.b.y)), False))
-    for poly in scene.polygons:
-        strokes.append((tuple((v.x, v.y) for v in poly.vertices), True))
-    return strokes, [(p.x, p.y) for p in scene.points]
+    runs = _runs(2, False, list(_flat(map(_SEGMENT, scene.segments))))
+    runs += _loop_runs([list(map(_XY, poly.vertices)) for poly in scene.polygons])
+    return runs, list(map(_XY, scene.points))
 
 
 def _result_layers(results, scene: Scene) -> list[tuple]:
     if results is None:
         return []
     if isinstance(results, list):
-        return _onion_layers(results)
+        return [(_outline(pts), pts) for pts in results]
     if not isinstance(results, dict):
         raise GeometryError("cannot render results of type %r" % type(results).__name__)
     keys = set(results)
@@ -115,38 +137,35 @@ def _result_layers(results, scene: Scene) -> list[tuple]:
 
         cells = results["cells"]
         if isinstance(cells, CellSequence):
-            # made while it is written; it carries the bounds of all its cells
-            return [(cells.remade(_closed_stroke), [])]
-        return [([(cell, True) for cell in cells], [])]
+            # made while it is written, one flat coordinate sequence from the
+            # cells' walk; it carries the bounds of all its cells
+            coords = _flat(cells.remade(_flat))
+            return [([(len(cells[0]), True, len(cells), coords, cells.bounds)], [])]
+        return [(_loop_runs(cells), [])]
     if keys == {"bbox", "segments", "extensions", "trapezoids"}:
-        return _trapmap_layers(results)
+        base = _runs(4, True, _RECT(results["bbox"]))
+        base += _runs(2, False, list(_flat(_flat(results["segments"]))))
+        ext = list(_flat(_flat(map(_EXTENSION, results["extensions"]))))
+        return [(base, []), (_runs(3, False, ext), [])]
     if keys == {"points", "edges"}:
         pts = results["points"]
-        edges = [
-            (((pts[i][0], pts[i][1]), (pts[j][0], pts[j][1])), False)
-            for i, j in results["edges"]
-        ]
-        return [(edges, []), ([], pts)]
+        edges = list(_flat(map(pts.__getitem__, _flat(results["edges"]))))
+        return [(_runs(2, False, edges), []), ([], pts)]
     if keys == {"delta", "dupin", "convex_fb", "is_dupin_convex"}:
-        return _floating_layers(results)
+        dupin = results["dupin"]
+        outline = _outline(dupin)
+        return [(outline, [] if outline else dupin), (_outline(results["convex_fb"] or ()), [])]
     if keys == {"triangles", "samples"}:
-        return _triangulation_layers(results, scene)
+        if not scene.polygons:
+            raise GeometryError("cannot render a triangulation without its polygon")
+        verts = list(map(_XY, scene.polygons[0].vertices))
+        tris = list(_flat(map(verts.__getitem__, _flat(results["triangles"]))))
+        return [(_runs(3, True, tris), []), ([], results["samples"])]
     raise GeometryError("cannot render this dump")
 
 
-def _onion_layers(layers_data: list) -> list[tuple]:
-    return [(_loop_strokes(pts), pts) for pts in layers_data]
-
-
-class _Framed(list):
-    """A quadtree's lines, which all lie in the rectangle (x0, y0, x1, y1)
-    their first stroke draws; _bounds reads it from `bounds`."""
-
-    __slots__ = ("bounds",)
-
-
 def _quadtree_layers(data: dict) -> list[tuple]:
-    lines: list = []
+    runs: list = []
     marks: list = []
     root = data["root"]
     if data["kind"] == "point":
@@ -156,16 +175,13 @@ def _quadtree_layers(data: dict) -> list[tuple]:
             # the sites in preorder are the marks
             marks = _point_tree_sites(root)
             bounds = bounding_square(list(map(_X, marks)), list(map(_Y, marks)))
-            lines = _Framed([_rect(*bounds)])
-            lines.bounds = bounds
-            _point_tree_lines(root, bounds, lines)
+            runs = _runs(4, True, _RECT(bounds), bounds)
+            runs += _runs(2, False, _point_tree_lines(root, bounds), bounds)
     elif data["kind"] == "pr":
-        lines = _Framed()
-        lines.bounds = tuple(root["region"])
-        _pr_tree_lines(root, lines, marks)
+        runs = _runs(4, True, _pr_tree_regions(root, marks), tuple(root["region"]))
     else:
         raise GeometryError("cannot render this dump")
-    return [(lines, []), ([], marks)]
+    return [(runs, []), ([], marks)]
 
 
 def _point_tree_sites(root: dict) -> list:
@@ -180,16 +196,17 @@ def _point_tree_sites(root: dict) -> list:
     return sites
 
 
-def _point_tree_lines(root: dict, bounds, lines: list) -> None:
+def _point_tree_lines(root: dict, bounds) -> list:
+    """The coordinates of the tree's lines, two per node through its site."""
     # preorder with an explicit stack; children go on in reverse so that
     # nw comes off first, and an empty quadrant draws nothing
+    coords: list = []
     stack = [(root, bounds)]
     push = stack.append
     while stack:
         node, (x0, y0, x1, y1) = stack.pop()
         sx, sy = node["site"]
-        lines.append((((sx, y0), (sx, y1)), False))
-        lines.append((((x0, sy), (x1, sy)), False))
+        coords += sx, y0, sx, y1, x0, sy, x1, sy
         if (child := node["se"]) is not None:
             push((child, (sx, y0, x1, sy)))
         if (child := node["sw"]) is not None:
@@ -198,56 +215,29 @@ def _point_tree_lines(root: dict, bounds, lines: list) -> None:
             push((child, (sx, sy, x1, y1)))
         if (child := node["nw"]) is not None:
             push((child, (x0, sy, sx, y1)))
+    return coords
 
 
-def _pr_tree_lines(root: dict, lines: list, marks: list) -> None:
+def _pr_tree_regions(root: dict, marks: list) -> list:
+    """The coordinates of every node's region rectangle; the leaves' points
+    go on `marks`."""
     # preorder with an explicit stack; children go on in reverse so that
     # the first comes off first
+    coords: list = []
     stack = [root]
     while stack:
         node = stack.pop()
-        x0, y0, x1, y1 = node["region"]
-        lines.append((((x0, y0), (x1, y0), (x1, y1), (x0, y1)), True))
+        coords += _RECT(node["region"])
         if "points" in node:
-            marks.extend(node["points"])
+            marks += node["points"]
         else:
             stack += reversed(node["children"])
-
-
-def _trapmap_layers(data: dict) -> list[tuple]:
-    base: list = [_rect(*data["bbox"])]
-    for (ax, ay), (bx, by) in data["segments"]:
-        base.append((((ax, ay), (bx, by)), False))
-    ext: list = []
-    for e in data["extensions"]:
-        ox, oy = e["origin"]
-        ux, uy = e["up_hit"]
-        dx, dy = e["down_hit"]
-        ext.append((((dx, dy), (ox, oy), (ux, uy)), False))
-    return [(base, []), (ext, [])]
-
-
-def _floating_layers(data: dict) -> list[tuple]:
-    dupin = data["dupin"]
-    outline = _loop_strokes(dupin)
-    return [(outline, [] if outline else dupin), (_loop_strokes(data["convex_fb"] or ()), [])]
-
-
-def _triangulation_layers(data: dict, scene: Scene) -> list[tuple]:
-    if not scene.polygons:
-        raise GeometryError("cannot render a triangulation without its polygon")
-    verts = scene.polygons[0].vertices
-    tris: list = []
-    for i, j, k in data["triangles"]:
-        tris.append(
-            (((verts[i].x, verts[i].y), (verts[j].x, verts[j].y), (verts[k].x, verts[k].y)), True)
-        )
-    return [(tris, []), ([], data["samples"])]
+    return coords
 
 
 def _gather_layers(scene: Scene, results) -> list[tuple]:
     layers = [_scene_layer(scene)] + _result_layers(results, scene)
-    if not any(strokes or marks for strokes, marks in layers):
+    if not any(runs or marks for runs, marks in layers):
         raise GeometryError("nothing to render")
     return layers
 
@@ -256,23 +246,21 @@ def _bounds(scene: Scene, layers: list[tuple]) -> tuple[float, float, float, flo
     if scene.bbox is not None:
         b = scene.bbox
         return b.xmin, b.ymin, b.xmax, b.ymax
-    xs: list[float] = []
-    ys: list[float] = []
-    for strokes, marks in layers:
-        if type(strokes) is list:
-            for points, _ in strokes:
-                xs.extend(p[0] for p in points)
-                ys.extend(p[1] for p in points)
-        else:
-            # a fractal's CellSequence or a quadtree's _Framed lines, which
-            # carry their bounds
-            x0, y0, x1, y1 = strokes.bounds
-            xs += (x0, x1)
-            ys += (y0, y1)
+    boxes = []
+    for runs, marks in layers:
+        for _, _, _, coords, bounds in runs:
+            if bounds is None and coords:
+                xs = coords[0::2]
+                ys = coords[1::2]
+                bounds = min(xs), min(ys), max(xs), max(ys)
+            if bounds is not None:
+                boxes.append(bounds)
         if marks:
-            xs += (min(map(_X, marks)), max(map(_X, marks)))
-            ys += (min(map(_Y, marks)), max(map(_Y, marks)))
-    return min(xs), min(ys), max(xs), max(ys)
+            # four passes, so that the marks are never copied
+            boxes.append((min(map(_X, marks)), min(map(_Y, marks)),
+                          max(map(_X, marks)), max(map(_Y, marks))))
+    x0s, y0s, x1s, y1s = zip(*boxes)
+    return min(x0s), min(y0s), max(x1s), max(y1s)
 
 
 def _padded(bounds) -> tuple[float, float, float, float]:
@@ -309,11 +297,15 @@ class _IpeText(TextMemo):
         return s
 
 
-def _batches(layer):
-    """The layer's items in lists of at most CHUNK_LINES."""
-    items = iter(layer)
-    while batch := list(islice(items, CHUNK_LINES)):
-        yield batch
+def _stroke_chunks(stroke: str, run: tuple, c: TextMemo):
+    """The run's strokes, CHUNK_LINES at a time; `stroke` is one stroke's
+    template, with a "%s" for each of its coordinates."""
+    n, _, count, coords, _ = run
+    texts = map(c.__getitem__, coords)
+    for done in range(0, count, CHUNK_LINES):
+        k = min(CHUNK_LINES, count - done)
+        yield (stroke * k) % tuple(islice(texts, 2 * n * k))
+        c.trim()
 
 
 def emit_svg(scene: Scene, results=None) -> str:
@@ -337,27 +329,22 @@ def svg_chunks(scene: Scene, results=None):
 
 
 def _svg_body(layers, c: _SvgText):
-    for index, (strokes, marks) in enumerate(layers):
+    for index, (runs, marks) in enumerate(layers):
         color = _PALETTE[index % len(_PALETTE)][0]
-        for batch in _batches(strokes):
-            lines = []
-            for points, closed in batch:
-                ops = [f"L {c[x]} {c[y]}" for x, y in points]
-                if ops:
-                    ops[0] = "M" + ops[0][1:]
-                if closed:
-                    ops.append("Z")
-                lines.append(
-                    f'<path d="{" ".join(ops)}" fill="none" stroke="{color}" stroke-width="1.000000"/>'
-                )
-            lines.append("")
-            yield "\n".join(lines)
-            c.trim()
-        # one "%" per mark; of the attribute values only cx, cy and r are
-        # followed by a space, and r is the fixed 2.000000
+        for run in runs:
+            n, closed = run[:2]
+            ops = (["M %s %s"] + ["L %s %s"] * (n - 1)) if n else []
+            if closed:
+                ops.append("Z")
+            stroke = '<path d="%s" fill="none" stroke="%s" stroke-width="1.000000"/>\n' % (
+                " ".join(ops), color)
+            yield from _stroke_chunks(stroke, run, c)
+        # of the attribute values only cx, cy and r are followed by a space,
+        # and r is the fixed 2.000000
         circle = '<circle cx="%%.6f" cy="%%.6f" r="2.000000" fill="%s"/>\n' % color
-        for batch in _batches(marks):
-            text = "".join([circle % (x, y) for x, y in batch])
+        points = iter(marks)
+        while batch := tuple(_flat(islice(points, CHUNK_LINES))):
+            text = (circle * (len(batch) // 2)) % batch
             yield text.replace('="-0.000000" ', '="0.000000" ')
 
 
@@ -381,24 +368,14 @@ def ipe_chunks(scene: Scene, results=None):
 
 def _ipe_body(layers):
     c = _IpeText()
-    for index, (strokes, marks) in enumerate(layers):
+    for index, (runs, marks) in enumerate(layers):
         color = _PALETTE[index % len(_PALETTE)][1]
-        path_open = f'<path stroke="{color}">'
-        for batch in _batches(strokes):
-            lines = []
-            for points, closed in batch:
-                ops = [f"{c[x]} {c[y]} l" for x, y in points]
-                if ops:
-                    ops[0] = ops[0][:-1] + "m"
-                if closed:
-                    ops.append("h")
-                lines.append("\n".join([path_open, *ops, "</path>"]))
-            lines.append("")
-            yield "\n".join(lines)
-            c.trim()
-        for batch in _batches(marks):
-            yield "".join([
-                f'<use name="mark/disk(sx)" pos="{c[x]} {c[y]}" size="normal" stroke="{color}"/>\n'
-                for x, y in batch
-            ])
+        for run in runs:
+            n, closed = run[:2]
+            ops = ("%s %s m\n" + "%s %s l\n" * (n - 1) if n else "") + ("h\n" if closed else "")
+            yield from _stroke_chunks('<path stroke="%s">\n%s</path>\n' % (color, ops), run, c)
+        use = '<use name="mark/disk(sx)" pos="%%s %%s" size="normal" stroke="%s"/>\n' % color
+        points = iter(marks)
+        while batch := tuple(map(c.__getitem__, _flat(islice(points, CHUNK_LINES)))):
+            yield (use * (len(batch) // 2)) % batch
             c.trim()

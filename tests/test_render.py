@@ -5,7 +5,9 @@ from __future__ import annotations
 import math
 import random
 import re
+import tracemalloc
 import xml.etree.ElementTree as ET
+from itertools import chain, islice
 from pathlib import Path
 
 import pytest
@@ -200,6 +202,18 @@ def test_scene_bbox_drives_the_viewbox():
     assert 'viewBox="-0.500000 -0.500000 11.000000 11.000000"' in svg
 
 
+def _strokes(runs) -> list:
+    """A layer's runs as the strokes they hold, in drawing order: a pair
+    (points, closed) per stroke, its points a tuple of (x, y) pairs."""
+    strokes = []
+    for n, closed, count, coords, _ in runs:
+        values = iter(coords)
+        for _ in range(count):
+            flat = list(islice(values, 2 * n))
+            strokes.append((tuple(zip(flat[0::2], flat[1::2])), closed))
+    return strokes
+
+
 # The emitters as they were before the per-document coordinate memo: one
 # format call per coordinate, one line per Ipe path operator.  They share
 # only the layer gathering and the bounds with the package.
@@ -226,9 +240,9 @@ def _reference_svg(scene, results) -> str:
         '<g transform="matrix(1 0 0 -1 0 %s)">' % f(y0 + y1),
     ]
     # each layer is its strokes, then its marks: (x, y) pairs
-    for index, (strokes, marks) in enumerate(layers):
+    for index, (runs, marks) in enumerate(layers):
         color = render._PALETTE[index % len(render._PALETTE)][0]
-        for points, closed in strokes:
+        for points, closed in _strokes(runs):
             parts = []
             for i, (px, py) in enumerate(points):
                 parts.append("%s %s %s" % ("M" if i == 0 else "L", f(px), f(py)))
@@ -256,9 +270,9 @@ def _reference_ipe(scene, results) -> str:
         '<ipe version="70218" creator="geoforge">',
         "<page>",
     ]
-    for index, (strokes, marks) in enumerate(layers):
+    for index, (runs, marks) in enumerate(layers):
         color = render._PALETTE[index % len(render._PALETTE)][1]
-        for points, closed in strokes:
+        for points, closed in _strokes(runs):
             lines.append('<path stroke="%s">' % color)
             for i, (px, py) in enumerate(points):
                 lines.append("%s %s %s" % (f(px), f(py), "m" if i == 0 else "l"))
@@ -326,8 +340,8 @@ def _all_layers_bounds(scene, layers):
         return b.xmin, b.ymin, b.xmax, b.ymax
     xs: list = []
     ys: list = []
-    for strokes, marks in layers:
-        for points, _ in strokes:
+    for runs, marks in layers:
+        for points, _ in _strokes(runs):
             xs.extend(p[0] for p in points)
             ys.extend(p[1] for p in points)
         for x, y in marks:
@@ -357,9 +371,10 @@ def _fractal_cases():
 
 def test_streamed_viewbox_equals_the_bounds_of_every_layer():
     for scene, dump in _fractal_cases():
-        layers = render._gather_layers(scene, dump)
-        expect = render._padded(_all_layers_bounds(scene, layers))
-        assert render._bounds(scene, layers) == _all_layers_bounds(scene, layers)
+        # a fractal's run is drawn once, so each look gathers the layers anew
+        walked = _all_layers_bounds(scene, render._gather_layers(scene, dump))
+        expect = render._padded(walked)
+        assert render._bounds(scene, render._gather_layers(scene, dump)) == walked
         f = _reference_fmt_svg
         x0, y0, x1, y1 = expect
         assert _viewbox(emit_svg(scene, dump)) == "%s %s %s %s" % (
@@ -372,7 +387,8 @@ def test_streamed_viewbox_equals_the_bounds_of_every_layer():
 
 def test_quadtree_frames_carry_the_bounds_of_their_lines():
     # the point tree's lines lie in its bounding square and the PR tree's in
-    # its root region, so _bounds reads the frame instead of every line
+    # its root region, so each of their runs carries that frame as its bounds
+    # and _bounds reads it instead of every line
     rng = random.Random(2027)
     unboxed = Scene(points=(), segments=(), polygons=(), bbox=None)
     for trial in range(20):
@@ -381,11 +397,11 @@ def test_quadtree_frames_carry_the_bounds_of_their_lines():
             (round(rng.uniform(-50, 80), 3), round(rng.uniform(-9, 300), 3)) for _ in range(n))]
         for tree in (build_point_quadtree(pts), build_pr_quadtree(pts, capacity=1 + trial % 4)):
             layers = render._gather_layers(unboxed, tree_to_dict(tree))
-            frame = layers[1][0]
-            assert type(frame) is not list
-            walked = [p for points, _ in frame for p in points]
-            assert frame.bounds == (min(x for x, _ in walked), min(y for _, y in walked),
-                                    max(x for x, _ in walked), max(y for _, y in walked))
+            runs = layers[1][0]
+            walked = [p for points, _ in _strokes(runs) for p in points]
+            assert {run[4] for run in runs} == {(
+                min(x for x, _ in walked), min(y for _, y in walked),
+                max(x for x, _ in walked), max(y for _, y in walked))}
             assert render._bounds(unboxed, layers) == _all_layers_bounds(unboxed, layers)
 
 
@@ -408,7 +424,8 @@ def test_pr_figure_makes_no_call_per_node():
     lines, marks = [], []
     _pr_tree_lines_reference(dump["root"], lines, marks)
     assert len(lines) > 2000
-    assert render._quadtree_layers(dump) == [(lines, []), ([], marks)]
+    (runs, no_marks), layer = render._quadtree_layers(dump)
+    assert (_strokes(runs), no_marks, layer) == (lines, [], ([], marks))
     assert geomgen.python_calls(render._quadtree_layers, dump) <= 5
 
 
@@ -451,3 +468,205 @@ def test_small_chunks_and_a_memo_that_starts_over_draw_the_same(monkeypatch):
         chunks = list(render.svg_chunks(scene, results))
         assert len(chunks) > 10 and "".join(chunks) == svg == _reference_svg(scene, results)
         assert emit_ipe(scene, results) == ipe == _reference_ipe(scene, results)
+
+
+def _carpet_figure():
+    box = BBox(0, 0, 243, 243)
+    return Scene(points=(), segments=(), polygons=(), bbox=box), output_to_dict(
+        sierpinski_carpet(box, 5))
+
+
+def _tree_figure(build):
+    pts = [Point(x, y) for x, y in geomgen.random_points(random.Random(8000), 8000, 0.0, 1000.0)]
+    return Scene(points=tuple(pts), segments=(), polygons=(), bbox=None), tree_to_dict(build(pts))
+
+
+def test_figures_make_no_call_per_stroke_or_mark():
+    # a batch of strokes or marks is one "%", so the calls are a few per
+    # chunk plus one per memo miss: one per distinct value the memo formats,
+    # the strokes' values in SVG, and the marks' too in Ipe.  A list
+    # comprehension per stroke made 98,669 calls on the carpet's SVG and
+    # 6,220 on the PR tree's.
+    carpet = _carpet_figure()
+    # the carpet's cells come from a generator, which resumes once per cell
+    cells = len(carpet[1]["cells"]) + 1
+    pr_tree = _tree_figure(lambda pts: build_pr_quadtree(pts, capacity=4))
+    for (scene, dump), walk in [(carpet, cells), (pr_tree, 0)]:
+        layers = render._gather_layers(scene, dump)
+        stroked = {v for runs, _ in layers for points, _ in _strokes(runs) for p in points for v in p}
+        marked = {v for _, marks in layers for p in marks for v in p}
+        for chunks, emit, memo in [(render.svg_chunks, emit_svg, stroked),
+                                   (render.ipe_chunks, emit_ipe, stroked | marked)]:
+            batches = len(list(chunks(scene, dump)))
+            assert batches < 40
+            # the SVG head formats four values of its own
+            assert geomgen.python_calls(emit, scene, dump) <= walk + 6 * batches + len(memo) + 4
+
+
+def _streaming_peak(chunks, scene, dump) -> int:
+    tracemalloc.start()
+    try:
+        for _ in chunks(scene, dump):
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streaming_a_quadtree_figure_holds_its_runs_flat():
+    # strokes held as tuples of point tuples peaked at 6.2 MB on the point
+    # tree in both formats, and at 3.1 MB on the PR tree's SVG; flat runs
+    # take 2.9 and 1.5 MB
+    point_tree = _tree_figure(build_point_quadtree)
+    assert _streaming_peak(render.svg_chunks, *point_tree) < 4_000_000
+    assert _streaming_peak(render.ipe_chunks, *point_tree) < 4_000_000
+    pr_tree = _tree_figure(lambda pts: build_pr_quadtree(pts, capacity=4))
+    assert _streaming_peak(render.svg_chunks, *pr_tree) < 2_200_000
+    # the marks are read where they lie: the SVG of 50,000 samples streams in
+    # 0.2 MB, where two lists of their coordinates alone would take 0.8 MB
+    scene = parse_scene('{"polygons":[[[0,0],[100,0],[100,100],[0,100]]]}')
+    tri = triangulate(scene.polygons[0])
+    samples = triangulation_to_dict(tri, sample_points(tri, SampleRequest(count=50000, seed=7)))
+    assert _streaming_peak(render.svg_chunks, scene, samples) < 500_000
+
+
+def _svg_doc(viewbox: str, flip: str, *lines: str) -> str:
+    return (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="%s">\n'
+        '<g transform="matrix(1 0 0 -1 0 %s)">\n' % (viewbox, flip)
+        + "".join(line + "\n" for line in lines) + "</g>\n</svg>\n"
+    )
+
+
+def _ipe_doc(*lines: str) -> str:
+    return (
+        '<?xml version="1.0"?>\n<!DOCTYPE ipe SYSTEM "ipe.dtd">\n'
+        '<ipe version="70218" creator="geoforge">\n<page>\n'
+        + "".join(line + "\n" for line in lines) + "</page>\n</ipe>\n"
+    )
+
+
+_STROKE = ' fill="none" stroke="%s" stroke-width="1.000000"/>'
+_CIRCLE = '<circle cx="%s" cy="%s" r="2.000000" fill="%s"/>'
+_USE = '<use name="mark/disk(sx)" pos="%s" size="normal" stroke="%s"/>'
+
+# small figures at the edges of the layer shapes, with the bytes the
+# per-stroke writers gave them
+_EDGE_FIGURES = {
+    # an empty cell draws a lone close, and a one-point cell one point and a close
+    "cells": (
+        scene_of_points((1, 1)),
+        {"kind": "carpet", "depth": 1,
+         "cells": [[], [[2, 0.5]], [[3, 0.5]], [[0, 0], [4, 0], [4, 3]], []]},
+        _svg_doc(
+            "-0.200000 -0.150000 4.400000 3.300000", "3.000000",
+            _CIRCLE % ("1.000000", "1.000000", "black"),
+            '<path d="Z"' + _STROKE % "red",
+            '<path d="M 2.000000 0.500000 Z"' + _STROKE % "red",
+            '<path d="M 3.000000 0.500000 Z"' + _STROKE % "red",
+            '<path d="M 0.000000 0.000000 L 4.000000 0.000000 L 4.000000 3.000000 Z"'
+            + _STROKE % "red",
+            '<path d="Z"' + _STROKE % "red",
+        ),
+        _ipe_doc(
+            _USE % ("1 1", "black"),
+            '<path stroke="1 0 0">', "h", "</path>",
+            '<path stroke="1 0 0">', "2 0.5 m", "h", "</path>",
+            '<path stroke="1 0 0">', "3 0.5 m", "h", "</path>",
+            '<path stroke="1 0 0">', "0 0 m", "4 0 l", "4 3 l", "h", "</path>",
+            '<path stroke="1 0 0">', "h", "</path>",
+        ),
+    ),
+    # a one-point onion layer is a mark and no stroke
+    "onion": (
+        scene_of_points(),
+        [[[0.0, 0.0], [4.0, 0.0], [4.0, 4.0], [0.0, 4.0]], [[1.0, 3.0]]],
+        _svg_doc(
+            "-0.200000 -0.200000 4.400000 4.400000", "4.000000",
+            '<path d="M 0.000000 0.000000 L 4.000000 0.000000 L 4.000000 4.000000'
+            ' L 0.000000 4.000000 Z"' + _STROKE % "red",
+            _CIRCLE % ("0.000000", "0.000000", "red"),
+            _CIRCLE % ("4.000000", "0.000000", "red"),
+            _CIRCLE % ("4.000000", "4.000000", "red"),
+            _CIRCLE % ("0.000000", "4.000000", "red"),
+            _CIRCLE % ("1.000000", "3.000000", "blue"),
+        ),
+        _ipe_doc(
+            '<path stroke="1 0 0">', "0 0 m", "4 0 l", "4 4 l", "0 4 l", "h", "</path>",
+            _USE % ("0 0", "1 0 0"),
+            _USE % ("4 0", "1 0 0"),
+            _USE % ("4 4", "1 0 0"),
+            _USE % ("0 4", "1 0 0"),
+            _USE % ("1 3", "0 0 1"),
+        ),
+    ),
+    # a map of no segments is its box alone
+    "trapmap": (
+        scene_of_points(),
+        map_to_dict(build_trapezoidal_map([], bbox=BBox(0, 0, 4, 3))),
+        _svg_doc(
+            "-0.200000 -0.150000 4.400000 3.300000", "3.000000",
+            '<path d="M 0.000000 0.000000 L 4.000000 0.000000 L 4.000000 3.000000'
+            ' L 0.000000 3.000000 Z"' + _STROKE % "red",
+        ),
+        _ipe_doc('<path stroke="1 0 0">', "0 0 m", "4 0 l", "4 3 l", "0 3 l", "h", "</path>"),
+    ),
+    "beta-skeleton": (
+        scene_of_points((1, 2)),
+        {"points": [[1, 2], [3, 4]], "edges": []},
+        _svg_doc(
+            "0.900000 1.900000 2.200000 2.200000", "6.000000",
+            _CIRCLE % ("1.000000", "2.000000", "black"),
+            _CIRCLE % ("1.000000", "2.000000", "blue"),
+            _CIRCLE % ("3.000000", "4.000000", "blue"),
+        ),
+        _ipe_doc(
+            _USE % ("1 2", "black"),
+            _USE % ("1 2", "0 0 1"),
+            _USE % ("3 4", "0 0 1"),
+        ),
+    ),
+    # -0.0 and what rounds to it print as zero; ints print as the floats they equal
+    "signs": (
+        Scene(points=(Point(-0.0, 1e6), Point(-1e6, -4e-7)),
+              segments=(Segment(Point(-0.0, 3), Point(2, -0.0)),),
+              polygons=(Polygon([Point(0, 0), Point(5, 0), Point(5, 5)]),), bbox=None),
+        [[[-0.0, -1e6], [1e6, 0], [0, 7]]],
+        _svg_doc(
+            "-1100000.000000 -1100000.000000 2200000.000000 2200000.000000", "0.000000",
+            '<path d="M 0.000000 3.000000 L 2.000000 0.000000"' + _STROKE % "black",
+            '<path d="M 0.000000 0.000000 L 5.000000 0.000000 L 5.000000 5.000000 Z"'
+            + _STROKE % "black",
+            _CIRCLE % ("0.000000", "1000000.000000", "black"),
+            _CIRCLE % ("-1000000.000000", "0.000000", "black"),
+            '<path d="M 0.000000 -1000000.000000 L 1000000.000000 0.000000'
+            ' L 0.000000 7.000000 Z"' + _STROKE % "red",
+            _CIRCLE % ("0.000000", "-1000000.000000", "red"),
+            _CIRCLE % ("1000000.000000", "0.000000", "red"),
+            _CIRCLE % ("0.000000", "7.000000", "red"),
+        ),
+        _ipe_doc(
+            '<path stroke="black">', "0 3 m", "2 0 l", "</path>",
+            '<path stroke="black">', "0 0 m", "5 0 l", "5 5 l", "h", "</path>",
+            _USE % ("0 1000000", "black"),
+            _USE % ("-1000000 0", "black"),
+            '<path stroke="1 0 0">', "0 -1000000 m", "1000000 0 l", "0 7 l", "h", "</path>",
+            _USE % ("0 -1000000", "1 0 0"),
+            _USE % ("1000000 0", "1 0 0"),
+            _USE % ("0 7", "1 0 0"),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EDGE_FIGURES))
+def test_edge_figures_keep_their_bytes(name, monkeypatch):
+    scene, results, svg, ipe = _EDGE_FIGURES[name]
+    assert emit_svg(scene, results) == svg
+    assert emit_ipe(scene, results) == ipe
+    # and so in chunks of two lines, with a memo that starts over after three values
+    monkeypatch.setattr(jsontext, "MEMO_LIMIT", 3)
+    monkeypatch.setattr(render, "CHUNK_LINES", 2)
+    assert "".join(render.svg_chunks(scene, results)) == svg
+    assert "".join(render.ipe_chunks(scene, results)) == ipe
