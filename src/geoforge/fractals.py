@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .core import COORD_LIMIT, BBox, GeometryError, Point, Polygon
+from .jsontext import _pair_lists
 
 TRIANGLE_MAX_DEPTH = 12
 CARPET_MAX_DEPTH = 7
@@ -114,10 +115,6 @@ def _check_depth(depth: int, cap: int) -> None:
 
 def _polygon(cell) -> Polygon:
     return Polygon._unchecked(tuple(Point(x, y) for x, y in cell))
-
-
-def _coordinate_lists(cell) -> list:
-    return [[x, y] for x, y in cell]
 
 
 def sierpinski_triangle(seed: Polygon, depth: int) -> FractalOutput:
@@ -196,9 +193,11 @@ def _carpet_walk(xmin, ymin, xmax, ymax, depth: int):
 
 
 def output_to_dict(o: FractalOutput) -> dict:
-    """The dump; its "cells" is a CellSequence of [[x, y], ...] lists."""
+    """The dump; its "cells" is a CellSequence of [[x, y], ...] lists,
+    made by the JSON writer's own `_pair_lists`, so that the writer knows
+    them and writes them from their flat coordinates."""
     return {
         "kind": o.kind.value,
         "depth": o.depth,
-        "cells": o.cells.remade(_coordinate_lists),
+        "cells": o.cells.remade(_pair_lists),
     }

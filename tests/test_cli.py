@@ -558,25 +558,28 @@ def test_carpet_memory_does_not_grow_with_depth(scenes, tmp_path):
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
 def test_sample_memory_per_sample(scenes, tmp_path):
-    # each sample is held once, as an (x, y) pair, and an SVG mark is made
-    # from it as it is written: from 20,000 to 80,000 samples the peak grew
-    # by about 133 B a sample; a Point, a dump list and a mark per sample
-    # took about 308 B
+    # each sample is held once, as an (x, y) pair, and an SVG mark or its
+    # JSON text is made from it as it is written: from 20,000 to 80,000
+    # samples the SVG peak grew by about 133 B a sample, where a Point, a
+    # dump list and a mark per sample took about 308 B; the JSON peak grew
+    # by about 222 B a sample while each sample's floats went into the memo
     runs = {}
-    for count in (20000, 80000):
-        argv = ["sample", "--input", scenes["polygon"], "--count", str(count), "--seed", "7",
-                "--format", "svg", "--output", str(tmp_path / ("s%d.svg" % count))]
-        runs[count] = subprocess.Popen(
-            [sys.executable, "-c", _RSS_CHILD] + argv,
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_child_env())
+    for fmt in ("svg", "json"):
+        for count in (20000, 80000):
+            argv = ["sample", "--input", scenes["polygon"], "--count", str(count), "--seed", "7",
+                    "--format", fmt, "--output", str(tmp_path / ("s%d.%s" % (count, fmt)))]
+            runs[fmt, count] = subprocess.Popen(
+                [sys.executable, "-c", _RSS_CHILD] + argv,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_child_env())
     growth = {}
-    for count, child in runs.items():
+    for key, child in runs.items():
         out, err = child.communicate(timeout=60)
         code, before, after = map(int, out.split())
         assert child.returncode == 0 and code == 0, err
-        growth[count] = after - before
-    per_sample = (growth[80000] - growth[20000]) * 1024 / 60000
-    assert per_sample < 200, (per_sample, growth)
+        growth[key] = after - before
+    for fmt in ("svg", "json"):
+        per_sample = (growth[fmt, 80000] - growth[fmt, 20000]) * 1024 / 60000
+        assert per_sample < 200, (fmt, per_sample, growth)
 
 
 def test_deep_point_quadtree_writes_every_format(tmp_path):

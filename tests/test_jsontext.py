@@ -294,3 +294,136 @@ def test_int_values_make_no_call_each():
     assert dumps(docs) == _reference_dumps(docs)
     chunks = len(list(iterdumps(docs)))
     assert geomgen.python_calls(dumps, docs) <= 4 * chunks
+
+
+# Runs: long lists of float pairs and a fractal dump's cells are written a
+# batch at a time; everything else, and every batch that fails a check,
+# goes through the walk.
+
+
+class _Real(float):
+    """A float subclass: written by its value, but not in a pair run."""
+
+
+_run_floats = st.sampled_from(_SPECIAL_FLOATS) | st.floats(-1e6, 1e6)
+_run_pairs = st.builds(lambda x, y, tup: (x, y) if tup else [x, y], _run_floats, _run_floats,
+                       st.booleans())
+_NON_FINITE = [math.inf, -math.inf, math.nan]
+# items of two that a run must check value by value, and items it rejects
+# by their type or length
+_odd_items = st.sampled_from([
+    [0, 1], [1.5, 2], [0.5, True], (1.5, 10**20), (False, -0.0), [_Real(0.5), 1.5],
+    (2.5, _Real(-0.0)), [[0.5, 1.5], 0.5], [-0.0, -0.0], (-0.0, 0.5), [5e-324, -5e-324],
+]) | st.sampled_from([0, -3, 10**20, True, 0.5, [0.25], (0.25, 0.5, 0.75), [], None, {"a": 0.5}])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(_run_pairs, max_size=14),
+    st.lists(st.tuples(st.integers(0, 14), _odd_items), max_size=3),
+    st.none() | st.tuples(st.integers(0, 14), st.integers(0, 1), st.sampled_from(_NON_FINITE)),
+)
+def test_pair_runs_match_the_recursive_writer(pairs, odd, bad):
+    # break-even length 3 and batches of 4 pairs: lists of 0 to 16 items
+    # fall on both sides of each, and a failing batch may be any of them
+    items = list(pairs)
+    for at, item in odd:
+        items.insert(at, item)
+    if bad is not None and items:
+        at, side, value = bad
+        at %= len(items)
+        items[at] = [0.5, value] if side else (value, 0.5)
+    docs = [items, {"run": items, "after": [items, items[:5], 1.5]}]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jsontext, "_RUN_MIN", 3)
+        mp.setattr(jsontext, "_RUN_BATCH", 4)
+        mp.setattr(jsontext, "CHUNK_PARTS", 16)
+        for doc in docs:
+            try:
+                expect = _reference_dumps(doc)
+            except ValueError as err:
+                with pytest.raises(ValueError, match="^%s$" % err):
+                    dumps(doc)
+            else:
+                assert dumps(doc) == expect
+
+
+def test_pair_runs_at_the_default_sizes():
+    n = jsontext._RUN_BATCH * 2 + 3
+    pairs = [[i / 7.0, -0.0 if i % 5 else -i * 1e-9] for i in range(n)]
+    for doc in (pairs, pairs[: jsontext._RUN_MIN], pairs[: jsontext._RUN_MIN - 1]):
+        assert dumps(doc) == _reference_dumps(doc)
+    for at in (0, jsontext._RUN_BATCH - 1, jsontext._RUN_BATCH, n - 1):
+        for value in _NON_FINITE:
+            with pytest.raises(ValueError, match="^cannot serialize non-finite number$"):
+                dumps(pairs[:at] + [[0.5, value]] + pairs[at:])
+        mixed = pairs[:at] + [[1, 2.5], _Real(3.5), (0.5, 1.5, 2.5)] + pairs[at:]
+        assert dumps(mixed) == _reference_dumps(mixed)
+
+
+def _fractal_dumps():
+    from geoforge.core import BBox, Point, Polygon
+    from geoforge.fractals import output_to_dict, sierpinski_carpet, sierpinski_triangle
+
+    triangles = [
+        [(-0.0, -1e6), (1e6, -1e6), (-0.0, 1e6)],
+        [(-1e6, -1e6), (-1e6 + 2e-9, -1e6), (-1e6, 1e6)],
+        [(0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3) / 2)],
+    ]
+    boxes = [(-0.0, -1e6, 1e6, -0.0), (1e6 - 2e-9, 0.1, 1e6, 0.1 + 1e-9), (-1e6, -1e6, 1e6, 1e6)]
+    for corners in triangles:
+        seed = Polygon([Point(x, y) for x, y in corners])
+        for depth in range(7):
+            yield output_to_dict(sierpinski_triangle(seed, depth))
+    for box in boxes:
+        for depth in range(5):
+            yield output_to_dict(sierpinski_carpet(BBox(*box), depth))
+
+
+@pytest.mark.parametrize("memo_limit", [None, 3])
+def test_fractal_cell_runs_match_the_recursive_writer(memo_limit):
+    with pytest.MonkeyPatch.context() as mp:
+        if memo_limit is not None:
+            # a memo that starts over at every batch, and batches that end
+            # mid-way through the cells
+            mp.setattr(jsontext, "MEMO_LIMIT", memo_limit)
+            mp.setattr(jsontext, "_RUN_BATCH", 10)
+            mp.setattr(jsontext, "CHUNK_PARTS", 40)
+        for dump in _fractal_dumps():
+            assert dumps(dump) == _reference_dumps(dict(dump, cells=list(dump["cells"])))
+
+
+def test_cells_of_polygons_are_not_a_cell_run():
+    from geoforge.core import Point, Polygon
+    from geoforge.fractals import sierpinski_triangle
+
+    out = sierpinski_triangle(Polygon([Point(0, 0), Point(4, 0), Point(0, 4)]), 2)
+    with pytest.raises(TypeError, match="^cannot serialize 'Polygon'$"):
+        dumps(out.cells)
+    with pytest.raises(TypeError, match="^cannot serialize 'Polygon'$"):
+        dumps({"cells": out.cells})
+
+
+def test_carpet_cells_make_no_call_per_cell_beyond_their_walk():
+    from geoforge.core import BBox
+    from geoforge.fractals import output_to_dict, sierpinski_carpet
+
+    dump = output_to_dict(sierpinski_carpet(BBox(0, 0, 1, 1), 4))
+    cells = len(dump["cells"])
+    distinct = len({v for cell in dump["cells"] for pair in cell for v in pair})
+    chunks = len(list(iterdumps(dump)))
+    # the cells' own walk resumes once per cell and each distinct float is
+    # one memo miss; a list made per cell cost one more call per cell
+    assert geomgen.python_calls(dumps, dump) <= cells + distinct + 4 * chunks
+
+
+def test_runs_keep_chunks_bounded():
+    from geoforge.core import BBox
+    from geoforge.fractals import output_to_dict, sierpinski_carpet
+
+    pairs = [[-123456.789012 - i * 1e-6, 654321.987654 + i * 1e-6] for i in range(200000)]
+    carpet = output_to_dict(sierpinski_carpet(BBox(-999999.123457, 0.1, 999999.987654, 0.3), 5))
+    for doc in (pairs, {"kind": "carpet", "cells": carpet["cells"]}):
+        sizes = list(map(len, iterdumps(doc)))
+        assert len(sizes) > 20
+        assert max(sizes) < 40 * jsontext.CHUNK_PARTS
