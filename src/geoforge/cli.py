@@ -11,6 +11,9 @@ success, 1 when the input fails to parse or validate, 2 for usage errors.
 Start-up imports argparse and the command table only.  A run loads the
 scene parser and the JSON writer after its arguments parse, its own
 structure module when it runs, and the renderer only for SVG or Ipe.
+A subcommand's parser is built on its first run in a process and reused
+by every later run there, so a program that calls main again pays only
+for parsing its argv.
 
 Once its arguments parse, a run pauses the cycle collector until its
 output is written, then puts back the state it found: --help and usage
@@ -28,12 +31,12 @@ example before a fork.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import itertools
 import math
 import os
 import sys
-import tempfile
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 if TYPE_CHECKING:
@@ -187,12 +190,17 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
     """The CLI parser, with every subcommand or with only the one named.
 
-    Building one subparser instead of ten is most of a run's own time.
-    The one-subparser parser lists all ten names in its usage line, so
-    its usage errors read as the full parser's do.
+    Building a parser costs more than a small run's own work, and
+    building one subparser instead of ten is most of that.  The
+    one-subparser parser lists all ten names in its usage line, so its
+    usage errors read as the full parser's do.  Each parser is built on
+    its first use in a process and then reused: parse_args keeps no state
+    between calls, and the --help width is read when help is printed.
+    main keeps at most eleven, one per subcommand and the full one.
     """
     parser = argparse.ArgumentParser(
         prog="geoforge",
@@ -234,14 +242,20 @@ def _write_output(path: str, chunks) -> None:
         with open(target, "w") as fh:
             fh.writelines(chunks)
         return
-    umask = os.umask(0)
-    os.umask(umask)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".geoforge-")
+    while True:
+        tmp = os.path.join(os.path.dirname(target), ".geoforge-" + os.urandom(6).hex())
+        try:
+            # mode 0666 less the umask, as a plain open gives a new file
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue  # a name already taken: draw another
+        except OSError as err:
+            # name the target, not the temp file's random name
+            raise OSError(err.errno, err.strerror, target) from None
     try:
         with os.fdopen(fd, "w") as fh:
             fh.writelines(chunks)
-        # mkstemp creates the file 0600; give it the mode a plain open would
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):

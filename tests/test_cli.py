@@ -203,7 +203,10 @@ def usage_transcript() -> str:
 def test_usage_texts_match_their_golden(monkeypatch):
     # argparse wraps help and usage to the terminal width
     monkeypatch.setenv("COLUMNS", "80")
-    assert usage_transcript() == USAGE_GOLDEN.read_text()
+    cli._build_parser.cache_clear()
+    # the first pass builds every parser, the second reuses them
+    for _ in range(2):
+        assert usage_transcript() == USAGE_GOLDEN.read_text()
 
 
 def test_a_subcommand_run_builds_only_its_own_subparser(scenes, tmp_path, monkeypatch, capsys):
@@ -215,14 +218,53 @@ def test_a_subcommand_run_builds_only_its_own_subparser(scenes, tmp_path, monkey
         return add_parser(self, name, **kwargs)
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
-    assert main(["onion", "--input", scenes["points"], "--output", str(tmp_path / "o.json")]) == 0
-    assert built == ["onion"]
+    cli._build_parser.cache_clear()
+    out = str(tmp_path / "o.json")
+    # a subcommand's first run builds its parser, and later runs reuse it
+    for name, want in (("onion", ["onion"]), ("onion", []), ("trapmap", ["trapmap"])):
+        built.clear()
+        scene = scenes["segments" if name == "trapmap" else "points"]
+        assert main([name, "--input", scene, "--output", out]) == 0
+        assert built == want
     # with no command first, the full parser serves --help and the errors
     for argv in (["--help"], ["-h", "onion"], ["no-such-command"], []):
         built.clear()
         with pytest.raises(SystemExit):
             main(argv)
-        assert built == list(cli._COMMANDS)
+        assert built == (list(cli._COMMANDS) if argv == ["--help"] else [])
+    assert cli._build_parser.cache_info().currsize == 3
+    capsys.readouterr()
+
+
+def _cold_bytes(argv: list, out: Path) -> bytes:
+    """The bytes argv writes to out from a parser built afresh."""
+    cli._build_parser.cache_clear()
+    assert main(argv + ["--output", str(out)]) == 0
+    return out.read_bytes()
+
+
+def test_a_reused_parser_keeps_no_flag_from_an_earlier_run(scenes, tmp_path):
+    run = ["floating-body", "--input", scenes["polygon"], "--delta", "0.1"]
+    cold = _cold_bytes(run, tmp_path / "cold.json")
+    out = tmp_path / "warm.json"
+    assert main(run + ["--directions", "36", "--output", str(out)]) == 0
+    assert out.read_bytes() != cold
+    # the default of 720 directions again, not the 36 of the run before
+    assert main(run + ["--output", str(out)]) == 0
+    assert out.read_bytes() == cold
+
+
+def test_a_run_after_a_usage_error_writes_what_a_cold_run_writes(scenes, tmp_path, capsys):
+    run = ["beta-skeleton", "--input", scenes["points"], "--beta", "2"]
+    cold = _cold_bytes(run, tmp_path / "cold.json")
+    out = tmp_path / "warm.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["beta-skeleton", "--input", scenes["points"], "--beta", "0",
+              "--output", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+    assert main(run + ["--output", str(out)]) == 0
+    assert out.read_bytes() == cold
     capsys.readouterr()
 
 
@@ -369,6 +411,31 @@ def test_output_file_mode_follows_the_umask(scenes, tmp_path):
     finally:
         os.umask(old)
     assert out.stat().st_mode & 0o777 == 0o644
+
+
+def test_output_mode_is_set_without_touching_the_process_umask(scenes, tmp_path, monkeypatch):
+    # os.umask both reads and sets the mask; any call here would leave
+    # files that other threads create meanwhile with no umask at all
+    def umask(mask):
+        raise AssertionError("os.umask(%o) called" % mask)
+
+    out = tmp_path / "result.json"
+    old = os.umask(0o022)
+    try:
+        monkeypatch.setattr(os, "umask", umask)
+        assert main(["onion", "--input", scenes["points"], "--output", str(out)]) == 0
+    finally:
+        monkeypatch.undo()
+        os.umask(old)
+    assert out.stat().st_mode & 0o777 == 0o644
+
+
+def test_missing_output_directory_is_named_in_the_error(scenes, tmp_path, capsys):
+    out = tmp_path / "nodir" / "o.json"
+    assert main(["onion", "--input", scenes["points"], "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: [Errno 2] No such file or directory: %r\n" % str(out)
+    assert not list(tmp_path.rglob(".geoforge-*"))
 
 
 def test_existing_fifo_is_written_to_not_replaced(scenes, tmp_path):
