@@ -31,6 +31,19 @@ class GeometryError(ValueError):
     """An input violated a documented geometric precondition."""
 
 
+def _read_numbers(value, n: int) -> tuple | None:
+    """The floats of `value`, read from a scene file or a quadtree array,
+    when it is a list of n numbers, ints or floats but not bools; else None.
+    An int too large for a float raises GeometryError("number too large")."""
+    if not (isinstance(value, list) and len(value) == n
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
+        return None
+    try:
+        return tuple(map(float, value))
+    except OverflowError:
+        raise GeometryError("number too large") from None
+
+
 class PointLocation(enum.Enum):
     INSIDE = "inside"
     BOUNDARY = "boundary"

@@ -12,9 +12,10 @@ Each fractal has one generator, `_triangle_walk` or `_carpet_walk`, that
 yields the cells' vertex coordinates depth-first with an explicit stack of
 at most 2·depth + 1 (triangle) or 7·depth + 1 (carpet) pending subcells.
 The results hold no cells: `FractalOutput.cells` and the dump's "cells"
-are `CellSequence`s that run the generator again on every pass, so a
-writer that streams them needs memory for the stack, not for 8^depth
-cells.  Every check runs when the output is made, before any cell is.
+are `CellSequence`s that run the generator again on every pass.  The
+writers read their flat view (`corners`, `coords()`, `bounds`), so they
+need memory for the stack, not for 8^depth cells.  Every check runs
+when the output is made, before any cell is.
 
 Every cell lies in the seed's bounding box, and that box is attained, so
 `CellSequence.bounds` is the bounding box of all the cells without a pass
@@ -39,10 +40,11 @@ from dataclasses import dataclass
 from functools import partial
 
 from .core import COORD_LIMIT, BBox, GeometryError, Point, Polygon
-from .jsontext import _pair_lists
 
 TRIANGLE_MAX_DEPTH = 12
 CARPET_MAX_DEPTH = 7
+
+_flat = itertools.chain.from_iterable
 
 
 class FractalKind(enum.Enum):
@@ -55,22 +57,24 @@ class CellSequence(Sequence):
 
     Iterating runs the fractal's generator and maps `make` over the vertex
     tuples it yields.  Indexing walks to the index, so it costs O(index);
-    `list(cells)` materializes.  `bounds` is (xmin, ymin, xmax, ymax) over
-    all the cells' vertices.  A CellSequence equals a list or tuple of
-    equal cells.
+    `list(cells)` materializes.  The flat view makes no cell: `corners` is
+    the vertices per cell, `coords()` every cell's x0, y0, x1, y1, ... in
+    walk order, and `bounds` (xmin, ymin, xmax, ymax) over them all.  A
+    CellSequence equals a list or tuple of equal cells.
     """
 
-    __slots__ = ("_walk", "_len", "_make", "bounds")
+    __slots__ = ("_walk", "_len", "_make", "corners", "bounds")
 
-    def __init__(self, walk, length: int, bounds: tuple, make) -> None:
+    def __init__(self, walk, length: int, corners: int, bounds: tuple, make) -> None:
         self._walk = walk
         self._len = length
         self._make = make
+        self.corners = corners
         self.bounds = bounds
 
-    def remade(self, make) -> CellSequence:
-        """The same cells, each made by `make` from its vertex tuples."""
-        return CellSequence(self._walk, self._len, self.bounds, make)
+    def coords(self):
+        """Every cell's vertex coordinates as one flat stream, in walk order."""
+        return _flat(_flat(self._walk()))
 
     def __len__(self) -> int:
         return self._len
@@ -124,12 +128,8 @@ def sierpinski_triangle(seed: Polygon, depth: int) -> FractalOutput:
     _check_depth(depth, TRIANGLE_MAX_DEPTH)
     a, b, c = ((v.x, v.y) for v in seed.vertices)
     xs, ys = zip(a, b, c)
-    cells = CellSequence(
-        partial(_triangle_walk, a, b, c, depth),
-        3**depth,
-        (min(xs), min(ys), max(xs), max(ys)),
-        _polygon,
-    )
+    bounds = (min(xs), min(ys), max(xs), max(ys))
+    cells = CellSequence(partial(_triangle_walk, a, b, c, depth), 3**depth, 3, bounds, _polygon)
     return FractalOutput(kind=FractalKind.TRIANGLE, depth=depth, cells=cells)
 
 
@@ -162,7 +162,7 @@ def sierpinski_carpet(seed: BBox, depth: int) -> FractalOutput:
     bounds = (seed.xmin, seed.ymin, seed.xmax, seed.ymax)
     if not all(-COORD_LIMIT <= v <= COORD_LIMIT for v in bounds):
         raise GeometryError("seed must satisfy |x|, |y| <= %g" % COORD_LIMIT)
-    cells = CellSequence(partial(_carpet_walk, *bounds, depth), 8**depth, bounds, _polygon)
+    cells = CellSequence(partial(_carpet_walk, *bounds, depth), 8**depth, 4, bounds, _polygon)
     return FractalOutput(kind=FractalKind.CARPET, depth=depth, cells=cells)
 
 
@@ -192,12 +192,16 @@ def _carpet_walk(xmin, ymin, xmax, ymax, depth: int):
         push((xmin, y1, x1, ymax, d))
 
 
+def _pair_list(cell) -> list:
+    return [[x, y] for x, y in cell]
+
+
 def output_to_dict(o: FractalOutput) -> dict:
-    """The dump; its "cells" is a CellSequence of [[x, y], ...] lists,
-    made by the JSON writer's own `_pair_lists`, so that the writer knows
-    them and writes them from their flat coordinates."""
+    """The dump; its "cells" is a CellSequence of the same cells as
+    [[x, y], ...] lists, which the writers read through its flat view."""
+    c = o.cells
     return {
         "kind": o.kind.value,
         "depth": o.depth,
-        "cells": o.cells.remade(_pair_lists),
+        "cells": CellSequence(c._walk, len(c), c.corners, c.bounds, _pair_list),
     }

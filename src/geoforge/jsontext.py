@@ -29,13 +29,13 @@ Two kinds of array are written as runs, one `%` per batch of items:
   on lists of 2 or 3 distinct pairs, and on an 8,000-point PR tree's
   leaves of up to 4, a run's setup costs more than the walk; from 5 pairs
   on, the run is faster.
-- A cell run.  A fractal dump's "cells", a lazy sequence of [[x, y], ...]
-  lists made by `_pair_lists`, is read as one flat stream of coordinates,
-  so no list is made per cell, and written a batch of cells at a time by
-  one template with a [%s,%s] per vertex, filled through the float memo:
-  cells share most of their floats.  Only cells made by `_pair_lists`
-  take it; any other lazy sequence, such as a FractalOutput's cells of
-  Polygons, is walked.
+- A cell run.  A fractal dump's "cells", a `fractals.CellSequence` of
+  lists, is read through its flat view: `coords()`, one stream of finite
+  float coordinates, so no list is made per cell, and `corners`, the
+  vertices per cell.  It is written a batch of cells at a time by one
+  template with a [%s,%s] per vertex, filled through the float memo:
+  cells share most of their floats.  Only the first cell is made, to see
+  that the cells are lists; a FractalOutput's cells of Polygons are walked.
 
 A batch of c coordinates counts as c parts of its chunk, so a chunk of
 runs is about as long as one of the walk's.  Tree dumps keep the walk:
@@ -50,15 +50,16 @@ a PR region of four floats as one step, and a list or tuple whose items
 are all exactly int, such as an edge or a triangle, as one step through
 str) and falls back to isinstance checks for everything else, bools and
 int subclasses included.  Each distinct float is formatted once per call,
-through a memo that only floats reach and that starts over at a chunk's
-end once it holds MEMO_LIMIT entries.  An [x, y] pair formats its misses
-in the walk itself, so the points that make up most dumps cost no Python
+through one memo that starts over at a chunk's end once it holds
+MEMO_LIMIT entries (TextMemo.trim).  An [x, y] pair formats its misses in
+the walk itself, so the points that make up most dumps cost no Python
 call per coordinate; a lone float's miss formats in the memo's own
 `__missing__`.  Dict keys must be strings; any other key raises
 TypeError, since JSON has no other kind.  A key's text, quoted and with
-its colon, is made once per call for each distinct `str` key, in a memo
-that starts over like the floats'.  An error raises where the walk meets
-it, so chunks before it may already have been yielded.
+its colon, is made once per call for each distinct `str` key and kept in
+the same memo: no str equals a float, and no int reaches it.  An error
+raises where the walk meets it, so chunks before it may already have
+been yielded.
 """
 
 from __future__ import annotations
@@ -133,17 +134,6 @@ def dumps(value) -> str:
     return "".join(iterdumps(value))
 
 
-def _pair_lists(cell) -> list:
-    """A cell's [[x, y], ...] list from its vertex pairs.
-
-    A lazy sequence whose `_make` is this function, a fractal dump's
-    "cells", is written as a cell run: its `remade` method must give the
-    same cells made by another function, every cell has as many vertices
-    as the first, and every coordinate is a finite float.
-    """
-    return [[x, y] for x, y in cell]
-
-
 def _pair_text(batch) -> str | None:
     """The text of the items of `batch`, comma-separated, when each is a
     list or tuple of two finite floats (exactly float); None otherwise."""
@@ -163,25 +153,22 @@ def _pair_text(batch) -> str | None:
     return None
 
 
-def _chunk(parts: list, floats: dict, keys: dict) -> str:
+def _chunk(parts: list, memo: TextMemo) -> str:
     """The text of `parts`, which are cleared, so that they are not held
-    while the chunk is written; the memos start over if they are full."""
+    while the chunk is written; the memo starts over if it is full."""
     chunk = "".join(parts)
     parts.clear()
-    if len(floats) >= MEMO_LIMIT:
-        floats.clear()
-    if len(keys) >= MEMO_LIMIT:
-        keys.clear()
+    memo.trim()
     return chunk
 
 
 def iterdumps(value):
     """The text of dumps(value), in chunks of about CHUNK_PARTS parts."""
-    # keyed by floats only: 10**20 == 1e20 but they print differently
-    floats = _FloatText()
-    get = floats.get
-    text_of = floats.__getitem__
-    keys: dict = {}
+    # keyed by floats and by str keys, never by ints: 10**20 == 1e20 but
+    # they print differently, and no str equals a float
+    memo = _FloatText()
+    get = memo.get
+    text_of = memo.__getitem__
     parts: list[str] = []
     out = parts.append
     run_min, batch = _RUN_MIN, _RUN_BATCH
@@ -197,7 +184,7 @@ def iterdumps(value):
         for v in items:
             if len(parts) >= limit:
                 limit = CHUNK_PARTS
-                yield _chunk(parts, floats, keys)
+                yield _chunk(parts, memo)
             if first:
                 first = False
             else:
@@ -205,9 +192,9 @@ def iterdumps(value):
             if is_dict:
                 key, v = v
                 if type(key) is str:
-                    text = keys.get(key)
+                    text = get(key)
                     if text is None:
-                        text = keys[key] = _quote(key) + ":"
+                        text = memo[key] = _quote(key) + ":"
                 elif isinstance(key, str):
                     text = _quote(key) + ":"
                 else:
@@ -215,7 +202,7 @@ def iterdumps(value):
                 out(text)
             t = type(v)
             if t is float:
-                out(get(v) or floats[v])
+                out(get(v) or memo[v])
                 continue
             if t is list or t is tuple:
                 n = len(v)
@@ -227,14 +214,14 @@ def iterdumps(value):
                     if sx is None:
                         sx = "%.12g" % x
                         if sx[-1] in "fn" or sx == "-0":
-                            sx = floats[x]
-                        floats[x] = sx
+                            sx = memo[x]
+                        memo[x] = sx
                     sy = get(y)
                     if sy is None:
                         sy = "%.12g" % y
                         if sy[-1] in "fn" or sy == "-0":
-                            sy = floats[y]
-                        floats[y] = sy
+                            sy = memo[y]
+                        memo[y] = sy
                     out("[%s,%s]" % (sx, sy))
                     continue
                 if n == 4 and type(v[0]) is float:
@@ -242,8 +229,8 @@ def iterdumps(value):
                     # its neighbours', so its floats mostly hit the memo
                     a, b, c, d = v
                     if type(b) is float and type(c) is float and type(d) is float:
-                        out("[%s,%s,%s,%s]" % (get(a) or floats[a], get(b) or floats[b],
-                                               get(c) or floats[c], get(d) or floats[d]))
+                        out("[%s,%s,%s,%s]" % (get(a) or memo[a], get(b) or memo[b],
+                                               get(c) or memo[c], get(d) or memo[d]))
                         continue
                 for x in v:
                     if type(x) is not int:
@@ -273,7 +260,7 @@ def iterdumps(value):
                         limit -= 2 * len(run)
                         if len(parts) >= limit:
                             limit = CHUNK_PARTS
-                            yield _chunk(parts, floats, keys)
+                            yield _chunk(parts, memo)
                     else:
                         out("]")
                         continue
@@ -301,11 +288,10 @@ def iterdumps(value):
                 out(_quote(v))
                 continue
             elif isinstance(v, Sequence) and not isinstance(v, (bytes, bytearray, memoryview)):
-                if getattr(v, "_make", None) is _pair_lists and len(v):
+                if hasattr(v, "coords") and type(next(iter(v))) is list:
                     # a cell run: one template per batch of cells, filled
                     # from the memo over the cells' flat coordinates
-                    cells, n = len(v), len(v[0])
-                    coords = _flat(v.remade(_flat))
+                    cells, n, coords = len(v), v.corners, v.coords()
                     cell = "[" + ",".join(["[%s,%s]"] * n) + "]"
                     size = max(1, batch // n)
                     out("[")
@@ -318,7 +304,7 @@ def iterdumps(value):
                         limit -= 2 * n * k
                         if len(parts) >= limit:
                             limit = CHUNK_PARTS
-                            yield _chunk(parts, floats, keys)
+                            yield _chunk(parts, memo)
                     out("]")
                     continue
                 nested, inner = v, False

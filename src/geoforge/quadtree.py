@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import jsontext
-from .core import EPS_DIST, BBox, GeometryError, Point, _reject_duplicates
+from .core import EPS_DIST, BBox, GeometryError, Point, _read_numbers, _reject_duplicates
 
 MAX_DEPTH = 32
 
@@ -313,12 +313,12 @@ def _parse_point_node(data) -> PointNode | None:
 def _parse_pr_node(data) -> PRNode:
     if not isinstance(data, dict) or "region" not in data:
         raise GeometryError("malformed pr quadtree node")
-    region = data["region"]
-    if not (isinstance(region, list) and len(region) == 4):
+    region = _read_numbers(data["region"], 4)
+    if region is None:
         raise GeometryError("malformed pr quadtree region")
     node = PRNode(BBox(*region))
     keys = set(data)
-    if keys == {"region", "points"}:
+    if keys == {"region", "points"} and isinstance(data["points"], list):
         node.points = [_parse_point(p) for p in data["points"]]
     elif keys == {"region", "children"}:
         children = data["children"]
@@ -332,6 +332,7 @@ def _parse_pr_node(data) -> PRNode:
 
 
 def _parse_point(data) -> Point:
-    if not (isinstance(data, list) and len(data) == 2):
+    xy = _read_numbers(data, 2)
+    if xy is None:
         raise GeometryError("malformed point")
-    return Point(data[0], data[1])
+    return Point(*xy)

@@ -9,7 +9,7 @@ coordinates are one flat sequence x0, y0, x1, y1, ... in drawing order.
 The count is carried, so a run of zero-point strokes (an empty cell of a
 plain-list cells dump, drawn as a lone close) keeps its strokes.  Where
 the producer knows the bounds of a run they are its `bounds`, and the run
-is not measured: a fractal's cells (its `CellSequence` bounds), a point
+is not measured: a fractal's cells (its flat view's bounds), a point
 quadtree's lines (its bounding square, which it draws first) and a PR
 quadtree's regions (its root region); every other run has None there.
 A mark is any (x, y) pair, so the points of a dump (its [x, y] lists, or
@@ -35,13 +35,13 @@ runs when a chunk generator is made, before its first chunk.  The SVG
 viewBox comes before the first path, so the bounds are found first: the
 scene bbox when there is one; otherwise each run's bounds, measured over
 its coordinates where it carries none, and each layer's marks, by min and
-max over each coordinate.  A fractal's run is made while it is written,
-its coordinates flattened from the cells' walk one batch at a time (so
-gathered layers draw once), and a fractal's document streams in memory
-that does not grow with its depth; every other dump is bounded by its
-input and is gathered whole.  The fractal and quadtree modules load only
-when one of their dumps is drawn, so a figure of any other structure does
-not compile them.
+max over each coordinate.  A fractal's run is its cells' flat view
+(`fractals.CellSequence`: `corners`, `coords()`, `bounds`), read one batch
+at a time while it is written (so gathered layers draw once), and a
+fractal's document streams in memory that does not grow with its depth;
+every other dump is bounded by its input and is gathered whole.  The
+quadtree module loads only when a point-tree dump is drawn, so a figure
+of any other structure does not compile it.
 
 Figures repeat coordinates heavily (a depth-5 carpet has 262,144
 coordinate slots but about 244 distinct x and 244 distinct y values), so
@@ -133,14 +133,10 @@ def _result_layers(results, scene: Scene) -> list[tuple]:
     if keys == {"kind", "root"}:
         return _quadtree_layers(results)
     if keys == {"kind", "depth", "cells"}:
-        from .fractals import CellSequence
-
         cells = results["cells"]
-        if isinstance(cells, CellSequence):
-            # made while it is written, one flat coordinate sequence from the
-            # cells' walk; it carries the bounds of all its cells
-            coords = _flat(cells.remade(_flat))
-            return [([(len(cells[0]), True, len(cells), coords, cells.bounds)], [])]
+        if hasattr(cells, "coords"):
+            # a fractal's flat view, made while it is written
+            return [([(cells.corners, True, len(cells), cells.coords(), cells.bounds)], [])]
         return [(_loop_runs(cells), [])]
     if keys == {"bbox", "segments", "extensions", "trapezoids"}:
         base = _runs(4, True, _RECT(results["bbox"]))

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 
 from . import jsontext
-from .core import BBox, GeometryError, Point, Polygon, Segment
+from .core import BBox, GeometryError, Point, Polygon, Segment, _read_numbers
 
 _ALLOWED_KEYS = ("points", "segments", "polygons", "bbox")
 
@@ -69,29 +69,14 @@ def _entry_list(data: dict, key: str) -> list:
     return value
 
 
-def _parse_coords(value, where: str) -> tuple[float, float]:
-    if (
-        not isinstance(value, list)
-        or len(value) != 2
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    ):
-        raise SceneError("%s: expected [x, y] numbers" % where)
-    return _float(value[0], where), _float(value[1], where)
-
-
-def _float(value, where: str) -> float:
-    try:
-        return float(value)
-    except OverflowError:
-        raise SceneError("%s: number too large" % where) from None
-
-
 def _parse_point(value, where: str) -> Point:
-    x, y = _parse_coords(value, where)
     try:
-        return Point(x, y)
+        xy = _read_numbers(value, 2)
+        if xy is not None:
+            return Point(*xy)
     except GeometryError as err:
         raise SceneError("%s: %s" % (where, err)) from None
+    raise SceneError("%s: expected [x, y] numbers" % where)
 
 
 def _parse_points(values: list, where) -> list[Point]:
@@ -138,16 +123,13 @@ def _parse_polygon(value, where: str) -> Polygon:
 
 
 def _parse_bbox(value) -> BBox:
-    if (
-        not isinstance(value, list)
-        or len(value) != 4
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    ):
-        raise SceneError("bbox: expected [xmin, ymin, xmax, ymax]")
     try:
-        return BBox(*(_float(v, "bbox") for v in value))
+        bounds = _read_numbers(value, 4)
+        if bounds is not None:
+            return BBox(*bounds)
     except GeometryError as err:
         raise SceneError("bbox: %s" % err) from None
+    raise SceneError("bbox: expected [xmin, ymin, xmax, ymax]")
 
 
 def serialize_scene(scene: Scene) -> str:

@@ -711,6 +711,8 @@ def test_trapmap_default_box_stops_at_the_coordinate_limit(tmp_path, segments, b
      "error: seed must satisfy |x|, |y| <= 1e+06\n"),
     (["sierpinski-carpet", "--depth", "0"], '{"bbox":[0,0,1e6,1000000.5]}',
      "error: seed must satisfy |x|, |y| <= 1e+06\n"),
+    (["onion"], '{"points":[[0,0]],"bbox":[0,0,1e400,1]}',
+     "error: bbox: bbox bounds must be finite\n"),
 ])
 def test_out_of_range_boxes_name_themselves(tmp_path, capsys, command, text, message):
     scene = tmp_path / "far.json"
@@ -718,6 +720,15 @@ def test_out_of_range_boxes_name_themselves(tmp_path, capsys, command, text, mes
     out = tmp_path / "far.out"
     assert main(command + ["--input", str(scene), "--output", str(out)]) == 1
     assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+def test_a_scene_entry_that_is_not_a_list_is_named(tmp_path, capsys):
+    scene = tmp_path / "bad.json"
+    scene.write_text('{"points":5}')
+    out = tmp_path / "bad.out"
+    assert main(["onion", "--input", str(scene), "--output", str(out)]) == 1
+    assert capsys.readouterr().err == "error: points must be a list\n"
     assert not out.exists()
 
 

@@ -341,6 +341,35 @@ def test_cut_offsets_cut_caps_within_the_round_off_bound(case, seed):
         assert error <= bound, (k, float(error / area))
 
 
+@pytest.mark.parametrize("jitter", [0.0, 0.4], ids=["regular", "jittered"])
+@pytest.mark.parametrize("n", [3, 4, 5, 7, 12, 40])
+def test_a_cut_from_any_run_that_holds_a_top_cuts_its_cap(n, jitter):
+    # _Caps.cut from runs a..b that reach up to n - 2 vertices past the top
+    # vertex on either side, so that it steps in from either end and out,
+    # against delta times the exact area within the round-off bound
+    rng = random.Random(1000 * n + int(10 * jitter))
+    step = 2 * math.pi / n
+    angles = [(k + rng.uniform(-jitter, jitter)) * step for k in range(n)]
+    poly = Polygon([Point(7.0 + 30.0 * math.cos(a), -3.0 + 30.0 * math.sin(a)) for a in angles])
+    loop = [(v.x, v.y) for v in poly.vertices]
+    area = geomgen.cap_area_exact(loop, 1.0, 0.0, min(x for x, _ in loop))
+    for delta in (1e-6, 1e-3, 0.1, 0.3, 0.5):
+        caps = floating_body._Caps(poly, delta)
+        for _ in range(100):
+            phi = rng.uniform(0.0, 2 * math.pi)
+            ux, uy = math.cos(phi), math.sin(phi)
+            levels = [ux * x + uy * y for x, y in caps.loop[:n]]
+            top = levels.index(max(levels))
+            left = rng.randrange(n - 1)
+            right = rng.randrange(n - 1 - left)
+            a, b = top - left, top + right
+            if a < 0:
+                a, b = a + n, b + n
+            c = caps.cut(ux, uy, a, b)[2]
+            error = abs(geomgen.cap_area_exact(loop, ux, uy, c) - Fraction(delta) * area)
+            assert error <= _cap_error_bound(loop, c), (phi, delta, a, b, float(error / area))
+
+
 def _reference_error_bound(loop, area, c):
     # cut_offset_reference stops when its float cap is within 1e-9 * A of
     # the target, and that cap rounds as _Caps' does on a loop not shifted

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -147,6 +151,26 @@ def test_cells_are_a_lazy_sequence_that_any_pass_sees_alike():
     dumped = output_to_dict(out)["cells"]
     assert dumped == [[[p.x, p.y] for p in c.vertices] for c in first]
     assert dumped.bounds == cells.bounds == (0.0, 0.0, 9.0, 9.0)
+
+
+def test_the_flat_view_is_every_cells_coordinates_in_order():
+    for out, corners in ((sierpinski_triangle(EQUILATERAL, 3), 3),
+                         (sierpinski_carpet(BBox(0, 0, 9, 9), 2), 4)):
+        flat = [v for cell in out.cells for p in cell.vertices for v in (p.x, p.y)]
+        for cells in (out.cells, output_to_dict(out)["cells"]):
+            assert cells.corners == corners
+            assert list(cells.coords()) == flat
+            # every pass runs the walk again
+            assert list(cells.coords()) == flat
+
+
+def test_the_fractal_module_does_not_load_the_json_writer():
+    # the cells' flat view is the fractal module's own; the writers read it
+    code = "import sys, geoforge.fractals; print('geoforge.jsontext' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
 
 def _extremes(cells):

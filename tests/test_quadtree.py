@@ -436,6 +436,39 @@ def test_parse_rejects_malformed_arrays():
             parse_quadtree_array(text)
 
 
+_LEAF = '{"kind":"pr","root":{"region":[0,0,1,1],"points":[%s]}}'
+_SITE = '{"kind":"point","root":{"site":%s,"nw":null,"ne":null,"sw":null,"se":null}}'
+_REGION = '{"kind":"pr","root":{"region":%s,"points":[]}}'
+_HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("text, message", [
+    # each once escaped as TypeError or ValueError, or parsed a bool as 1.0
+    ('{"kind":"pr","root":{"region":[0,0,1,1],"points":5}}', "malformed pr quadtree node"),
+    (_REGION % '["a",0,1,1]', "malformed pr quadtree region"),
+    (_REGION % "[null,0,1,1]", "malformed pr quadtree region"),
+    (_REGION % "[0,false,1,1]", "malformed pr quadtree region"),
+    (_LEAF % '["x",0]', "malformed point"),
+    (_LEAF % "[0,true]", "malformed point"),
+    (_SITE % '["x",0]', "malformed point"),
+    (_SITE % "[true,0]", "malformed point"),
+    pytest.param(_SITE % "[%s,0]" % _HUGE, "number too large", id="huge-site"),
+    pytest.param(_REGION % "[0,0,%s,1]" % _HUGE, "number too large", id="huge-region"),
+    # the parser's other raise sites
+    ('{"kind":"pr","root":null}', "pr quadtree root cannot be null"),
+    ('{"kind":"pr","root":{"points":[]}}', "malformed pr quadtree node"),
+    (_REGION % "[0,0,1]", "malformed pr quadtree region"),
+    ('{"kind":"pr","root":{"region":[0,0,1,1],"children":[]}}',
+     "pr quadtree node needs exactly 4 children"),
+    (_SITE % "[0]", "malformed point"),
+    (_LEAF % "[0,0,0]", "malformed point"),
+])
+def test_malformed_arrays_raise_geometry_error_with_their_message(text, message):
+    with pytest.raises(GeometryError) as err:
+        parse_quadtree_array(text)
+    assert str(err.value) == message
+
+
 def test_parse_reports_too_deep_dumps_as_geometry_error(monkeypatch):
     deep_point = quadtree_to_array(build_point_quadtree([Point(i, i) for i in range(1500)]))
     deep_pr = '{"kind":"pr","root":' + '{"region":[0,0,1,1],"children":[' * 3000

@@ -145,6 +145,17 @@ def test_unknown_result_rejected():
         emit_ipe(scene_of_points((0, 0)), {"surprise": 1})
 
 
+@pytest.mark.parametrize("results, message", [
+    (42, "cannot render results of type 'int'"),
+    ({"kind": "octree", "root": None}, "cannot render this dump"),
+])
+def test_results_that_cannot_be_drawn_are_named(results, message):
+    for emit in (emit_svg, emit_ipe):
+        with pytest.raises(GeometryError) as err:
+            emit(scene_of_points((0, 0)), results)
+        assert str(err.value) == message
+
+
 def test_triangulation_render_needs_its_polygon():
     with pytest.raises(GeometryError, match="polygon"):
         emit_svg(scene_of_points((0, 0)), {"triangles": [[0, 1, 2]], "samples": []})
@@ -383,6 +394,16 @@ def test_streamed_viewbox_equals_the_bounds_of_every_layer():
         plain = dict(dump, cells=[list(cell) for cell in dump["cells"]])
         assert emit_svg(scene, plain) == emit_svg(scene, dump) == _reference_svg(scene, plain)
         assert emit_ipe(scene, plain) == emit_ipe(scene, dump) == _reference_ipe(scene, plain)
+
+
+def test_cells_of_polygons_draw_as_the_dump_does():
+    scene = parse_scene((FIXTURES / "sierpinski-carpet.json").read_text())
+    for out in (sierpinski_carpet(scene.bbox, 2), sierpinski_triangle(
+            Polygon([Point(0.1, 0.7), Point(1e6, -3.3), Point(-2.5e5, 999999.9)]), 3)):
+        dump = output_to_dict(out)
+        polygons = dict(dump, cells=out.cells)
+        assert emit_svg(scene, polygons) == emit_svg(scene, dump)
+        assert emit_ipe(scene, polygons) == emit_ipe(scene, dump)
 
 
 def test_quadtree_frames_carry_the_bounds_of_their_lines():

@@ -185,6 +185,8 @@ def test_build_errors():
         build_trapezoidal_map([])
     with pytest.raises(GeometryError):
         build_trapezoidal_map([seg(0, 0, 5, 5)], bbox=BBox(0, 0, 1, 1))
+    with pytest.raises(GeometryError, match=r"^segment 0 is not a Segment$"):
+        build_trapezoidal_map([((0, 0), (1, 1))])
 
 
 def test_default_bbox_pads_ten_percent():
